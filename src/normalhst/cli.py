@@ -16,8 +16,8 @@ import sys
 from . import selftest as selftest_module
 from .curve_patterns import (CurvePattern, PatternError, check_348,
                              decompose_pattern)
-from .enumeration import (ResourceCeilingError, brute_force_enumerate,
-                          enumerate_vertex_surfaces,
+from .enumeration import (CeilingSettingError, ResourceCeilingError,
+                          brute_force_enumerate, enumerate_vertex_surfaces,
                           reduced_extreme_solutions)
 from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                   splitting_from_json, splitting_to_json, trace_to_json,
@@ -331,8 +331,15 @@ def cmd_curves(args):
 
 def cmd_selftest(args):
     numbers = None
-    if args.criteria:
-        numbers = sorted(int(x) for x in args.criteria.split(","))
+    if args.criteria is not None:
+        known = {str(n): n for n in selftest_module.CRITERIA}
+        parts = [x.strip() for x in args.criteria.split(",")]
+        unknown = [x for x in parts if x not in known]
+        if unknown:
+            raise InputProblem(
+                f"--criteria: unknown criterion {unknown[0]!r}, "
+                f"choose from {', '.join(sorted(known))}")
+        numbers = sorted(known[x] for x in parts)
     results = selftest_module.run(numbers, seed=args.seed)
     for result in results:
         print(result.line())
@@ -425,7 +432,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputProblem as exc:
+    except (InputProblem, CeilingSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCeilingError as exc:

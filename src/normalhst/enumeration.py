@@ -3,9 +3,10 @@ Enumeration of admissible normal surfaces.
 
 Two independent routes:
 
-* :func:`enumerate_vertex_surfaces` computes the extreme rays of the
-  cone {x >= 0, matching(x) = 0} by incremental double description with
-  exact integer arithmetic, then filters to quad-admissible vectors.
+* :func:`enumerate_vertex_surfaces` computes the quad-admissible extreme
+  rays of the cone {x >= 0, matching(x) = 0} by incremental double
+  description with exact integer arithmetic, pruning every intermediate
+  ray that breaks the quad constraint as soon as it would be built.
 * :func:`brute_force_enumerate` walks the lattice of all coordinate
   vectors of bounded total weight by backtracking, checking the matching
   equations as soon as both sides of a face are assigned.
@@ -28,6 +29,10 @@ class ResourceCeilingError(RuntimeError):
     """A configured resource ceiling was exceeded."""
 
 
+class CeilingSettingError(ValueError):
+    """NORMALHST_CEILING is not a positive integer."""
+
+
 DEFAULT_CEILINGS = {
     "rays": 20000,              # intermediate ray count in double description
     "brute_force_weight": 12,   # maximal total coordinate for brute force
@@ -39,9 +44,12 @@ DEFAULT_CEILINGS = {
 def ceiling(name):
     """Resource ceiling, overridable globally via NORMALHST_CEILING."""
     env = os.environ.get("NORMALHST_CEILING")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CEILINGS[name]
+    if env is None:
+        return DEFAULT_CEILINGS[name]
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise CeilingSettingError(
+            f"NORMALHST_CEILING must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _reduce(vec):
@@ -55,30 +63,48 @@ def _reduce(vec):
 
 @dataclass(frozen=True)
 class SolutionCone:
-    """Extreme rays of the matching cone, with admissibility flags."""
+    """Quad-admissible extreme rays of the matching cone."""
     system: MatchingSystem
     rays: tuple
-    admissible: tuple
 
 
-def _quad_admissible_flat(flat):
-    for t in range(len(flat) // 7):
-        if sum(1 for q in flat[7 * t + 4: 7 * t + 7] if q) > 1:
-            return False
-    return True
+def _two_quads_in_one_tet(support, quads):
+    """Whether ``support`` holds two quad columns of one tetrahedron.
+
+    ``quads`` masks every quad column (7t+4..7t+6).  Two quad bits of
+    one tetrahedron lie 1 or 2 apart; quad bits of different tetrahedra
+    lie at least 5 apart, so the shifts never pair across tetrahedra.
+    """
+    q = support & quads
+    return bool(q & ((q >> 1) | (q >> 2)))
 
 
 def extreme_rays(system, max_rays=None):
-    """Extreme rays of {x >= 0, rows(x) = 0} by double description.
+    """Quad-admissible extreme rays of {x >= 0, rows(x) = 0}.
 
-    Equations are inserted in order of increasing support size (ties by
-    index), which keeps intermediate ray counts small and fixes the
-    output order.  Rays are primitive integer vectors.
+    Incremental double description that keeps only rays obeying the
+    quad constraint (at most one quad type per tetrahedron), after
+    B. Burton, "Optimizing the double description method for normal
+    surface enumeration", Math. Comp. 79 (2010).  A pos x neg pair
+    combines to a ray whose support is the union of theirs, so a pair
+    whose union holds two quads of one tetrahedron is skipped before
+    the adjacency test.  The test itself stays exact over the kept
+    rays: any ray whose zero set contains the pair's common zeros has
+    support inside the union, hence is admissible and kept.
+
+    Zero sets are int bitmasks over the columns.  Equations are inserted
+    in order of increasing support size (ties by index), which keeps
+    intermediate ray counts small and fixes the output order.  Rays are
+    primitive integer vectors.  The ``rays`` ceiling bounds the number
+    of admissible rays after each equation.
     """
     n = system.columns
     if max_rays is None:
         max_rays = ceiling("rays")
+    full = (1 << n) - 1
+    quads = sum(0b111 << (7 * t + 4) for t in range(n // 7))
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    zero_sets = [full ^ (1 << j) for j in range(n)]
     order = sorted(range(len(system.rows)),
                    key=lambda i: (sum(1 for c in system.rows[i] if c), i))
     for row_index in order:
@@ -86,37 +112,31 @@ def extreme_rays(system, max_rays=None):
         dots = [sum(c * r for c, r in zip(a, ray)) for ray in rays]
         pos = [i for i, d in enumerate(dots) if d > 0]
         neg = [i for i, d in enumerate(dots) if d < 0]
-        zero = [i for i, d in enumerate(dots) if d == 0]
-        zero_sets = [frozenset(k for k, x in enumerate(ray) if x == 0)
-                     for ray in rays]
-
-        def adjacent(i, j):
-            common = zero_sets[i] & zero_sets[j]
-            for k, zs in enumerate(zero_sets):
-                if k != i and k != j and zs >= common:
-                    return False
-            return True
-
-        new_rays = [rays[i] for i in zero]
+        new_rays = [ray for ray, d in zip(rays, dots) if d == 0]
+        new_zero_sets = [z for z, d in zip(zero_sets, dots) if d == 0]
         for i in pos:
             for j in neg:
-                if not adjacent(i, j):
+                common = zero_sets[i] & zero_sets[j]
+                if _two_quads_in_one_tet(full ^ common, quads):
+                    continue
+                if any(z & common == common
+                       for k, z in enumerate(zero_sets) if k != i and k != j):
                     continue
                 combo = tuple(dots[i] * rays[j][k] - dots[j] * rays[i][k]
                               for k in range(n))
                 new_rays.append(_reduce(combo))
+                new_zero_sets.append(common)
         if len(new_rays) > max_rays:
             raise ResourceCeilingError(
                 f"double description exceeded {max_rays} rays")
-        rays = new_rays
+        rays, zero_sets = new_rays, new_zero_sets
     return rays
 
 
 def solution_cone(tri, max_rays=None):
     system = matching_system(tri)
-    rays = tuple(sorted(extreme_rays(system, max_rays)))
-    flags = tuple(_quad_admissible_flat(r) for r in rays)
-    return SolutionCone(system=system, rays=rays, admissible=flags)
+    return SolutionCone(system=system,
+                        rays=tuple(sorted(extreme_rays(system, max_rays))))
 
 
 def _vector_from_flat(tri, flat):
@@ -133,10 +153,8 @@ def enumerate_vertex_surfaces(tri, max_rays=None):
     Output order is lexicographic on the flat coordinate tuples, so
     repeated runs produce identical results.
     """
-    cone = solution_cone(tri, max_rays)
-    out = [_vector_from_flat(tri, ray)
-           for ray, ok in zip(cone.rays, cone.admissible) if ok]
-    return out
+    return [_vector_from_flat(tri, ray)
+            for ray in solution_cone(tri, max_rays).rays]
 
 
 def _local_blocks(budget):

@@ -106,13 +106,6 @@ CORPUS = {
     "pentachoron": boundary_4_simplex,
 }
 
-EXTRAS = {
-    "one-tet-sphere": one_tet_sphere,
-    "lens-l41": lens_l41,
-    "rp3": rp3_two_tet,
-    "pseudomanifold": pseudomanifold_two_tet,
-}
-
 
 def corpus():
     """The named reference triangulations, in deterministic order."""

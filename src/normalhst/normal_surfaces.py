@@ -106,9 +106,6 @@ class SurfaceVector:
     def octagon_count(self):
         return sum(sum(oc) for _, _, oc in self.tets)
 
-    def piece_count(self):
-        return self.total_weight()
-
     def add(self, other):
         """Coordinatewise sum; at most one summand may carry a tube."""
         if self.tube is not None and other.tube is not None:
@@ -142,24 +139,38 @@ class SurfaceVector:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Parse the JSON form; every count must be a JSON integer.
+
+        Floats, booleans and strings are rejected rather than coerced,
+        so ``1.7`` or ``true`` never reads as 1.
+        """
         try:
-            blocks = tuple((tuple(int(x) for x in td["tri"]),
-                            tuple(int(x) for x in td["quad"]),
-                            tuple(int(x) for x in td["oct"]))
+            blocks = tuple((tuple(_json_int(x) for x in td["tri"]),
+                            tuple(_json_int(x) for x in td["quad"]),
+                            tuple(_json_int(x) for x in td["oct"]))
                            for td in data["tets"])
-        except (KeyError, TypeError) as exc:
+            tube = None
+            if data.get("tube") is not None:
+                td = data["tube"]
+                pa, pb = td["pieces"]
+                tube = TubeAnnotation(_json_int(td["tet"]),
+                                      (pa[0], _json_int(pa[1]),
+                                       _json_int(pa[2])),
+                                      (pb[0], _json_int(pb[1]),
+                                       _json_int(pb[2])))
+        except (KeyError, TypeError, ValueError, IndexError,
+                AttributeError) as exc:
             raise SurfaceError(f"malformed surface vector JSON: {exc}")
         for t, q, o in blocks:
             if len(t) != 4 or len(q) != 3 or len(o) != 3:
                 raise SurfaceError("coordinate arrays must have lengths 4/3/3")
-        tube = None
-        if data.get("tube") is not None:
-            td = data["tube"]
-            pa, pb = td["pieces"]
-            tube = TubeAnnotation(int(td["tet"]),
-                                  (pa[0], int(pa[1]), int(pa[2])),
-                                  (pb[0], int(pb[1]), int(pb[2])))
         return cls(blocks, tube)
+
+
+def _json_int(x):
+    if type(x) is not int:      # bool is a subclass of int: reject it too
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +453,7 @@ def euler_characteristic(tri, v, skeleton=None, mode=None):
         t, f = orbit[0]
         edges += sum(model.arc_count(v.tets[t], f, w)
                      for w in model.FACE_VERTICES[f])
-    faces = v.piece_count()
+    faces = v.total_weight()
     if v.tube is not None:
         faces -= 2
     return vertices - edges + faces

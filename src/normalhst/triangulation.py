@@ -320,22 +320,6 @@ class Skeleton:
         return (len(self.vertex_orbits), len(self.edge_orbits),
                 len(self.face_orbits))
 
-    def vertex_orbit_of(self, cell):
-        return self._lookup(self.vertex_orbits, cell)
-
-    def edge_orbit_of(self, cell):
-        return self._lookup(self.edge_orbits, cell)
-
-    def face_orbit_of(self, cell):
-        return self._lookup(self.face_orbits, cell)
-
-    @staticmethod
-    def _lookup(orbits, cell):
-        for i, orbit in enumerate(orbits):
-            if cell in orbit:
-                return i
-        raise KeyError(cell)
-
     def euler_alternating_sum(self, tetrahedron_count):
         v, e, f = self.counts
         return v - e + f - tetrahedron_count

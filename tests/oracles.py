@@ -6,8 +6,12 @@ rank by fraction-free (Bareiss) elimination instead of rational
 elimination, vertex links built directly from corner triangles, and
 surfaces assembled as explicit cell complexes from face-side arc lists
 (with the opposite labelling convention for parallel quads, which must
-not matter).
+not matter), and vertex surfaces as the whole cone's extreme rays
+filtered for the quad constraint afterwards, where the package prunes
+inadmissible rays during double description.
 """
+
+import math
 
 from normalhst import model
 
@@ -292,3 +296,53 @@ def surface_cells(tri, vector):
 
     chis = [v_count[c] - e_count[c] + f_count[c] for c in range(ncomp)]
     return pieces, piece_comp, chis, closed
+
+
+def unpruned_extreme_rays(system):
+    """All extreme rays of {x >= 0, rows(x) = 0}, admissible or not.
+
+    Plain double description without quad pruning, with frozenset zero
+    sets and the combinatorial adjacency test over every ray.  Equations
+    are inserted in the package's order (support size, then index), so
+    both routes see the same intermediate cones.  Exponentially slower
+    than the package on larger inputs; keep n small.
+    """
+    n = system.columns
+    rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    order = sorted(range(len(system.rows)),
+                   key=lambda i: (sum(1 for c in system.rows[i] if c), i))
+    for row_index in order:
+        a = system.rows[row_index]
+        dots = [sum(c * r for c, r in zip(a, ray)) for ray in rays]
+        pos = [i for i, d in enumerate(dots) if d > 0]
+        neg = [i for i, d in enumerate(dots) if d < 0]
+        zero = [i for i, d in enumerate(dots) if d == 0]
+        zero_sets = [frozenset(k for k, x in enumerate(ray) if x == 0)
+                     for ray in rays]
+
+        def adjacent(i, j):
+            common = zero_sets[i] & zero_sets[j]
+            for k, zs in enumerate(zero_sets):
+                if k != i and k != j and zs >= common:
+                    return False
+            return True
+
+        new_rays = [rays[i] for i in zero]
+        for i in pos:
+            for j in neg:
+                if not adjacent(i, j):
+                    continue
+                combo = [dots[i] * rays[j][k] - dots[j] * rays[i][k]
+                         for k in range(n)]
+                g = 0
+                for x in combo:
+                    g = math.gcd(g, x)
+                new_rays.append(tuple(x // g for x in combo))
+        rays = new_rays
+    return rays
+
+
+def quad_admissible(flat):
+    """At most one nonzero quad coordinate per 7-column block."""
+    return all(sum(1 for q in flat[7 * t + 4: 7 * t + 7] if q) <= 1
+               for t in range(len(flat) // 7))

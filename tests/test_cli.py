@@ -84,6 +84,38 @@ def test_surface_wrong_size_vector(files, capsys):
     assert run(["surface", files["penta"], files["link"]]) == 2
 
 
+@pytest.mark.parametrize("token", ["1.7", "true", '"3"', "1e400"])
+def test_surface_rejects_non_integer_coordinate(files, tmp_path, capsys,
+                                                token):
+    data = json.loads(files["link"].read_text())
+    text = json.dumps(data).replace('"tri": [1,', f'"tri": [{token},', 1)
+    assert text != json.dumps(data)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "expected an integer" in captured.err
+
+
+@pytest.mark.parametrize("tube", [
+    {"tet": 0.0, "pieces": [["tri", 0, 0], ["tri", 1, 0]]},
+    {"tet": 0, "pieces": [["tri", True, 0], ["tri", 1, 0]]},
+    {"tet": 0, "pieces": [["tri", 0, 0]]},
+    {"tet": 0},
+])
+def test_surface_rejects_malformed_tube(files, tmp_path, capsys, tube):
+    data = json.loads(files["link"].read_text())
+    data["tube"] = tube
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_enumerate_vertex_stream(files, capsys):
     assert run(["enumerate", files["single"], "--method", "vertex"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -105,6 +137,16 @@ def test_enumerate_ceiling_exit_3(files, capsys, monkeypatch):
     monkeypatch.setenv("NORMALHST_CEILING", "2")
     assert run(["enumerate", files["single"], "--method", "brute",
                 "--bound", "5"]) == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_bad_ceiling_setting_exit_2(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("NORMALHST_CEILING", value)
+    assert run(["enumerate", files["single"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"error: NORMALHST_CEILING must be a positive integer, got {value!r}"]
 
 
 def test_hst_complexity(files, capsys):
@@ -231,3 +273,12 @@ def test_selftest_single_criterion(capsys):
     assert run(["selftest", "--criteria", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("criterion 1 [PASS]")
+
+
+@pytest.mark.parametrize("criteria", ["9", "x", "1,0", ""])
+def test_selftest_unknown_criterion_exit_2(capsys, criteria):
+    assert run(["selftest", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "unknown criterion" in captured.err

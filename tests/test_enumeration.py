@@ -14,7 +14,13 @@ from normalhst.normal_surfaces import (check_admissible, matching_system,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import bareiss_rank
+from oracles import bareiss_rank, quad_admissible, unpruned_extreme_rays
+from pairings import random_closed_pairing
+
+# (tetrahedra, seed) of the random closed pairings checked against the
+# unpruned double description; n = 4 costs about 0.3 s each.
+GENERATED_PAIRINGS = ([(2, s) for s in range(10)] + [(3, s) for s in range(10)]
+                      + [(4, s) for s in range(6)])
 
 
 def test_single_tet_rays_are_units():
@@ -33,6 +39,7 @@ def test_cone_invariants():
         for ray in cone.rays:
             assert all(x >= 0 for x in ray)
             assert all(v == 0 for v in system.evaluate(ray))
+            assert quad_admissible(ray)
             from math import gcd
             g = 0
             for x in ray:
@@ -40,6 +47,15 @@ def test_cone_invariants():
             assert g == 1
             assert ray not in seen
             seen.add(ray)
+
+
+@pytest.mark.parametrize("n,seed", GENERATED_PAIRINGS)
+def test_pruned_rays_match_unpruned_oracle(n, seed):
+    tri = random_closed_pairing(n, seed)
+    pruned = [v.normal_coordinates() for v in enumerate_vertex_surfaces(tri)]
+    oracle = sorted(ray for ray in unpruned_extreme_rays(matching_system(tri))
+                    if quad_admissible(ray))
+    assert pruned == oracle
 
 
 def test_brute_force_bound_zero():
