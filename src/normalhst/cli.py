@@ -11,11 +11,12 @@ diverge.  Exit codes: 0 success, 1 semantic failure, 2 input error,
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import selftest as selftest_module
 from .curve_patterns import (CurvePattern, PatternError, check_348,
-                             decompose_pattern)
+                             decompose_pattern, judge_348)
 from .enumeration import (CeilingSettingError, ResourceCeilingError,
                           brute_force_enumerate, enumerate_vertex_surfaces,
                           reduced_extreme_solutions)
@@ -318,7 +319,7 @@ def cmd_curves(args):
     }
     ok = True
     if args.check_348:
-        result = check_348(pattern)
+        result = judge_348(decomposition.loops)
         payload["check_348"] = {
             "passed": result.passed,
             "loops_of_length_8": result.octagons,
@@ -431,7 +432,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does.  Point
+        # stdout at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_SEMANTIC
     except (InputProblem, CeilingSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,6 +10,28 @@ along each edge by position.  Decomposing that realization into loops is
 therefore a pure function of the counts, and a combinatorial loop (a
 cyclic word in the six edges) is realizable as an embedded curve exactly
 when it appears in the decomposition of its own counts.
+
+The decomposition is arithmetic on the counts; no arc is drawn.
+
+* Triangle peel.  The v-arcs of rank r in the three faces at vertex v
+  sit at position r from v on each edge at v, so while every face at v
+  still has a v-arc, the innermost ones close up into a vertex
+  triangle.  With t_v the least of the three counts, the innermost t_v
+  ranks are t_v copies of v's triangle, and removing them leaves the
+  canonical realization of the reduced counts.
+* Successor arithmetic.  At crossing (e, pos) of edge e = (u, w) in
+  face f, the arc is the u-arc of rank pos when pos is below the count
+  of u-arcs in f, else the w-arc of rank width - 1 - pos; its other end
+  is at the same rank on the other edge of f at its cut vertex.
+* Parallel rest.  After the peel some face at each vertex lacks its
+  v-arc, so no loop left is a vertex triangle: each is essential in the
+  boundary sphere punctured at the four vertices, where disjoint
+  essential curves are parallel.  The rest is therefore m copies of
+  one loop, which is traced with the successor from one crossing; the
+  arcs it uses, times m, must give the rest exactly.
+
+The work grows with the length of the traced loop and the number of
+loops returned, not with the number of arcs.
 """
 
 from dataclasses import dataclass
@@ -48,19 +70,6 @@ class CurvePattern:
 
     def total(self):
         return sum(self.counts)
-
-    def edge_endpoints(self, e, f):
-        """Arc endpoints on edge e contributed by face f."""
-        u, w = model.EDGES[e]
-        return self.count(f, u) + self.count(f, w)
-
-    def balance_violations(self):
-        out = []
-        for e in range(6):
-            a, b = model.FACES_OF_EDGE[e]
-            if self.edge_endpoints(e, a) != self.edge_endpoints(e, b):
-                out.append(e)
-        return out
 
     def add(self, other):
         return CurvePattern(tuple(x + y
@@ -132,57 +141,101 @@ def canonical_word(word):
     return best
 
 
+def _triangle_table():
+    """(canonical word, the three arc indices) of each vertex triangle."""
+    return tuple((canonical_word([e for e in range(6) if v in model.EDGES[e]]),
+                  tuple(model.ARC_INDEX[(f, v)] for f in model.FACES if f != v))
+                 for v in model.VERTICES)
+
+
+def _side_table():
+    """One row per side (e, f): edge e seen from face f = FACES_OF_EDGE[e][j],
+    numbered 2 * e + j.
+
+    A row is (u-arc index, w-arc index, u move, w move) for e = (u, w),
+    where a move (side2, low) says where the arc of that type leads: to
+    the side of its other edge e2 on e2's other face, with ``low`` true
+    when the cut vertex is e2's lower endpoint.
+    """
+    rows = []
+    for e, (u, w) in enumerate(model.EDGES):
+        for f in model.FACES_OF_EDGE[e]:
+            x = next(v for v in model.FACE_VERTICES[f] if v not in (u, w))
+            moves = []
+            for v in (u, w):
+                e2 = model.edge_index(v, x)
+                j = 1 - model.FACES_OF_EDGE[e2].index(f)
+                moves.append((2 * e2 + j, v < x))
+            rows.append((model.ARC_INDEX[(f, u)], model.ARC_INDEX[(f, w)],
+                         *moves))
+    return tuple(rows)
+
+
+_TRIANGLES = _triangle_table()
+_SIDES = _side_table()
+# Per edge, the arc indices (u-arcs, w-arcs) of its two faces.
+_EDGE_ARCS = tuple(_SIDES[2 * e][:2] + _SIDES[2 * e + 1][:2]
+                   for e in range(6))
+
+
 def decompose_pattern(pattern):
     """Split the canonical realization of a balanced pattern into loops.
 
     Raises :class:`PatternError` when the edge-balance invariant fails;
-    balanced patterns always have an embedded realization.
+    balanced patterns always have an embedded realization.  The module
+    docstring describes the method.
     """
-    bad = pattern.balance_violations()
+    counts = pattern.counts
+    bad = [e for e, (au, aw, bu, bw) in enumerate(_EDGE_ARCS)
+           if counts[au] + counts[aw] != counts[bu] + counts[bw]]
     if bad:
         raise PatternError(
             f"edge balance violated on edges {bad}")
 
-    # Position of the rank-r arc of type (f, v) on edge e: ranks count
-    # away from the cut vertex, absolute positions from the lower edge
-    # endpoint.
-    def position(f, v, rank, e):
-        u, w = model.EDGES[e]
-        width = pattern.edge_endpoints(e, f)
-        return rank if v == u else width - 1 - rank
+    copies = {}
+    rest = list(counts)
+    for word, arcs in _TRIANGLES:
+        t = min(rest[i] for i in arcs)
+        if t:
+            copies[word] = t
+            for i in arcs:
+                rest[i] -= t
 
-    # Each crossing (e, pos) joins exactly two arc ends.
-    ends_at = {}
-    for (f, v) in model.ARC_TYPES:
-        for rank in range(pattern.count(f, v)):
-            for e in model.arc_endpoints(f, v):
-                key = (e, position(f, v, rank, e))
-                ends_at.setdefault(key, []).append((f, v, rank))
-    for key, ends in ends_at.items():
-        assert len(ends) == 2, (key, ends)
-
-    visited = set()
-    loops = []
-    for start in sorted(ends_at):
-        if start in visited:
-            continue
+    if any(rest):
+        width = [rest[au] + rest[aw] for au, aw, _, _ in _EDGE_ARCS]
+        side = start = 2 * next(e for e in range(6) if width[e])
+        pos = 0
         word = []
-        crossing = start
-        f, v, rank = ends_at[crossing][0]
-        while crossing not in visited:
-            visited.add(crossing)
-            word.append(crossing[0])
-            # leave the crossing along the other incident arc
-            a, b = ends_at[crossing]
-            f, v, rank = b if a == (f, v, rank) else a
-            e1, e2 = model.arc_endpoints(f, v)
-            e_out = e2 if crossing[0] == e1 else e1
-            crossing = (e_out, position(f, v, rank, e_out))
-        loops.append(canonical_word(word))
+        used = [0] * 12
+        while True:
+            e = side >> 1
+            word.append(e)
+            iu, iw, u_move, w_move = _SIDES[side]
+            if pos < rest[iu]:
+                used[iu] += 1
+                side, low = u_move
+            else:
+                used[iw] += 1
+                pos = width[e] - 1 - pos
+                side, low = w_move
+            if not low:
+                pos = width[side >> 1] - 1 - pos
+            if side == start and pos == 0:
+                break
+        m = sum(rest) // len(word)
+        if [m * x for x in used] != rest:
+            raise AssertionError(
+                f"loops left after the triangle peel are not parallel: {rest}")
+        word = canonical_word(word)
+        copies[word] = m
 
-    loops.sort()
-    return LoopDecomposition(loops=tuple(loops),
-                             lengths=tuple(sorted(len(w) for w in loops)))
+    loops = []
+    for word in sorted(copies):
+        loops += [word] * copies[word]
+    lengths = []
+    for word in sorted(copies, key=len):
+        lengths += [len(word)] * copies[word]
+    return LoopDecomposition(loops=tuple(loops), lengths=tuple(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +374,13 @@ def check_348(pattern):
     whole surface (at most one tetrahedron carrying the length-8 loop)
     is enforced by the caller, which sees all tetrahedra.
     """
-    dec = decompose_pattern(pattern)
+    return judge_348(decompose_pattern(pattern).loops)
+
+
+def judge_348(loops):
+    """The :func:`check_348` verdict on a decomposition's sorted loops."""
     octagons = 0
-    for word in dec.loops:
+    for word in loops:
         n = len(word)
         if n in (3, 4):
             continue

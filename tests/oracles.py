@@ -8,12 +8,16 @@ surfaces assembled as explicit cell complexes from face-side arc lists
 (with the opposite labelling convention for parallel quads, which must
 not matter), and vertex surfaces as the whole cone's extreme rays
 filtered for the quad constraint afterwards, where the package prunes
-inadmissible rays during double description.
+inadmissible rays during double description, and curve patterns split
+into loops by walking one explicit arc per end, where the package works
+from the counts.
 """
 
 import math
 
 from normalhst import model
+from normalhst.curve_patterns import (LoopDecomposition, PatternError,
+                                      canonical_word)
 
 
 class UnionFind:
@@ -346,3 +350,59 @@ def quad_admissible(flat):
     """At most one nonzero quad coordinate per 7-column block."""
     return all(sum(1 for q in flat[7 * t + 4: 7 * t + 7] if q) <= 1
                for t in range(len(flat) // 7))
+
+
+def explicit_decompose_pattern(pattern):
+    """Loops of a balanced pattern, walked arc by arc.
+
+    Every arc of the canonical realization is placed on its two edges,
+    each crossing joins exactly two arc ends, and each loop is followed
+    through them.  Time and memory grow with the arc count.
+    """
+    def width(e, f):
+        u, w = model.EDGES[e]
+        return pattern.count(f, u) + pattern.count(f, w)
+
+    bad = [e for e in range(6)
+           if width(e, model.FACES_OF_EDGE[e][0])
+           != width(e, model.FACES_OF_EDGE[e][1])]
+    if bad:
+        raise PatternError(f"edge balance violated on edges {bad}")
+
+    # Position of the rank-r arc of type (f, v) on edge e: ranks count
+    # away from the cut vertex, absolute positions from the lower edge
+    # endpoint.
+    def position(f, v, rank, e):
+        return rank if v == model.EDGES[e][0] else width(e, f) - 1 - rank
+
+    ends_at = {}
+    for (f, v) in model.ARC_TYPES:
+        for rank in range(pattern.count(f, v)):
+            for e in model.arc_endpoints(f, v):
+                key = (e, position(f, v, rank, e))
+                ends_at.setdefault(key, []).append((f, v, rank))
+    for key, ends in ends_at.items():
+        assert len(ends) == 2, (key, ends)
+
+    visited = set()
+    loops = []
+    for start in sorted(ends_at):
+        if start in visited:
+            continue
+        word = []
+        crossing = start
+        f, v, rank = ends_at[crossing][0]
+        while crossing not in visited:
+            visited.add(crossing)
+            word.append(crossing[0])
+            # leave the crossing along the other incident arc
+            a, b = ends_at[crossing]
+            f, v, rank = b if a == (f, v, rank) else a
+            e1, e2 = model.arc_endpoints(f, v)
+            e_out = e2 if crossing[0] == e1 else e1
+            crossing = (e_out, position(f, v, rank, e_out))
+        loops.append(canonical_word(word))
+
+    loops.sort()
+    return LoopDecomposition(loops=tuple(loops),
+                             lengths=tuple(sorted(len(w) for w in loops)))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -267,6 +270,24 @@ def test_curves_subcommand(capsys):
 
     # unbalanced input is an input error
     assert run(["curves"] + ["1"] + ["0"] * 11) == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate", "curves"])
+def test_closed_stdout_no_traceback(files, command):
+    # The reader end is closed before the child starts, as when a reader
+    # like ``head`` exits early, so every write to stdout fails.
+    argv = {"enumerate": ["enumerate", str(files["penta"])],
+            "curves": ["curves"] + ["300"] * 12 + ["--check-348"]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "normalhst.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_selftest_single_criterion(capsys):

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normalhst import model
 from normalhst.curve_patterns import (CurvePattern, PatternError,
-                                      canonical_word, check_348,
-                                      decompose_pattern,
+                                      _balanced_patterns, canonical_word,
+                                      check_348, decompose_pattern,
                                       enumerate_normal_loops, loop_pattern,
                                       word_image)
 from normalhst.enumeration import ResourceCeilingError
+from oracles import explicit_decompose_pattern
 
 TRIANGLE_WORDS = [canonical_word([e for e in range(6) if v in model.EDGES[e]])
                   for v in range(4)]
@@ -50,6 +53,37 @@ def test_edge_balance_violation():
     counts[0] = 1
     with pytest.raises(PatternError, match="balance"):
         decompose_pattern(CurvePattern(tuple(counts)))
+    with pytest.raises(PatternError, match="balance"):
+        explicit_decompose_pattern(CurvePattern(tuple(counts)))
+
+
+def test_counting_route_matches_explicit_on_small_patterns():
+    patterns = _balanced_patterns(14)
+    assert len(patterns) == 274
+    for pattern in patterns:
+        assert decompose_pattern(pattern) == \
+            explicit_decompose_pattern(pattern), pattern.counts
+
+
+@pytest.mark.parametrize("octagons", [0, 1, 2])
+def test_counting_route_matches_explicit_on_scaled_sums(octagons):
+    # k times each loop pattern, k up to 300: sums of several quad types
+    # merge into long loops, and a second octagon must stay a loop of
+    # its own.
+    rng = random.Random(f"scaled-sums-{octagons}")
+    words = TRIANGLE_WORDS + QUAD_WORDS
+    for _ in range(6):
+        pattern = CurvePattern((0,) * 12)
+        for word in words:
+            k = rng.choice((0, 1, rng.randint(2, 300)))
+            pattern = pattern.add(CurvePattern(
+                tuple(k * c for c in loop_pattern(word).counts)))
+        for _ in range(octagons):
+            pattern = pattern.add(
+                CurvePattern.from_block(rng.choice(OCT_BLOCKS)))
+        dec = decompose_pattern(pattern)
+        assert dec == explicit_decompose_pattern(pattern), pattern.counts
+        assert sum(dec.lengths) == pattern.total()
 
 
 def test_degenerate_words_rejected():
