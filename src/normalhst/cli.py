@@ -24,7 +24,8 @@ from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                   splitting_from_json, splitting_to_json, trace_to_json,
                   underlying_splitting)
 from .normal_surfaces import (SurfaceError, SurfaceVector, check_admissible,
-                              classify, reconstruct_surface, INADMISSIBLE)
+                              classify, infer_mode, reconstruct_surface,
+                              INADMISSIBLE)
 from .thin_position import (PresentationError, induced_splitting,
                             parse_presentation, thin_position_search, width)
 from .triangulation import (ParseError, TriangulationError, compute_skeleton,
@@ -163,10 +164,7 @@ def cmd_surface(args):
             f"{args.vector}: vector sized for {len(vector.tets)} tetrahedra, "
             f"triangulation has {tri.tetrahedron_count}")
     kind = classify(tri, vector)
-    mode = args.mode
-    if mode == "auto":
-        mode = "normal" if vector.octagon_count() == 0 and vector.tube is None \
-            else "almost_normal"
+    mode = infer_mode(vector) if args.mode == "auto" else args.mode
     report = check_admissible(tri, vector, mode)
     payload = {"classification": kind,
                "mode": mode,

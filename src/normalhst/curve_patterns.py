@@ -131,14 +131,30 @@ class LoopDecomposition:
 
 
 def canonical_word(word):
-    """Least rotation of the word or its reversal."""
-    best = None
-    for w in (tuple(word), tuple(reversed(word))):
-        for r in range(len(w)):
-            rot = w[r:] + w[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    """Least rotation of the word or its reversal, in linear time."""
+    word = tuple(word)
+    return min(_least_rotation(word), _least_rotation(word[::-1]))
+
+
+def _least_rotation(word):
+    """The least rotation of a tuple.
+
+    It starts at the last factor that begins in the first copy of the
+    Lyndon factorization of the doubled word (J.-P. Duval, "Factorizing
+    words over an ordered alphabet", J. Algorithms 4, 1983).
+    """
+    doubled = word + word
+    n = len(word)
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[start:start + n]
 
 
 def _triangle_table():

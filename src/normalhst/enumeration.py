@@ -192,18 +192,9 @@ def brute_force_enumerate(tri, max_total_coordinate):
     n = tri.tetrahedron_count
 
     # Face equations keyed by the larger assigned tetrahedron.
-    equations = []
-    for t in range(n):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            if (g.tet, g.face, t, f) < (t, f, g.tet, g.face):
-                continue
-            equations.append(((t, f), (g.tet, g.face), g))
     eq_by_stage = {t: [] for t in range(n)}
-    for (t, f), (t2, f2), g in equations:
-        eq_by_stage[max(t, t2)].append(((t, f), (t2, f2), g))
+    for t, f, g in tri.face_pairs():
+        eq_by_stage[max(t, g.tet)].append(((t, f), (g.tet, g.face), g))
 
     from . import model
     results = []

@@ -210,23 +210,17 @@ def matching_system(tri):
     n = tri.tetrahedron_count
     rows = []
     labels = []
-    for t in range(n):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            if (g.tet, g.face, t, f) < (t, f, g.tet, g.face):
-                continue        # each face pair once
-            for v in model.FACE_VERTICES[f]:
-                row = [0] * (7 * n)
-                row[_column(t, "tri", v)] += 1
-                row[_column(t, "quad", model.quad_type_for_arc(f, v))] += 1
-                v2 = g.image_of_vertex(v)
-                row[_column(g.tet, "tri", v2)] -= 1
-                row[_column(g.tet, "quad",
-                            model.quad_type_for_arc(g.face, v2))] -= 1
-                rows.append(tuple(row))
-                labels.append(((t, f), (g.tet, g.face), v))
+    for t, f, g in tri.face_pairs():
+        for v in model.FACE_VERTICES[f]:
+            row = [0] * (7 * n)
+            row[_column(t, "tri", v)] += 1
+            row[_column(t, "quad", model.quad_type_for_arc(f, v))] += 1
+            v2 = g.image_of_vertex(v)
+            row[_column(g.tet, "tri", v2)] -= 1
+            row[_column(g.tet, "quad",
+                        model.quad_type_for_arc(g.face, v2))] -= 1
+            rows.append(tuple(row))
+            labels.append(((t, f), (g.tet, g.face), v))
     return MatchingSystem(7 * n, tuple(rows), tuple(labels))
 
 
@@ -283,6 +277,13 @@ def _tube_structurally_valid(v):
     return out
 
 
+def infer_mode(v):
+    """The admissibility mode a vector's own pieces call for."""
+    if v.octagon_count() == 0 and v.tube is None:
+        return "normal"
+    return "almost_normal"
+
+
 def check_admissible(tri, v, mode="normal"):
     """Full admissibility report for a surface vector.
 
@@ -311,22 +312,16 @@ def check_admissible(tri, v, mode="normal"):
                 f"tetrahedron {t} has more than one nonzero quad type"))
 
     # Matching, octagon arcs included.
-    for t in range(tri.tetrahedron_count):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            if (g.tet, g.face, t, f) < (t, f, g.tet, g.face):
-                continue
-            for w in model.FACE_VERTICES[f]:
-                lhs = model.arc_count(v.tets[t], f, w)
-                rhs = model.arc_count(v.tets[g.tet], g.face,
-                                      g.image_of_vertex(w))
-                if lhs != rhs:
-                    violations.append(Violation(
-                        "matching",
-                        f"face ({t},{f}) arc type cutting vertex {w}: "
-                        f"{lhs} != {rhs}"))
+    for t, f, g in tri.face_pairs():
+        for w in model.FACE_VERTICES[f]:
+            lhs = model.arc_count(v.tets[t], f, w)
+            rhs = model.arc_count(v.tets[g.tet], g.face,
+                                  g.image_of_vertex(w))
+            if lhs != rhs:
+                violations.append(Violation(
+                    "matching",
+                    f"face ({t},{f}) arc type cutting vertex {w}: "
+                    f"{lhs} != {rhs}"))
 
     octs = v.octagon_count()
     if mode == "normal":
@@ -351,7 +346,7 @@ def check_admissible(tri, v, mode="normal"):
                         f"octagon shares tetrahedron {t} with quads"))
     if v.tube is not None:
         violations.extend(_tube_structurally_valid(v))
-        if not violations and not _tube_pieces_adjacent(v):
+        if not violations and _tube_shared_edge(v) is None:
             violations.append(Violation(
                 "tube", "tube pieces are not adjacent in the stacking order"))
 
@@ -408,8 +403,8 @@ def face_arcs(block, f, v):
     return arcs
 
 
-def _tube_pieces_adjacent(v):
-    """Whether the tube's pieces cross some edge in consecutive positions."""
+def _tube_shared_edge(v):
+    """An edge the tube's pieces cross in consecutive positions, or None."""
     tube = v.tube
     block = v.tets[tube.tet]
     a = tube.piece_a + (None,)
@@ -418,8 +413,8 @@ def _tube_pieces_adjacent(v):
         stack = edge_stack(block, e)
         for i in range(len(stack) - 1):
             if {stack[i], stack[i + 1]} == {a, b}:
-                return True
-    return False
+                return e
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +430,7 @@ def euler_characteristic(tri, v, skeleton=None, mode=None):
     contributing 0 in place of its two disks.
     """
     if mode is None:
-        mode = "normal" if v.octagon_count() == 0 and v.tube is None \
-            else "almost_normal"
+        mode = infer_mode(v)
     report = check_admissible(tri, v, mode)
     if not report.admissible:
         raise SurfaceError(
@@ -487,9 +481,7 @@ class ReconstructedSurface:
 
     def _build(self):
         tri, v = self.tri, self.vector
-        mode = "normal" if v.octagon_count() == 0 and v.tube is None \
-            else "almost_normal"
-        report = check_admissible(tri, v, mode)
+        report = check_admissible(tri, v, infer_mode(v))
         if not report.admissible:
             raise SurfaceError(
                 "inadmissible vector: "
@@ -551,39 +543,33 @@ class ReconstructedSurface:
                 contradictions.discard(ry)
                 contradictions.add(rx)
 
-        self.arc_gluings = []
         self.boundary_arcs = []
-        n = tri.tetrahedron_count
-        for t in range(n):
-            for f in range(4):
-                g = tri.gluings[t][f]
-                if g is None:
-                    for w in model.FACE_VERTICES[f]:
-                        for piece in face_arcs(v.tets[t], f, w):
-                            self.boundary_arcs.append(
-                                (index[(t,) + piece], (t, f, w)))
-                    continue
-                if (g.tet, g.face, t, f) < (t, f, g.tet, g.face):
-                    continue
-                for w in model.FACE_VERTICES[f]:
-                    w2 = g.image_of_vertex(w)
-                    side_a = face_arcs(v.tets[t], f, w)
-                    side_b = face_arcs(v.tets[g.tet], g.face, w2)
-                    assert len(side_a) == len(side_b), \
-                        "matching violated during reconstruction"
-                    for pa, pb in zip(side_a, side_b):
-                        ia = index[(t,) + pa]
-                        ib = index[(g.tet,) + pb]
-                        sa = slot(ia, f, w)
-                        sb = slot(ib, g.face, w2)
-                        # Map side A's entry crossing through the gluing.
-                        e_from, end = sa[2]
-                        mapped_from = (g.image_of_edge(e_from),
-                                       None if end is None
-                                       else g.image_of_vertex(end))
-                        parallel = (mapped_from == sb[2])
-                        union(ia, ib, -1 if parallel else 1)
-                        self.arc_gluings.append((ia, ib, (t, f, w)))
+        for t, f in tri.boundary_faces():
+            for w in model.FACE_VERTICES[f]:
+                for piece in face_arcs(v.tets[t], f, w):
+                    self.boundary_arcs.append(
+                        (index[(t,) + piece], (t, f, w)))
+        self.arc_gluings = []
+        for t, f, g in tri.face_pairs():
+            for w in model.FACE_VERTICES[f]:
+                w2 = g.image_of_vertex(w)
+                side_a = face_arcs(v.tets[t], f, w)
+                side_b = face_arcs(v.tets[g.tet], g.face, w2)
+                assert len(side_a) == len(side_b), \
+                    "matching violated during reconstruction"
+                for pa, pb in zip(side_a, side_b):
+                    ia = index[(t,) + pa]
+                    ib = index[(g.tet,) + pb]
+                    sa = slot(ia, f, w)
+                    sb = slot(ib, g.face, w2)
+                    # Map side A's entry crossing through the gluing.
+                    e_from, end = sa[2]
+                    mapped_from = (g.image_of_edge(e_from),
+                                   None if end is None
+                                   else g.image_of_vertex(end))
+                    parallel = (mapped_from == sb[2])
+                    union(ia, ib, -1 if parallel else 1)
+                    self.arc_gluings.append((ia, ib, (t, f, w)))
 
         # Tube: join the two pieces; consecutive parallel sheets get
         # opposite boundary orientations when their crossings of the
@@ -594,7 +580,7 @@ class ReconstructedSurface:
             ia = index[(t,) + v.tube.piece_a]
             ib = index[(t,) + v.tube.piece_b]
             self.tube_pieces = (ia, ib)
-            e_shared = self._tube_shared_edge()
+            e_shared = _tube_shared_edge(v)
             da = self._crossing_direction(ia, e_shared)
             db = self._crossing_direction(ib, e_shared)
             union(ia, ib, -1 if da == db else 1)
@@ -613,20 +599,6 @@ class ReconstructedSurface:
         self._nonorientable = set(comp_of[r] for r in contradictions)
 
         self._finish_counts()
-
-    def _tube_shared_edge(self):
-        v = self.vector
-        tube = v.tube
-        block = v.tets[tube.tet]
-        a = tube.piece_a + (None,)
-        b = tube.piece_b + (None,)
-        for e in range(6):
-            stack = edge_stack(block, e)
-            for i in range(len(stack) - 1):
-                if {stack[i], stack[i + 1]} == {a, b}:
-                    return e
-        raise SurfaceError(
-            "tube pieces are not adjacent in the stacking order")
 
     def _crossing_direction(self, piece_id, e):
         """(face in, face out) of the piece's boundary crossing of edge e."""
@@ -741,13 +713,9 @@ INADMISSIBLE = "Inadmissible"
 
 def classify(tri, v):
     """Normal / AlmostNormalOctagon / AlmostNormalTube / Inadmissible."""
-    _check_dimension(tri, v)
-    if v.octagon_count() == 0 and v.tube is None:
-        if check_admissible(tri, v, "normal").admissible:
-            return NORMAL
+    mode = infer_mode(v)
+    if not check_admissible(tri, v, mode).admissible:
         return INADMISSIBLE
-    if check_admissible(tri, v, "almost_normal").admissible:
-        if v.octagon_count():
-            return ALMOST_NORMAL_OCTAGON
-        return ALMOST_NORMAL_TUBE
-    return INADMISSIBLE
+    if mode == "normal":
+        return NORMAL
+    return ALMOST_NORMAL_OCTAGON if v.octagon_count() else ALMOST_NORMAL_TUBE

@@ -236,72 +236,57 @@ class ThinPositionResult:
     states_explored: int
 
 
-def _kind_sequences(births, deaths, prefix, count, out):
-    if births == 0 and deaths == 0:
-        out.append("".join(prefix))
-        return
-    if births:
-        prefix.append(BIRTH)
-        _kind_sequences(births - 1, deaths, prefix, count + 2, out)
-        prefix.pop()
-    if deaths and count >= 2:
-        prefix.append(DEATH)
-        _kind_sequences(births, deaths - 1, prefix, count - 2, out)
-        prefix.pop()
-    return out
-
-
 def thin_position_search(pres, budget=100000, mode="exchange",
                          single_component=False):
     """Minimal width over a search space derived from a presentation.
 
     ``mode="exchange"`` explores everything reachable from ``pres`` by
     exchange moves; each move strictly reduces width, so the space is
-    finite.  ``mode="all"`` tries every valid event sequence with the
-    same numbers of births and deaths: the width depends only on the
-    kind sequence, so positions are canonicalized to slot zero and the
-    search is exhaustive for the minimum.  ``single_component``
-    discards presentations whose strand count hits zero between events.
+    finite, and ``budget`` bounds the states it visits.
+
+    ``mode="all"`` minimizes over every valid presentation with the same
+    b births and b deaths, in closed form.  The width is the sum of the
+    strand counts h_1..h_{2b-1} after every event but the last, and h_i/2
+    has the parity of i, so h_i >= 2 for odd i: the minimum is 2b,
+    reached only by (B D)^b.  With ``single_component`` (no strand count
+    of zero between events) also h_i >= 4 for even i, so the minimum is
+    6b - 4, reached only by B (B D)^(b-1) D.  The witness puts every
+    event at slot zero; the answer is always certified.
     """
     if mode not in ("exchange", "all"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "all":
+        births = sum(1 for e in pres.events if e.kind == BIRTH)
+        if single_component and births:
+            kinds = BIRTH + (BIRTH + DEATH) * (births - 1) + DEATH
+        else:
+            kinds = (BIRTH + DEATH) * births
+        witness = MorsePresentation.of(*kinds)
+        return ThinPositionResult(minimum_width=width(witness).width,
+                                  witness=witness, certified=True,
+                                  states_explored=1)
+
     best = None
     best_pres = None
     explored = 0
     certified = True
-
-    def consider(candidate):
-        nonlocal best, best_pres
-        prof = width(candidate)
-        if single_component and prof.hits_zero_interior:
-            return
-        if best is None or prof.width < best:
-            best, best_pres = prof.width, candidate
-
-    if mode == "exchange":
-        seen = set()
-        stack = [pres]
-        while stack:
-            current = stack.pop()
-            if current.events in seen:
-                continue
-            seen.add(current.events)
-            explored += 1
-            if explored > budget:
-                certified = False
-                break
-            consider(current)
-            for d, b in legal_exchanges(current):
-                stack.append(exchange_move(current, d, b).presentation)
-    else:
-        births = sum(1 for e in pres.events if e.kind == BIRTH)
-        deaths = len(pres.events) - births
-        for kinds in _kind_sequences(births, deaths, [], 0, []):
-            explored += 1
-            if explored > budget:
-                certified = False
-                break
-            consider(MorsePresentation.of(*kinds))
+    seen = set()
+    stack = [pres]
+    while stack:
+        current = stack.pop()
+        if current.events in seen:
+            continue
+        seen.add(current.events)
+        explored += 1
+        if explored > budget:
+            certified = False
+            break
+        prof = width(current)
+        if not (single_component and prof.hits_zero_interior) \
+                and (best is None or prof.width < best):
+            best, best_pres = prof.width, current
+        for d, b in legal_exchanges(current):
+            stack.append(exchange_move(current, d, b).presentation)
 
     if best is None:
         raise PresentationError(

@@ -139,6 +139,13 @@ class Triangulation:
         return [(t, f) for t in range(self.tetrahedron_count)
                 for f in range(4) if self.gluings[t][f] is None]
 
+    def face_pairs(self):
+        """Each glued face pair once, as (t, f, gluing) in (t, f) order."""
+        for t, row in enumerate(self.gluings):
+            for f, g in enumerate(row):
+                if g is not None and (t, f) < (g.tet, g.face):
+                    yield t, f, g
+
     def orientable(self):
         """Whether tetrahedra admit orientations compatible with all gluings.
 

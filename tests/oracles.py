@@ -8,16 +8,19 @@ surfaces assembled as explicit cell complexes from face-side arc lists
 (with the opposite labelling convention for parallel quads, which must
 not matter), and vertex surfaces as the whole cone's extreme rays
 filtered for the quad constraint afterwards, where the package prunes
-inadmissible rays during double description, and curve patterns split
+inadmissible rays during double description, curve patterns split
 into loops by walking one explicit arc per end, where the package works
-from the counts.
+from the counts, loop words canonicalized by comparing every rotation,
+where the package uses a least-rotation algorithm, and the least width
+over all presentations found by scoring every birth/death kind sequence,
+where the package uses a closed form.
 """
 
 import math
 
 from normalhst import model
-from normalhst.curve_patterns import (LoopDecomposition, PatternError,
-                                      canonical_word)
+from normalhst.curve_patterns import LoopDecomposition, PatternError
+from normalhst.thin_position import MorsePresentation, width
 
 
 class UnionFind:
@@ -401,8 +404,51 @@ def explicit_decompose_pattern(pattern):
             e1, e2 = model.arc_endpoints(f, v)
             e_out = e2 if crossing[0] == e1 else e1
             crossing = (e_out, position(f, v, rank, e_out))
-        loops.append(canonical_word(word))
+        loops.append(naive_canonical_word(word))
 
     loops.sort()
     return LoopDecomposition(loops=tuple(loops),
                              lengths=tuple(sorted(len(w) for w in loops)))
+
+
+def naive_canonical_word(word):
+    """Least rotation of the word or its reversal, over every rotation."""
+    best = None
+    for w in (tuple(word), tuple(reversed(word))):
+        for r in range(len(w)):
+            rot = w[r:] + w[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def kind_sequences(births):
+    """Every valid birth/death kind string with ``births`` of each,
+    births tried before deaths at each step."""
+    out = []
+
+    def extend(prefix, b, d):
+        if b == d == births:
+            out.append(prefix)
+            return
+        if b < births:
+            extend(prefix + "B", b + 1, d)
+        if d < b:
+            extend(prefix + "D", b, d + 1)
+
+    extend("", 0, 0)
+    return out
+
+
+def least_width_by_enumeration(births, single_component=False):
+    """(minimum width, first presentation reaching it) over every kind
+    sequence, with every event at slot zero."""
+    best = None
+    for kinds in kind_sequences(births):
+        pres = MorsePresentation.of(*kinds)
+        prof = width(pres)
+        if single_component and prof.hits_zero_interior:
+            continue
+        if best is None or prof.width < best[0]:
+            best = (prof.width, pres)
+    return best

@@ -213,6 +213,17 @@ def test_width_actions(files, capsys):
     assert payload["minimum_width"] == 8
 
 
+def test_width_all_mode_search_twelve_births(tmp_path, capsys):
+    path = tmp_path / "nested.txt"
+    path.write_text("B 0\n" * 12 + "D 0\n" * 12)
+    assert run(["width", path, "--action", "search", "--search-mode", "all",
+                "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "certified"
+    assert payload["minimum_width"] == 24
+    assert payload["witness"] == [["B", 0], ["D", 0]] * 12
+
+
 def test_width_bad_presentation(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("D 0\n")

@@ -11,7 +11,7 @@ from normalhst.curve_patterns import (CurvePattern, PatternError,
                                       enumerate_normal_loops, loop_pattern,
                                       word_image)
 from normalhst.enumeration import ResourceCeilingError
-from oracles import explicit_decompose_pattern
+from oracles import explicit_decompose_pattern, naive_canonical_word
 
 TRIANGLE_WORDS = [canonical_word([e for e in range(6) if v in model.EDGES[e]])
                   for v in range(4)]
@@ -153,6 +153,33 @@ def test_loop_words_round_trip():
         for word in cls.members:
             dec = decompose_pattern(loop_pattern(word))
             assert dec.loops == (canonical_word(word),)
+
+
+def test_canonical_word_matches_naive_oracle():
+    rng = random.Random("canonical-word")
+    for _ in range(3000):
+        letters = rng.randint(1, 6)
+        word = [rng.randrange(letters) for _ in range(rng.randint(1, 40))]
+        if rng.random() < 0.3:       # periodic: several least rotations
+            word = word[:rng.randint(1, len(word))] * rng.randint(2, 5)
+        expected = naive_canonical_word(word)
+        assert canonical_word(word) == expected, word
+        assert canonical_word(word[::-1]) == expected, word
+
+
+def test_canonical_word_on_one_long_loop():
+    # k quads of type 0 plus k - 1 of type 1 close up into one loop of
+    # length 8k - 4
+    k = 2000
+    pattern = CurvePattern(tuple(
+        k * a + (k - 1) * b
+        for a, b in zip(loop_pattern(QUAD_WORDS[0]).counts,
+                        loop_pattern(QUAD_WORDS[1]).counts)))
+    (loop,) = decompose_pattern(pattern).loops
+    assert len(loop) == 8 * k - 4
+    turned = loop[k:] + loop[:k]
+    assert naive_canonical_word(turned) == loop
+    assert canonical_word(turned[::-1]) == loop
 
 
 def test_symmetry_action_closes():

@@ -6,6 +6,7 @@ from normalhst.thin_position import (Event, MorsePresentation,
                                      induced_splitting, legal_exchanges,
                                      parse_presentation,
                                      thin_position_search, width)
+from oracles import least_width_by_enumeration
 
 
 def levels_of(splitting):
@@ -204,10 +205,23 @@ def test_search_exchange_mode():
     assert res.certified
 
 
+@pytest.mark.parametrize("single_component", [False, True])
+def test_all_mode_closed_form_matches_enumeration(single_component):
+    for births in range(1, 9):
+        pres = MorsePresentation.of(*("B" * births + "D" * births))
+        res = thin_position_search(pres, mode="all", budget=0,
+                                   single_component=single_component)
+        assert (res.minimum_width, res.witness) == \
+            least_width_by_enumeration(births, single_component)
+        assert res.certified and res.states_explored == 1
+
+
 def test_search_budget_exhausted():
-    pres = MorsePresentation.of("B", "B", "D", "D")
-    res = thin_position_search(pres, mode="all", budget=1)
+    pres = MorsePresentation.of(("B", 0), ("B", 0), ("B", 0), ("D", 2),
+                                ("D", 0), ("D", 0))
+    res = thin_position_search(pres, mode="exchange", budget=1)
     assert not res.certified
+    assert res.minimum_width == width(pres).width
 
 
 def test_induced_splitting_feeds_complexity_calculus():
