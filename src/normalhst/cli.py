@@ -24,8 +24,8 @@ from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                   splitting_from_json, splitting_to_json, trace_to_json,
                   underlying_splitting)
 from .normal_surfaces import (SurfaceError, SurfaceVector, check_admissible,
-                              classify, infer_mode, reconstruct_surface,
-                              INADMISSIBLE)
+                              classification, classify, infer_mode,
+                              reconstruct_surface, INADMISSIBLE)
 from .thin_position import (PresentationError, induced_splitting,
                             parse_presentation, thin_position_search, width)
 from .triangulation import (ParseError, TriangulationError, compute_skeleton,
@@ -163,9 +163,13 @@ def cmd_surface(args):
         raise InputProblem(
             f"{args.vector}: vector sized for {len(vector.tets)} tetrahedra, "
             f"triangulation has {tri.tetrahedron_count}")
-    kind = classify(tri, vector)
-    mode = infer_mode(vector) if args.mode == "auto" else args.mode
+    inferred = infer_mode(vector)
+    mode = inferred if args.mode == "auto" else args.mode
     report = check_admissible(tri, vector, mode)
+    # classify() judges at the inferred mode, so its answer is the
+    # report's whenever the two modes agree.
+    kind = classification(vector, report) if mode == inferred \
+        else classify(tri, vector)
     payload = {"classification": kind,
                "mode": mode,
                "admissible": report.admissible,
@@ -233,7 +237,13 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
+def _check_budget(args):
+    if args.budget < 1:
+        raise InputProblem(f"--budget must be at least 1, got {args.budget}")
+
+
 def cmd_hst(args):
+    _check_budget(args)
     try:
         splitting = splitting_from_json(_load_json(args.splitting))
     except (HstError, TypeError, ValueError) as exc:
@@ -266,6 +276,7 @@ def cmd_hst(args):
 
 
 def cmd_width(args):
+    _check_budget(args)
     try:
         pres = parse_presentation(_read(args.presentation))
         profile = width(pres)

@@ -83,7 +83,12 @@ def quad_type_for_arc(f, v):
     exactly when the edge {f, v} belongs to pair q; for each arc type
     there is exactly one such quad type.
     """
-    return PAIR_OF_EDGE[edge_index(f, v)]
+    return ARC_QUAD[f][v]
+
+
+# ARC_QUAD[f][v] = quad_type_for_arc(f, v) for v != f.
+ARC_QUAD = tuple(tuple(PAIR_OF_EDGE[edge_index(f, v)] if v != f else None
+                       for v in VERTICES) for f in FACES)
 
 
 def oct_arc_count(q, f, v):
@@ -92,7 +97,7 @@ def oct_arc_count(q, f, v):
     An octagon meets each face in two arcs; on face f these cut off the
     two vertices w with edge {f, w} outside pair q.
     """
-    return 0 if PAIR_OF_EDGE[edge_index(f, v)] == q else 1
+    return 0 if ARC_QUAD[f][v] == q else 1
 
 
 def tri_weight(v, e):
@@ -114,13 +119,13 @@ def arc_count(block, f, v):
     """Arcs of type (f, v) induced on face f by a (tri, quad, oct) block.
 
     ``block`` is a triple of coordinate tuples (tri[0..3], quad[0..2],
-    oct[0..2]) for a single tetrahedron.
+    oct[0..2]) for a single tetrahedron.  Every octagon type but q, the
+    quad type of the arc, has one arc of the type (see
+    :func:`oct_arc_count`).
     """
     tri, quad, oct_ = block
-    n = tri[v] + quad[quad_type_for_arc(f, v)]
-    for q in range(3):
-        n += oct_[q] * oct_arc_count(q, f, v)
-    return n
+    q = ARC_QUAD[f][v]
+    return tri[v] + quad[q] + oct_[0] + oct_[1] + oct_[2] - oct_[q]
 
 
 def edge_weight(block, e):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import model
-from .triangulation import compute_skeleton
+from .triangulation import ParityUnionFind, compute_skeleton
 
 
 class SurfaceError(ValueError):
@@ -469,6 +469,15 @@ class SurfaceSummary:
     is_sphere_component: tuple
 
 
+# Boundary cycles by piece kind, and the directed arc slot of each
+# (kind, type, face, cut vertex) on its piece's cycle.
+_CYCLES = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
+           "oct": model.OCT_CYCLES}
+_ARC_SLOT = {(kind, typ, s[0], s[1]): s
+             for kind, cycles in _CYCLES.items()
+             for typ, cycle in enumerate(cycles) for s in cycle}
+
+
 class ReconstructedSurface:
     """Explicit pieces, arc gluings and derived invariants of a vector."""
 
@@ -478,6 +487,8 @@ class ReconstructedSurface:
         self.skeleton = skeleton if skeleton is not None \
             else compute_skeleton(tri)
         self._build()
+        # Counted once _build has returned and freed its union-find.
+        self._finish_counts()
 
     def _build(self):
         tri, v = self.tri, self.vector
@@ -505,43 +516,11 @@ class ReconstructedSurface:
                     pieces.append((t, "oct", q, i))
         self.pieces = tuple(pieces)
 
-        cycles = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
-                  "oct": model.OCT_CYCLES}
-
-        def slot(piece_id, f, w):
-            t, kind, typ, _ = self.pieces[piece_id]
-            for s in cycles[kind][typ]:
-                if s[0] == f and s[1] == w:
-                    return s
-            raise AssertionError((self.pieces[piece_id], f, w))
-
         # Arc gluings across internal faces; boundary arcs recorded too.
-        parent = list(range(len(pieces)))
-        rel = [1] * len(pieces)       # sign relative to parent
-
-        def find(x):
-            if parent[x] == x:
-                return x, 1
-            root, sign = find(parent[x])
-            parent[x] = root
-            rel[x] *= sign
-            return root, rel[x]
-
-        contradictions = set()
-
-        def union(x, y, sign_xy):
-            rx, sx = find(x)
-            ry, sy = find(y)
-            if rx == ry:
-                if sx * sy != sign_xy:
-                    contradictions.add(rx)
-                return
-            # hang ry below rx
-            parent[ry] = rx
-            rel[ry] = sx * sign_xy * sy
-            if ry in contradictions:
-                contradictions.discard(ry)
-                contradictions.add(rx)
+        # A piece's parity says whether its boundary cycle runs with or
+        # against its component's orientation; a class with an odd
+        # cycle is a nonorientable component.
+        sheets = ParityUnionFind(len(pieces))
 
         self.boundary_arcs = []
         for t, f in tri.boundary_faces():
@@ -560,15 +539,15 @@ class ReconstructedSurface:
                 for pa, pb in zip(side_a, side_b):
                     ia = index[(t,) + pa]
                     ib = index[(g.tet,) + pb]
-                    sa = slot(ia, f, w)
-                    sb = slot(ib, g.face, w2)
+                    sa = _ARC_SLOT[pa[0], pa[1], f, w]
+                    sb = _ARC_SLOT[pb[0], pb[1], g.face, w2]
                     # Map side A's entry crossing through the gluing.
                     e_from, end = sa[2]
                     mapped_from = (g.image_of_edge(e_from),
                                    None if end is None
                                    else g.image_of_vertex(end))
                     parallel = (mapped_from == sb[2])
-                    union(ia, ib, -1 if parallel else 1)
+                    sheets.union(ia, ib, parallel)
                     self.arc_gluings.append((ia, ib, (t, f, w)))
 
         # Tube: join the two pieces; consecutive parallel sheets get
@@ -583,28 +562,19 @@ class ReconstructedSurface:
             e_shared = _tube_shared_edge(v)
             da = self._crossing_direction(ia, e_shared)
             db = self._crossing_direction(ib, e_shared)
-            union(ia, ib, -1 if da == db else 1)
+            sheets.union(ia, ib, da == db)
 
-        # Components.
-        comp_of = {}
-        roots = []
-        for i in range(len(pieces)):
-            root, _ = find(i)
-            if root not in comp_of:
-                comp_of[root] = len(roots)
-                roots.append(root)
-        self.component_of_piece = tuple(comp_of[find(i)[0]]
-                                        for i in range(len(pieces)))
+        # Components, numbered by their first piece.
+        labels, roots = sheets.classes()
+        self.component_of_piece = tuple(labels)
         self.component_count = len(roots)
-        self._nonorientable = set(comp_of[r] for r in contradictions)
-
-        self._finish_counts()
+        self._nonorientable = {c for c, root in enumerate(roots)
+                               if sheets.odd_cycle[root]}
 
     def _crossing_direction(self, piece_id, e):
         """(face in, face out) of the piece's boundary crossing of edge e."""
         t, kind, typ, _ = self.pieces[piece_id]
-        cycles = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
-                  "oct": model.OCT_CYCLES}[kind][typ]
+        cycles = _CYCLES[kind][typ]
         for i, s in enumerate(cycles):
             if s[3][0] == e:
                 nxt = cycles[(i + 1) % len(cycles)]
@@ -713,9 +683,13 @@ INADMISSIBLE = "Inadmissible"
 
 def classify(tri, v):
     """Normal / AlmostNormalOctagon / AlmostNormalTube / Inadmissible."""
-    mode = infer_mode(v)
-    if not check_admissible(tri, v, mode).admissible:
+    return classification(v, check_admissible(tri, v, infer_mode(v)))
+
+
+def classification(v, report):
+    """What :func:`classify` answers, given v's report at its inferred mode."""
+    if not report.admissible:
         return INADMISSIBLE
-    if mode == "normal":
+    if report.mode == "normal":
         return NORMAL
     return ALMOST_NORMAL_OCTAGON if v.octagon_count() else ALMOST_NORMAL_TUBE

@@ -242,7 +242,7 @@ def thin_position_search(pres, budget=100000, mode="exchange",
 
     ``mode="exchange"`` explores everything reachable from ``pres`` by
     exchange moves; each move strictly reduces width, so the space is
-    finite, and ``budget`` bounds the states it visits.
+    finite, and ``budget``, at least 1, bounds the states it visits.
 
     ``mode="all"`` minimizes over every valid presentation with the same
     b births and b deaths, in closed form.  The width is the sum of the
@@ -255,6 +255,8 @@ def thin_position_search(pres, budget=100000, mode="exchange",
     """
     if mode not in ("exchange", "all"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exchange" and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if mode == "all":
         births = sum(1 for e in pres.events if e.kind == BIRTH)
         if single_component and births:

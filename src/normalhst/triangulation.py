@@ -152,27 +152,13 @@ class Triangulation:
         Two tetrahedra glued along a face are coherently oriented exactly
         when the gluing permutation is odd, so the triangulation is
         orientable iff tetrahedra can be signed with o(t)*o(t') = -sign(p)
-        across every gluing.
+        across every gluing: an even gluing asks for opposite signs, and
+        no class of the parity union-find may hold an odd cycle.
         """
-        sign = [0] * self.tetrahedron_count
-        for start in range(self.tetrahedron_count):
-            if sign[start]:
-                continue
-            sign[start] = 1
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for f in range(4):
-                    g = self.gluings[t][f]
-                    if g is None:
-                        continue
-                    want = -sign[t] * model.perm_sign(g.perm)
-                    if sign[g.tet] == 0:
-                        sign[g.tet] = want
-                        stack.append(g.tet)
-                    elif sign[g.tet] != want:
-                        return False
-        return True
+        signs = ParityUnionFind(self.tetrahedron_count)
+        for t, _, g in self.face_pairs():
+            signs.union(t, g.tet, model.perm_sign(g.perm) == 1)
+        return not any(signs.odd_cycle)
 
     def to_text(self, comment=None):
         """Serialize in the plain-text file format."""
@@ -276,31 +262,88 @@ def parse_triangulation(text):
 # Skeleton: orbits of model cells under the gluing identifications.
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+class ParityUnionFind:
+    """Union-find over the integers 0..size-1 with a parity per element.
+
+    ``union(x, y, odd)`` puts x and y in one class and records that
+    their parities differ exactly when ``odd`` is true.  Each element
+    keeps its parity relative to its parent; after ``find(x)`` the
+    parent is the root and ``parity[x]`` is relative to it.  A class
+    whose recorded parities cannot all hold, because a cycle of
+    relations has odd total, is flagged at its root; a flag is carried
+    to the new root on union and never cleared.  Finding is
+    iterative with full path compression and union is by size, so no
+    chain recurses and the cost is near linear in the operations.
+    """
+
+    __slots__ = ("parent", "parity", "size", "odd_cycle")
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.size = [1] * size
+        self.odd_cycle = [False] * size
 
     def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        root = parent[x]
+        if parent[root] == root:
+            return root
+        parity = self.parity
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        above = 0
+        for y in reversed(path):
+            above ^= parity[y]
+            parity[y] = above
+            parent[y] = x
+        return x
 
-    def union(self, x, y):
+    def union(self, x, y, odd=False):
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # Deterministic representative: keep the smaller key.
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+        differ = self.parity[x] ^ self.parity[y] ^ odd
+        if rx == ry:
+            if differ:
+                self.odd_cycle[rx] = True
+            return
+        size = self.size
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.parity[ry] = differ
+        size[rx] += size[ry]
+        if self.odd_cycle[ry]:
+            self.odd_cycle[rx] = True
+
+    def has_odd_cycle(self, x):
+        """Whether the class of x holds an odd cycle of relations."""
+        return self.odd_cycle[self.find(x)]
+
+    def classes(self):
+        """Class number of every element, and the root of every class.
+
+        Classes are numbered in order of their smallest member.
+        """
+        number = [-1] * len(self.parent)
+        labels = []
+        roots = []
+        for x in range(len(self.parent)):
+            root = self.find(x)
+            if number[root] < 0:
+                number[root] = len(roots)
+                roots.append(root)
+            labels.append(number[root])
+        return labels, roots
 
     def orbits(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(groups[r]) for r in sorted(groups)]
+        """The classes as ascending lists, in order of smallest member."""
+        labels, roots = self.classes()
+        out = [[] for _ in roots]
+        for x, c in enumerate(labels):
+            out[c].append(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -333,38 +376,36 @@ class Skeleton:
 
 
 def compute_skeleton(tri):
-    """Orbits of vertices, edges and faces under the gluing maps."""
+    """Orbits of vertices, edges and faces under the gluing maps.
+
+    Cells are numbered 4t+v, 6t+e and 4t+f in one
+    :class:`ParityUnionFind` each, and every glued face pair is visited
+    once, so the cost is linear in the tetrahedron count.  An edge
+    cell's parity is its direction: a gluing that sends the lower
+    endpoint to the higher one relates the two edges with odd parity,
+    and an orbit whose classes hold an odd cycle identifies an edge
+    with itself reversed.
+    """
     n = tri.tetrahedron_count
-    vertices = _UnionFind([(t, v) for t in range(n) for v in range(4)])
-    edges = _UnionFind([(t, e) for t in range(n) for e in range(6)])
-    faces = _UnionFind([(t, f) for t in range(n) for f in range(4)])
-    # Directed edges track whether an orbit identifies an edge with
-    # itself endpoint-reversingly; bit 1 marks the reversed copy.
-    directed = _UnionFind([(t, e, o) for t in range(n) for e in range(6)
-                           for o in (0, 1)])
-    for t in range(n):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            faces.union((t, f), (g.tet, g.face))
-            for v in model.FACE_VERTICES[f]:
-                vertices.union((t, v), (g.tet, g.image_of_vertex(v)))
-            for e in model.FACE_EDGES[f]:
-                e2 = g.image_of_edge(e)
-                edges.union((t, e), (g.tet, e2))
-                u, v = model.EDGES[e]
-                flip = 0 if g.image_of_vertex(u) < g.image_of_vertex(v) else 1
-                directed.union((t, e, 0), (g.tet, e2, flip))
-                directed.union((t, e, 1), (g.tet, e2, 1 - flip))
+    vertices = ParityUnionFind(4 * n)
+    edges = ParityUnionFind(6 * n)
+    faces = ParityUnionFind(4 * n)
+    for t, f, g in tri.face_pairs():
+        t2, perm = g.tet, g.perm
+        faces.union(4 * t + f, 4 * t2 + g.face)
+        for v in model.FACE_VERTICES[f]:
+            vertices.union(4 * t + v, 4 * t2 + perm[v])
+        for e in model.FACE_EDGES[f]:
+            u, w = model.EDGES[e]
+            edges.union(6 * t + e, 6 * t2 + model.edge_index(perm[u], perm[w]),
+                        perm[u] > perm[w])
 
-    vertex_orbits = tuple(tuple(o) for o in vertices.orbits())
-    edge_orbits = tuple(tuple(o) for o in edges.orbits())
-    face_orbits = tuple(tuple(o) for o in faces.orbits())
-
-    def orbit_is_reversed(orbit):
-        t, e = orbit[0]
-        return directed.find((t, e, 0)) == directed.find((t, e, 1))
+    edge_classes = edges.orbits()
+    vertex_orbits = tuple(tuple((c >> 2, c & 3) for c in o)
+                          for o in vertices.orbits())
+    edge_orbits = tuple(tuple(divmod(c, 6) for c in o) for o in edge_classes)
+    face_orbits = tuple(tuple((c >> 2, c & 3) for c in o)
+                        for o in faces.orbits())
 
     def vertex_is_boundary(orbit):
         return any(tri.gluings[t][f] is None
@@ -383,7 +424,7 @@ def compute_skeleton(tri):
         vertex_boundary=tuple(vertex_is_boundary(o) for o in vertex_orbits),
         edge_boundary=tuple(edge_is_boundary(o) for o in edge_orbits),
         face_boundary=tuple(len(o) == 1 for o in face_orbits),
-        edge_reversed=tuple(orbit_is_reversed(o) for o in edge_orbits),
+        edge_reversed=tuple(edges.has_odd_cycle(o[0]) for o in edge_classes),
     )
 
 
@@ -428,43 +469,37 @@ def validate_manifold(tri, skeleton=None):
     links.  Edges identified with themselves endpoint-reversingly are
     also rejected: they create non-manifold points invisible to every
     vertex link.  Failures are reported, not raised.
+
+    Every link is counted in one pass over the face pairs and one over
+    the edge orbits, each cell credited to the vertex orbit of its
+    first member, so beyond the skeleton the cost is linear in the
+    tetrahedron count.  Each corner triangle has three sides, and a
+    glued face pair identifies the sides lying in it two by two.  The
+    link's vertices are edge ends: an edge orbit has one end in the
+    link of each of its endpoints, or a single end when it is reversed.
     """
     if skeleton is None:
         skeleton = compute_skeleton(tri)
-    n = tri.tetrahedron_count
+    orbit_of = [0] * (4 * tri.tetrahedron_count)
+    for i, orbit in enumerate(skeleton.vertex_orbits):
+        for t, v in orbit:
+            orbit_of[4 * t + v] = i
 
-    # Sides of corner triangles: (t, v, f) with f != v, lying in face f.
-    # Corners of corner triangles: directed edge ends (t, v, e) with
-    # v an endpoint of edge e.
-    sides = [(t, v, f) for t in range(n) for v in range(4)
-             for f in range(4) if f != v]
-    ends = [(t, v, e) for t in range(n) for v in range(4)
-            for e in range(6) if v in model.EDGES[e]]
-    side_uf = _UnionFind(sides)
-    end_uf = _UnionFind(ends)
-    for t in range(n):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            for v in model.FACE_VERTICES[f]:
-                side_uf.union((t, v, f), (g.tet, g.image_of_vertex(v), g.face))
-                for e in model.FACE_EDGES[f]:
-                    if v in model.EDGES[e]:
-                        end_uf.union((t, v, e),
-                                     (g.tet, g.image_of_vertex(v),
-                                      g.image_of_edge(e)))
-
-    side_orbits = side_uf.orbits()
-    end_orbits = end_uf.orbits()
+    sides = [3 * len(orbit) for orbit in skeleton.vertex_orbits]
+    for t, f, _ in tri.face_pairs():
+        for v in model.FACE_VERTICES[f]:
+            sides[orbit_of[4 * t + v]] -= 1
+    ends = [0] * len(sides)
+    for orbit, reverse in zip(skeleton.edge_orbits, skeleton.edge_reversed):
+        t, e = orbit[0]
+        u, w = model.EDGES[e]
+        ends[orbit_of[4 * t + u]] += 1
+        if not reverse:
+            ends[orbit_of[4 * t + w]] += 1
 
     links = []
     for i, orbit in enumerate(skeleton.vertex_orbits):
-        members = set(orbit)
-        f_count = len(orbit)
-        e_count = sum(1 for o in side_orbits if (o[0][0], o[0][1]) in members)
-        v_count = sum(1 for o in end_orbits if (o[0][0], o[0][1]) in members)
-        chi = v_count - e_count + f_count
+        chi = ends[i] - sides[i] + len(orbit)
         closed = not skeleton.vertex_boundary[i]
         # The corner triangles of an orbit are connected through the same
         # gluings that define the orbit, so each link is connected.

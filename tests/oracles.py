@@ -13,7 +13,10 @@ into loops by walking one explicit arc per end, where the package works
 from the counts, loop words canonicalized by comparing every rotation,
 where the package uses a least-rotation algorithm, and the least width
 over all presentations found by scoring every birth/death kind sequence,
-where the package uses a closed form.
+where the package uses a closed form, the skeleton from tuple-keyed
+cells with every edge doubled into its two directions, where the
+package keeps one parity per integer cell, and orientability by
+propagating signs tetrahedron by tetrahedron.
 """
 
 import math
@@ -21,6 +24,7 @@ import math
 from normalhst import model
 from normalhst.curve_patterns import LoopDecomposition, PatternError
 from normalhst.thin_position import MorsePresentation, width
+from normalhst.triangulation import Skeleton
 
 
 class UnionFind:
@@ -85,6 +89,94 @@ def bareiss_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def explicit_skeleton(tri):
+    """Cell orbits as a :class:`Skeleton`, from tuple-keyed cells.
+
+    Every gluing is applied from both sides.  Whether an edge orbit is
+    identified with itself reversed comes from a second union-find over
+    directed edges (t, e, o), o = 1 marking the copy running from the
+    higher endpoint to the lower: the orbit is reversed when the two
+    directions of one member end up in one class.
+    """
+    n = tri.tetrahedron_count
+    vertices, edges, faces, directed = (UnionFind(), UnionFind(),
+                                        UnionFind(), UnionFind())
+    for t in range(n):
+        for x in range(4):
+            vertices.add((t, x))
+            faces.add((t, x))
+        for e in range(6):
+            edges.add((t, e))
+            directed.add((t, e, 0))
+            directed.add((t, e, 1))
+    for t in range(n):
+        for f in range(4):
+            g = tri.gluings[t][f]
+            if g is None:
+                continue
+            faces.union((t, f), (g.tet, g.face))
+            for v in model.FACE_VERTICES[f]:
+                vertices.union((t, v), (g.tet, g.image_of_vertex(v)))
+            for e in model.FACE_EDGES[f]:
+                e2 = g.image_of_edge(e)
+                edges.union((t, e), (g.tet, e2))
+                u, v = model.EDGES[e]
+                flip = 0 if g.image_of_vertex(u) < g.image_of_vertex(v) else 1
+                directed.union((t, e, 0), (g.tet, e2, flip))
+                directed.union((t, e, 1), (g.tet, e2, 1 - flip))
+
+    def ordered(uf):
+        return tuple(sorted(tuple(sorted(o)) for o in uf.orbits()))
+
+    vertex_orbits, edge_orbits, face_orbits = (ordered(vertices),
+                                               ordered(edges), ordered(faces))
+
+    def boundary(t, f):
+        return tri.gluings[t][f] is None
+
+    return Skeleton(
+        vertex_orbits=vertex_orbits,
+        edge_orbits=edge_orbits,
+        face_orbits=face_orbits,
+        vertex_boundary=tuple(any(boundary(t, f) for (t, v) in o
+                                  for f in range(4) if f != v)
+                              for o in vertex_orbits),
+        edge_boundary=tuple(any(boundary(t, f) for (t, e) in o
+                                for f in model.FACES_OF_EDGE[e])
+                            for o in edge_orbits),
+        face_boundary=tuple(len(o) == 1 for o in face_orbits),
+        edge_reversed=tuple(directed.find(o[0] + (0,))
+                            == directed.find(o[0] + (1,))
+                            for o in edge_orbits),
+    )
+
+
+def orientable_by_propagation(tri):
+    """Orientability by spreading signs through the face gluings.
+
+    Tetrahedra glued by an odd permutation get equal signs, by an even
+    one opposite signs; a conflict means no coherent orientation.
+    """
+    sign = [0] * tri.tetrahedron_count
+    for start in range(tri.tetrahedron_count):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        queue = [start]
+        for t in queue:
+            for f in range(4):
+                g = tri.gluings[t][f]
+                if g is None:
+                    continue
+                want = -sign[t] * model.perm_sign(g.perm)
+                if sign[g.tet] == 0:
+                    sign[g.tet] = want
+                    queue.append(g.tet)
+                elif sign[g.tet] != want:
+                    return False
+    return True
 
 
 def link_chi(tri, vertex_orbit_members):

@@ -76,6 +76,31 @@ def test_surface_vertex_link(files, capsys):
     assert payload["check_348"]["passed"] is True
 
 
+def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
+    # --mode auto classifies from the one report it prints; an explicit
+    # mode other than the inferred one still asks classify().
+    calls = []
+    real_check = cli.check_admissible
+
+    def counted(*args):
+        calls.append(args[2])
+        return real_check(*args)
+
+    monkeypatch.setattr(cli, "check_admissible", counted)
+    monkeypatch.setattr(cli, "classify", None)
+    assert run(["surface", files["doubled"], files["link"],
+                "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "Normal" and calls == ["normal"]
+
+    monkeypatch.setattr(cli, "classify", lambda tri, v: "Normal")
+    assert run(["surface", files["doubled"], files["link"],
+                "--mode", "almost_normal", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "Normal"
+    assert not payload["admissible"]
+
+
 def test_surface_two_octagons_inadmissible(files, capsys):
     assert run(["surface", files["single"], files["twooct"],
                 "--format", "json"]) == 1
@@ -161,9 +186,21 @@ def test_hst_complexity(files, capsys):
 
 def test_hst_search_budget(files, capsys):
     assert run(["hst", files["split"], "--action", "search",
-                "--budget", "0", "--format", "json"]) == 0
+                "--budget", "1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "budget exhausted"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", [("hst", "split"), ("width", "pres")])
+def test_budget_below_one_is_input_error(files, capsys, command, budget):
+    subcommand, path = command
+    assert run([subcommand, files[path], "--action", "search",
+                "--budget", budget, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --budget must be at least 1, got {budget}"]
 
 
 def test_hst_underlying(files, tmp_path, capsys):

@@ -2,6 +2,8 @@
 Identities of the model tetrahedron that everything else leans on.
 """
 
+import random
+
 from normalhst import model
 
 
@@ -36,6 +38,21 @@ def test_octagon_counts_equal_sum_of_other_quads():
             quad_sum = sum(1 for p in others
                            if model.quad_type_for_arc(f, v) == p)
             assert model.oct_arc_count(q, f, v) == quad_sum
+
+
+def test_arc_count_closed_form():
+    # arc_count subtracts one octagon type from the sum of all three;
+    # compare with the per-type sum over oct_arc_count
+    rng = random.Random(5)
+    for _ in range(500):
+        block = (tuple(rng.randrange(4) for _ in range(4)),
+                 tuple(rng.randrange(4) for _ in range(3)),
+                 tuple(rng.randrange(4) for _ in range(3)))
+        for (f, v) in model.ARC_TYPES:
+            expected = (block[0][v] + block[1][model.quad_type_for_arc(f, v)]
+                        + sum(block[2][q] * model.oct_arc_count(q, f, v)
+                              for q in range(3)))
+            assert model.arc_count(block, f, v) == expected
 
 
 def test_boundary_lengths():

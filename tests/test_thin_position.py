@@ -224,6 +224,13 @@ def test_search_budget_exhausted():
     assert res.minimum_width == width(pres).width
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_exchange_search_rejects_budget_below_one(budget):
+    pres = MorsePresentation.of("B", "B", "D", "D")
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        thin_position_search(pres, mode="exchange", budget=budget)
+
+
 def test_induced_splitting_feeds_complexity_calculus():
     # the splitting induced by a presentation is a valid input to the
     # complexity side: thick level spheres with p punctures weigh

@@ -1,14 +1,31 @@
+import itertools
+import random
+
 import pytest
 
 from normalhst import model
 from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
                                lens_l41, one_tet_sphere,
-                               pseudomanifold_two_tet, single_tetrahedron)
-from normalhst.triangulation import (ParseError, Triangulation,
-                                     TriangulationError, compute_skeleton,
-                                     parse_triangulation, validate_manifold)
+                               pseudomanifold_two_tet, rp3_two_tet,
+                               single_tetrahedron)
+from normalhst.triangulation import (ParityUnionFind, ParseError,
+                                     Triangulation, TriangulationError,
+                                     compute_skeleton, parse_triangulation,
+                                     validate_manifold)
 
-from oracles import UnionFind, link_chi
+from oracles import (UnionFind, explicit_skeleton, link_chi,
+                     orientable_by_propagation)
+from pairings import random_closed_pairing
+
+LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
+           one_tet_sphere, lens_l41, rp3_two_tet, pseudomanifold_two_tet)
+# 100 seeded closed pairings for each tetrahedron count 1..6.
+PAIRINGS = [(n, seed) for n in range(1, 7) for seed in range(100)]
+
+
+def _oracle_inputs():
+    yield from (build() for build in LIBRARY)
+    yield from (random_closed_pairing(n, seed) for n, seed in PAIRINGS)
 
 
 def test_parse_single_unglued():
@@ -207,3 +224,59 @@ def test_orientability():
 def test_from_pairs_validates():
     with pytest.raises(TriangulationError, match="bijection"):
         Triangulation.from_pairs(2, [((0, 0), (1, 0), {1: 1, 2: 2, 3: 2})])
+
+
+def test_skeleton_matches_explicit_oracle():
+    reversed_seen = 0
+    for tri in _oracle_inputs():
+        sk = compute_skeleton(tri)
+        assert sk == explicit_skeleton(tri)
+        reversed_seen += any(sk.edge_reversed)
+    assert reversed_seen > 100      # the oracle's doubled edges are exercised
+
+
+def test_validate_and_orientability_against_oracles():
+    for tri in _oracle_inputs():
+        sk = compute_skeleton(tri)
+        report = validate_manifold(tri, sk)
+        assert [link.euler_characteristic for link in report.links] == \
+            [link_chi(tri, orbit) for orbit in sk.vertex_orbits]
+        assert report.orientable == tri.orientable() == \
+            orientable_by_propagation(tri)
+
+
+def _brute_force_colourings(size, relations):
+    """Every parity assignment satisfying all (x, y, odd) relations."""
+    return [bits for bits in itertools.product((0, 1), repeat=size)
+            if all(bits[x] ^ bits[y] == odd for x, y, odd in relations)]
+
+
+def test_parity_union_find_against_brute_force():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        size = rng.randint(1, 9)
+        relations = [(rng.randrange(size), rng.randrange(size),
+                      rng.randint(0, 1))
+                     for _ in range(rng.randint(0, 2 * size))]
+        uf = ParityUnionFind(size)
+        for x, y, odd in relations:
+            uf.union(x, y, odd)
+
+        classes = UnionFind()
+        for x in range(size):
+            classes.add(x)
+        for x, y, _ in relations:
+            classes.union(x, y)
+        expected = sorted(sorted(o) for o in classes.orbits())
+        assert uf.orbits() == expected
+
+        for orbit in expected:
+            inside = [r for r in relations if r[0] in orbit]
+            colourings = _brute_force_colourings(size, inside)
+            assert uf.has_odd_cycle(orbit[0]) == (not colourings)
+            for bits in colourings:
+                for x in orbit:
+                    root = uf.find(x)
+                    assert uf.parity[x] == bits[x] ^ bits[root]
+        assert any(uf.odd_cycle) == \
+            (not _brute_force_colourings(size, relations))
