@@ -16,6 +16,7 @@ makes every rewrite search terminate.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 
 class HstError(ValueError):
@@ -66,16 +67,40 @@ class AbstractSurface:
     def of(cls, *components):
         return cls(tuple(components))
 
+    @classmethod
+    def from_pairs(cls, pairs):
+        """Inverse of ``pairs``: components from (closed_chi, punctures)."""
+        return cls(tuple(Component(chi, p) for chi, p in pairs))
+
     @property
     def is_empty(self):
         return not self.components
 
     def multiset(self):
+        return self._multiset
+
+    @cached_property
+    def _multiset(self):
         return tuple(sorted((c.closed_chi, c.punctures)
                             for c in self.components))
 
+    @cached_property
+    def pairs(self):
+        """The components as (closed_chi, punctures) pairs, in order."""
+        return tuple((c.closed_chi, c.punctures) for c in self.components)
+
+    @cached_property
+    def relative_cost(self):
+        """``c_surface(self, relative=True)``, computed once per object."""
+        return c_surface(self, relative=True)
+
+    @cached_property
+    def moves(self):
+        """``component_moves(self)`` as a tuple, computed once per object."""
+        return tuple(component_moves(self))
+
     def same_surface(self, other):
-        return self.multiset() == other.multiset()
+        return self._multiset == other._multiset
 
 
 EMPTY_SURFACE = AbstractSurface(())
@@ -145,8 +170,8 @@ class AbstractSplitting:
     def __post_init__(self):
         if not self.levels:
             raise HstError("a splitting has at least one level")
-        for i, level in enumerate(self.levels):
-            if i % 2 == 1 and level.is_empty:
+        for i in range(1, len(self.levels), 2):
+            if not self.levels[i].components:
                 raise HstError(f"thick level {i} is empty")
 
     @classmethod
@@ -154,10 +179,10 @@ class AbstractSplitting:
         return cls(tuple(levels))
 
     def thick_indices(self):
-        return tuple(i for i in range(1, len(self.levels), 2))
+        return tuple(range(1, len(self.levels), 2))
 
     def thin_indices(self):
-        return tuple(i for i in range(0, len(self.levels), 2))
+        return tuple(range(0, len(self.levels), 2))
 
     @property
     def is_degenerate(self):
@@ -165,14 +190,24 @@ class AbstractSplitting:
         return not self.thick_indices()
 
     def canonical(self):
-        return tuple(level.multiset() for level in self.levels)
+        return tuple([level._multiset for level in self.levels])
 
 
 def splitting_complexity(splitting, relative=False):
     """Thick-level complexities, sorted non-increasing."""
-    values = sorted((c_surface(splitting.levels[i], relative)
+    if relative:
+        return ComplexityVector(_relative_entries(splitting))
+    values = sorted((c_surface(splitting.levels[i])
                      for i in splitting.thick_indices()), reverse=True)
     return ComplexityVector(tuple(values))
+
+
+def _relative_entries(splitting):
+    """The entries of the relative complexity vector, from each thick
+    level's cached cost."""
+    levels = splitting.levels
+    return tuple(sorted([levels[i].relative_cost
+                         for i in range(1, len(levels), 2)], reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +410,9 @@ def _untangle_candidates(splitting, p):
     g_p = splitting.levels[p]
     below = splitting.levels[p - 1]
     above = splitting.levels[p + 1]
-    for d in component_moves(g_p):
+    for d in g_p.moves:
         g_d = compress(g_p, d)
-        for e_base in component_moves(g_p):
+        for e_base in g_p.moves:
             branches = (0, 1) if (isinstance(d, SeparatingCompression)
                                   and e_base.component == d.component) else (0,)
             for branch in branches:
@@ -399,21 +434,55 @@ def _rebrand(move, branch):
     return type(move)(**kwargs)
 
 
+# Level triples kept by _thick_level_rewrites.  A 10000-state search on
+# any of the 96 splittings of perfbench's search pool meets at most 886.
+REWRITE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=REWRITE_CACHE_SIZE)
+def _thick_level_rewrites(p, below, thick, above):
+    """The rewrites at thick level p, in the order of :func:`legal_rewrites`.
+
+    ``thick`` is the level's ``pairs`` and ``below`` and ``above`` are
+    the multisets of its thin neighbours (``above`` is None at the top):
+    the moves address the thick level's components by index, and the
+    neighbours only decide the untangle equality flags.  Returns
+    (move, start, stop, replacement) tuples; a rewrite replaces
+    ``levels[start:stop]`` by ``replacement``, which never holds a thin
+    neighbour itself, so one triple serves every splitting that has it.
+    """
+    level = AbstractSurface.from_pairs(thick)
+    out = [(("compress", p, move), p, p + 1, (compress(level, move),))
+           for move in level.moves]
+    if above is not None:
+        local = AbstractSplitting(
+            (AbstractSurface.from_pairs(below), level,
+             AbstractSurface.from_pairs(above)))
+        for d, e, eq_d, eq_e in _untangle_candidates(local, 1):
+            new = untangle_step(local, 1, d, e, eq_d, eq_e).levels
+            out.append((("untangle", p, d, e, eq_d, eq_e),
+                        p - 1 if eq_d else p, p + 2 if eq_e else p + 1,
+                        new[0 if eq_d else 1:len(new) - (0 if eq_e else 1)]))
+    return tuple(out)
+
+
 def legal_rewrites(splitting):
     """All single-move successors: thick-level compressions and
-    untangle steps.  Deterministic order."""
+    untangle steps.  Deterministic order.
+
+    Each thick level's rewrites come from a bounded cache keyed by the
+    level and its two neighbours; a successor splices the cached
+    replacement levels into this splitting's levels.
+    """
     out = []
     levels = splitting.levels
-    for p in splitting.thick_indices():
-        for move in component_moves(levels[p]):
-            new_level = compress(levels[p], move)
-            out.append((("compress", p, move),
-                        AbstractSplitting(levels[:p] + (new_level,)
-                                          + levels[p + 1:])))
-        if 1 <= p < len(levels) - 1:
-            for d, e, eq_d, eq_e in _untangle_candidates(splitting, p):
-                out.append((("untangle", p, d, e, eq_d, eq_e),
-                            untangle_step(splitting, p, d, e, eq_d, eq_e)))
+    top = len(levels) - 1
+    for p in range(1, len(levels), 2):
+        above = levels[p + 1]._multiset if p < top else None
+        for move, start, stop, replacement in _thick_level_rewrites(
+                p, levels[p - 1]._multiset, levels[p].pairs, above):
+            out.append((move, AbstractSplitting(
+                levels[:start] + replacement + levels[stop:])))
     return out
 
 
@@ -431,21 +500,33 @@ def is_minimal_reachable(splitting, budget=10000):
 
     Exhaustive depth-first search; every move strictly decreases the
     (relative) complexity vector, so the search space is finite and the
-    search terminates.  ``certified`` reports whether it was exhausted
+    search terminates.  ``budget``, at least 1, bounds the distinct
+    states it visits, and ``certified`` reports whether it was exhausted
     within the budget; with punctures absent the relative vector equals
     the absolute one.
+
+    Each visited state costs one :func:`legal_rewrites` call, which
+    builds one splitting per successor by splicing cached level
+    rewrites, and one canonical key per successor, a tuple of the
+    levels' cached multisets; a successor whose key was already visited
+    is not pushed.  So a state costs time linear in its number of
+    successors times its number of levels.  Compressions and untangle
+    steps are computed once per triple of a thick level, its index and
+    its two thin neighbours; that cache is shared by all calls and keeps
+    the ``REWRITE_CACHE_SIZE`` (1024) triples used most recently.
     """
-    best = splitting_complexity(splitting, relative=True)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    best = _relative_entries(splitting)
     best_state = splitting
     best_trace = ()
     visited = set()
     explored = 0
     exhausted = True
 
-    stack = [(splitting, ())]
+    stack = [(splitting, splitting.canonical(), ())]
     while stack:
-        state, trace = stack.pop()
-        key = state.canonical()
+        state, key, trace = stack.pop()
         if key in visited:
             continue
         visited.add(key)
@@ -453,13 +534,16 @@ def is_minimal_reachable(splitting, budget=10000):
         if explored > budget:
             exhausted = False
             break
-        vec = splitting_complexity(state, relative=True)
+        vec = _relative_entries(state)
         if compare_complexity(vec, best) == LESS:
             best, best_state, best_trace = vec, state, trace
         for move, successor in reversed(legal_rewrites(state)):
-            stack.append((successor, trace + (move,)))
+            successor_key = successor.canonical()
+            if successor_key not in visited:
+                stack.append((successor, successor_key, trace + (move,)))
 
-    return MinimalSearchResult(minimum=best, splitting=best_state,
+    return MinimalSearchResult(minimum=ComplexityVector(best),
+                               splitting=best_state,
                                trace=best_trace, certified=exhausted,
                                states_explored=explored)
 
@@ -475,12 +559,11 @@ def random_descent(splitting, rng, untangle_probability=0.5):
     """
     steps = 0
     current = splitting
-    vec = splitting_complexity(current, relative=True)
+    vec = _relative_entries(current)
     while True:
         thicks = current.thick_indices()
         levels = current.levels
-        compressions = [(p, m) for p in thicks
-                        for m in component_moves(levels[p])]
+        compressions = sum(len(levels[p].moves) for p in thicks)
         if not compressions:
             return steps, current
         successor = None
@@ -488,7 +571,7 @@ def random_descent(splitting, rng, untangle_probability=0.5):
         if interior and rng.random() < untangle_probability:
             for _ in range(4):
                 p = rng.choice(interior)
-                moves = component_moves(levels[p])
+                moves = levels[p].moves
                 if not moves:
                     continue
                 d = rng.choice(moves)
@@ -506,10 +589,18 @@ def random_descent(splitting, rng, untangle_probability=0.5):
                 successor = untangle_step(current, p, d, e, eq_d, eq_e)
                 break
         if successor is None:
-            p, move = rng.choice(compressions)
+            # The draw rng.choice(compressions) made over the list of
+            # every (p, move), taken as an index into the per-level moves.
+            k = rng.choice(range(compressions))
+            for p in thicks:
+                moves = levels[p].moves
+                if k < len(moves):
+                    break
+                k -= len(moves)
             successor = AbstractSplitting(
-                levels[:p] + (compress(levels[p], move),) + levels[p + 1:])
-        new_vec = splitting_complexity(successor, relative=True)
+                levels[:p] + (compress(levels[p], moves[k]),)
+                + levels[p + 1:])
+        new_vec = _relative_entries(successor)
         assert compare_complexity(new_vec, vec) == LESS, \
             "a rewrite failed to decrease complexity"
         current, vec = successor, new_vec
@@ -544,8 +635,19 @@ def surface_to_json(surface):
 
 
 def surface_from_json(data):
-    return AbstractSurface(tuple(Component(int(chi), int(p))
+    """Parse ``[[chi, punctures], ...]``; both entries must be JSON integers.
+
+    Floats, booleans and strings are rejected rather than coerced, so
+    ``-2.7`` never reads as -2 nor ``true`` as one puncture.
+    """
+    return AbstractSurface(tuple(Component(_json_int(chi), _json_int(p))
                                  for chi, p in data))
+
+
+def _json_int(x):
+    if type(x) is not int:      # bool is a subclass of int: reject it too
+        raise HstError(f"expected an integer, got {x!r}")
+    return x
 
 
 def splitting_to_json(splitting):

@@ -601,7 +601,7 @@ class ReconstructedSurface:
             stack = edge_stack(v.tets[t0], e0)
             weights.append(len(stack))
             for (t, e) in orbit[1:]:
-                assert len(edge_stack(v.tets[t], e)) == len(stack), \
+                assert model.edge_weight(v.tets[t], e) == len(stack), \
                     "edge weights disagree across an orbit"
             for entry in stack:
                 pid = piece_index[(t0, entry[0], entry[1], entry[2])]

@@ -15,13 +15,15 @@ where the package uses a least-rotation algorithm, and the least width
 over all presentations found by scoring every birth/death kind sequence,
 where the package uses a closed form, the skeleton from tuple-keyed
 cells with every edge doubled into its two directions, where the
-package keeps one parity per integer cell, and orientability by
-propagating signs tetrahedron by tetrahedron.
+package keeps one parity per integer cell, orientability by
+propagating signs tetrahedron by tetrahedron, and the HST minimum
+search rebuilding every rewrite and canonical key of every state it
+pops, where the package caches each thick level's rewrites.
 """
 
 import math
 
-from normalhst import model
+from normalhst import hst, model
 from normalhst.curve_patterns import LoopDecomposition, PatternError
 from normalhst.thin_position import MorsePresentation, width
 from normalhst.triangulation import Skeleton
@@ -544,3 +546,62 @@ def least_width_by_enumeration(births, single_component=False):
         if best is None or prof.width < best[0]:
             best = (prof.width, pres)
     return best
+
+
+def rebuilt_rewrites(splitting):
+    """Every single-move successor, each compression and untangle step
+    applied to the whole splitting, in the package's order."""
+    out = []
+    levels = splitting.levels
+    for p in range(1, len(levels), 2):
+        for move in hst.component_moves(levels[p]):
+            new_level = hst.compress(levels[p], move)
+            out.append((("compress", p, move), hst.AbstractSplitting(
+                levels[:p] + (new_level,) + levels[p + 1:])))
+        if p < len(levels) - 1:
+            for d, e, eq_d, eq_e in hst._untangle_candidates(splitting, p):
+                out.append((("untangle", p, d, e, eq_d, eq_e),
+                            hst.untangle_step(splitting, p, d, e, eq_d, eq_e)))
+    return out
+
+
+def _relative_vector(splitting):
+    levels = splitting.levels
+    return tuple(sorted((hst.c_surface(levels[i], relative=True)
+                         for i in range(1, len(levels), 2)), reverse=True))
+
+
+def _canonical(splitting):
+    return tuple(tuple(sorted((c.closed_chi, c.punctures)
+                              for c in level.components))
+                 for level in splitting.levels)
+
+
+def minimal_reachable_by_rebuilding(splitting, budget=10000):
+    """Depth-first minimum search that checks each state against the
+    visited set when it is popped, with the same order and budget rule
+    as ``hst.is_minimal_reachable``."""
+    best = _relative_vector(splitting)
+    best_state, best_trace = splitting, ()
+    visited = set()
+    explored = 0
+    exhausted = True
+    stack = [(splitting, ())]
+    while stack:
+        state, trace = stack.pop()
+        key = _canonical(state)
+        if key in visited:
+            continue
+        visited.add(key)
+        explored += 1
+        if explored > budget:
+            exhausted = False
+            break
+        vec = _relative_vector(state)
+        if vec < best:            # tuple order: a proper prefix is smaller
+            best, best_state, best_trace = vec, state, trace
+        for move, successor in reversed(rebuilt_rewrites(state)):
+            stack.append((successor, trace + (move,)))
+    return hst.MinimalSearchResult(
+        minimum=hst.ComplexityVector(best), splitting=best_state,
+        trace=best_trace, certified=exhausted, states_explored=explored)

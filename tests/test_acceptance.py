@@ -34,7 +34,11 @@ def test_criterion_4_chi_two_path():
 
 
 def test_criterion_5_descent_and_termination():
-    _check(selftest.criterion_5())
+    result = selftest.criterion_5()
+    _check(result)
+    # The seeded descents draw the same moves however the draw is made.
+    assert result.detail == ("340 compressions, 11804 untangle steps, "
+                             "10000 random runs (201178 moves)")
 
 
 def test_criterion_6_width_arithmetic():

@@ -228,6 +228,24 @@ def test_hst_bad_json(files, tmp_path, capsys):
     assert run(["hst", path]) == 2
 
 
+@pytest.mark.parametrize("component", [
+    "[-2.7, 0]",        # chi would read as -2
+    '["-2", 0]',
+    '[-2, "1"]',
+    "[-2, true]",       # would read as one puncture
+    "[1e400, 0]",       # an infinite float overflowed int()
+])
+@pytest.mark.parametrize("action", ["complexity", "search"])
+def test_hst_rejects_non_integer_entry(tmp_path, capsys, component, action):
+    path = tmp_path / "bad.json"
+    path.write_text(f"[[], [{component}], []]")
+    assert run(["hst", path, "--action", action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "expected an integer" in captured.err
+
+
 def test_width_actions(files, capsys):
     assert run(["width", files["pres"], "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normalhst import hst
 from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            AbstractSplitting, AbstractSurface, Component,
                            ComplexityVector, HstError,
@@ -15,6 +16,8 @@ from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            splitting_complexity, splitting_from_json,
                            splitting_to_json, underlying_splitting,
                            untangle_step)
+
+from oracles import minimal_reachable_by_rebuilding, rebuilt_rewrites
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +332,93 @@ def test_minimal_reachable_fixed_point():
 def test_minimal_reachable_budget_exhausted():
     base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
                                 EMPTY_SURFACE)
-    result = is_minimal_reachable(base, budget=0)
+    result = is_minimal_reachable(base, budget=1)
     assert not result.certified
+    assert result.states_explored == 2
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_minimal_reachable_rejects_budget_below_one(budget):
+    base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
+                                EMPTY_SURFACE)
+    with pytest.raises(ValueError, match="at least 1"):
+        is_minimal_reachable(base, budget=budget)
+
+
+def _seeded_splittings(count, seed, **kwargs):
+    rng = random.Random(seed)
+    return [random_splitting(rng, **kwargs) for _ in range(count)]
+
+
+def _collapsible_splittings(count, seed):
+    """Random splittings whose thin levels are each a compression of a
+    neighbouring thick level, so untangle steps meet every pair of
+    equality flags."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        levels = list(random_splitting(rng, max_punctures=2).levels)
+        for i in range(0, len(levels), 2):
+            thick = levels[rng.choice([j for j in (i - 1, i + 1)
+                                       if 0 <= j < len(levels)])]
+            if thick.moves:
+                levels[i] = compress(thick, rng.choice(thick.moves))
+        out.append(AbstractSplitting(tuple(levels)))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100, 10000])
+def test_minimal_reachable_matches_rebuilding_oracle(budget):
+    # The oracle takes seconds to fill a budget of 10000, so that budget
+    # runs on the first two splittings only: the first fills it and the
+    # second is certified after 1344 states.
+    if budget == 10000:
+        cases = _seeded_splittings(2, 41, max_punctures=1)
+    else:
+        cases = (_seeded_splittings(12, 41, max_punctures=1)
+                 + _seeded_splittings(12, 43)
+                 + _collapsible_splittings(12, 59))
+    results = [is_minimal_reachable(splitting, budget=budget)
+               for splitting in cases]
+    assert results == [minimal_reachable_by_rebuilding(splitting, budget)
+                       for splitting in cases]
+    if budget == 10000:
+        assert [(r.certified, r.states_explored) for r in results] == \
+            [(False, 10001), (True, 1344)]
+
+
+def test_legal_rewrites_match_rebuilding_oracle():
+    # The successors of a splitting repeat its levels, so they also
+    # check rewrites spliced from cached triples met before.
+    flags = set()
+    for splitting in (_seeded_splittings(40, 47)
+                      + _collapsible_splittings(40, 61)):
+        rewrites = legal_rewrites(splitting)
+        assert rewrites == rebuilt_rewrites(splitting)
+        flags |= {move[4:] for move, _ in rewrites if move[0] == "untangle"}
+        for _move, successor in rewrites[:3]:
+            assert legal_rewrites(successor) == \
+                rebuilt_rewrites(successor)
+    assert flags == {(False, False), (True, False), (False, True),
+                     (True, True)}
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100, 10000])
+def test_search_calls_legal_rewrites_once_per_expanded_state(
+        monkeypatch, budget):
+    calls = []
+    original = hst.legal_rewrites
+
+    def counting(splitting):
+        calls.append(splitting)
+        return original(splitting)
+
+    monkeypatch.setattr(hst, "legal_rewrites", counting)
+    for splitting in _seeded_splittings(6, 53, max_punctures=1):
+        calls.clear()
+        result = is_minimal_reachable(splitting, budget=budget)
+        assert len(calls) == min(result.states_explored, budget)
+        assert len({s.canonical() for s in calls}) == len(calls)
 
 
 def test_every_rewrite_decreases():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from normalhst import model
@@ -9,7 +11,8 @@ from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        ALMOST_NORMAL_TUBE, INADMISSIBLE,
                                        NORMAL, SurfaceError, SurfaceVector,
                                        TubeAnnotation, check_admissible,
-                                       classify, euler_characteristic,
+                                       classify, edge_stack,
+                                       euler_characteristic,
                                        matching_system, reconstruct_surface,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
@@ -328,6 +331,23 @@ def test_edge_weight_assertion_and_values():
     summary = reconstruct_surface(tri, link, sk).summary()
     # the link crosses exactly the four edges at its vertex, once each
     assert sorted(summary.edge_weights) == [0] * 6 + [1] * 4
+
+
+def test_edge_weight_is_edge_stack_length():
+    # reconstruction compares orbit members by edge_weight, the length
+    # of the stack it walks on the first member
+    rng = random.Random(2026)
+    blocks = [((0, 0, 0, 0), (0, 0, 0), (0, 0, 0))]
+    for _ in range(300):
+        oct_ = [0, 0, 0]
+        oct_[rng.randrange(3)] = rng.randint(0, 3)
+        blocks.append((tuple(rng.randint(0, 5) for _ in range(4)),
+                       tuple(rng.randint(0, 5) for _ in range(3)),
+                       tuple(oct_)))
+    assert sum(1 for block in blocks if any(block[2])) > 200
+    for block in blocks:
+        for e in range(6):
+            assert model.edge_weight(block, e) == len(edge_stack(block, e))
 
 
 def test_octagon_arc_incidence_cross_check():
