@@ -13,8 +13,8 @@ from .normal_surfaces import (SurfaceVector, TubeAnnotation, SurfaceError,
                               reconstruct_surface, vertex_link, classify,
                               NORMAL, ALMOST_NORMAL_OCTAGON,
                               ALMOST_NORMAL_TUBE, INADMISSIBLE)
-from .enumeration import (SolutionCone, ResourceCeilingError,
-                          CeilingSettingError, solution_cone,
+from .limits import ResourceCeilingError, CeilingSettingError
+from .enumeration import (SolutionCone, solution_cone,
                           enumerate_vertex_surfaces, brute_force_enumerate,
                           reduced_extreme_solutions, find_connected_chi2,
                           octagon_augmentations)

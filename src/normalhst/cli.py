@@ -17,12 +17,12 @@ import sys
 from . import selftest as selftest_module
 from .curve_patterns import (CurvePattern, PatternError, check_348,
                              decompose_pattern, judge_348)
-from .enumeration import (CeilingSettingError, ResourceCeilingError,
-                          brute_force_enumerate, enumerate_vertex_surfaces,
+from .enumeration import (brute_force_enumerate, enumerate_vertex_surfaces,
                           reduced_extreme_solutions)
 from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                   splitting_from_json, splitting_to_json, trace_to_json,
                   underlying_splitting)
+from .limits import CeilingSettingError, ResourceCeilingError
 from .normal_surfaces import (SurfaceError, SurfaceVector, check_admissible,
                               classification, classify, infer_mode,
                               reconstruct_surface, INADMISSIBLE)

@@ -37,7 +37,7 @@ loops returned, not with the number of arcs.
 from dataclasses import dataclass
 
 from . import model
-from .enumeration import ResourceCeilingError, ceiling
+from .limits import ResourceCeilingError, ceiling
 
 
 class PatternError(ValueError):

@@ -16,40 +16,13 @@ octagon to a quad-admissible normal solution and keep the results that
 stay admissible.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .limits import ResourceCeilingError, ceiling
 from .normal_surfaces import (MatchingSystem, SurfaceVector, check_admissible,
                               matching_system, reconstruct_surface)
-
-
-class ResourceCeilingError(RuntimeError):
-    """A configured resource ceiling was exceeded."""
-
-
-class CeilingSettingError(ValueError):
-    """NORMALHST_CEILING is not a positive integer."""
-
-
-DEFAULT_CEILINGS = {
-    "rays": 20000,              # intermediate ray count in double description
-    "brute_force_weight": 12,   # maximal total coordinate for brute force
-    "loop_length": 20,          # normal curve enumeration ceiling
-    "search_budget": 200000,    # rewrite search states
-}
-
-
-def ceiling(name):
-    """Resource ceiling, overridable globally via NORMALHST_CEILING."""
-    env = os.environ.get("NORMALHST_CEILING")
-    if env is None:
-        return DEFAULT_CEILINGS[name]
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
-        raise CeilingSettingError(
-            f"NORMALHST_CEILING must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def _reduce(vec):

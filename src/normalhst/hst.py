@@ -18,6 +18,8 @@ makes every rewrite search terminate.
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from .limits import ResourceCeilingError, ceiling
+
 
 class HstError(ValueError):
     """Raised for invalid surfaces, splittings or moves."""
@@ -450,8 +452,22 @@ def _thick_level_rewrites(p, below, thick, above):
     (move, start, stop, replacement) tuples; a rewrite replaces
     ``levels[start:stop]`` by ``replacement``, which never holds a thin
     neighbour itself, so one triple serves every splitting that has it.
+
+    A level with m moves has up to about m^2 untangle candidates, and m
+    grows with the level's |chi|; a level whose m^2 passes the
+    ``rewrites`` ceiling raises :class:`ResourceCeilingError` before
+    any candidate is built.  The ceiling is read only on a cache miss,
+    so a level cached earlier in the same process is not checked again;
+    reading the environment once per state would add to every state's
+    cost.
     """
     level = AbstractSurface.from_pairs(thick)
+    moves = len(level.moves)
+    limit = ceiling("rewrites")
+    if moves * moves > limit:
+        raise ResourceCeilingError(
+            f"thick level {p} has {moves} compressions, so {moves * moves} "
+            f"move pairs to untangle, over the rewrites ceiling {limit}")
     out = [(("compress", p, move), p, p + 1, (compress(level, move),))
            for move in level.moves]
     if above is not None:

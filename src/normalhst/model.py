@@ -129,12 +129,17 @@ def arc_count(block, f, v):
 
 
 def edge_weight(block, e):
-    """Crossings of edge e by all pieces of a (tri, quad, oct) block."""
+    """Crossings of edge e by all pieces of a (tri, quad, oct) block.
+
+    The triangles at both ends cross it once, every quad but those of
+    its own pair once (:func:`quad_weight`), and every octagon once,
+    those of its own pair twice (:func:`oct_weight`).
+    """
     tri, quad, oct_ = block
-    w = sum(tri[v] for v in EDGES[e])
-    w += sum(quad[q] * quad_weight(q, e) for q in range(3))
-    w += sum(oct_[q] * oct_weight(q, e) for q in range(3))
-    return w
+    u, v = EDGES[e]
+    q = PAIR_OF_EDGE[e]
+    return (tri[u] + tri[v] + quad[0] + quad[1] + quad[2] - quad[q]
+            + oct_[0] + oct_[1] + oct_[2] + oct_[q])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import model
-from .triangulation import ParityUnionFind, compute_skeleton
+from .limits import ResourceCeilingError, ceiling
+from .triangulation import ODD_LABELS, ParityUnionFind, compute_skeleton
 
 
 class SurfaceError(ValueError):
@@ -386,23 +387,6 @@ def edge_stack(block, e):
     return stack
 
 
-def face_arcs(block, f, v):
-    """Pieces carrying an arc of type (f, v), ordered away from vertex v."""
-    tri_c, quad_c, oct_c = block
-    arcs = [("tri", v, i) for i in range(tri_c[v])]
-    q = model.quad_type_for_arc(f, v)
-    if quad_c[q]:
-        lo = min(model.PAIRS[q])
-        copies = range(quad_c[q])
-        if v not in model.EDGES[lo]:
-            copies = reversed(copies)
-        arcs.extend(("quad", q, i) for i in copies)
-    for qq in range(3):
-        if oct_c[qq] and model.oct_arc_count(qq, f, v):
-            arcs.extend(("oct", qq, i) for i in range(oct_c[qq]))
-    return arcs
-
-
 def _tube_shared_edge(v):
     """An edge the tube's pieces cross in consecutive positions, or None."""
     tube = v.tube
@@ -476,149 +460,355 @@ _CYCLES = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
 _ARC_SLOT = {(kind, typ, s[0], s[1]): s
              for kind, cycles in _CYCLES.items()
              for typ, cycle in enumerate(cycles) for s in cycle}
+# Per (kind, type): crossings of each of the six edges, and arcs on
+# each of the four faces.
+_EDGE_CROSSINGS = {(kind, typ): tuple(weight(typ, e) for e in range(6))
+                   for kind, weight in (("tri", model.tri_weight),
+                                        ("quad", model.quad_weight),
+                                        ("oct", model.oct_weight))
+                   for typ in range(len(_CYCLES[kind]))}
+_FACE_ARCS = {(kind, typ): tuple(sum(1 for s in cycle if s[0] == f)
+                                 for f in range(4))
+              for kind, cycles in _CYCLES.items()
+              for typ, cycle in enumerate(cycles)}
+# Index of each kind's first coordinate among a tetrahedron's ten.
+_SLOT = {"tri": 0, "quad": 4, "oct": 7}
+# Labels of the run union-find: bit 0 is the orientation parity, bit 1
+# says the copy index is reversed.  These masks select, from a class's
+# cycle span, the labels that flip orientation with the index kept and
+# the labels that reverse the index.
+_FLIP_KEPT = 1 << 0b01
+_REVERSING = 1 << 0b10 | 1 << 0b11
+
+
+def _parallel(kind_a, typ_a, f, v, g, kind_b, typ_b):
+    """Whether two glued arcs run the same way around their pieces.
+
+    The arc of (kind_a, typ_a) of type (f, v) is glued by g to the arc
+    of (kind_b, typ_b) of type (g.face, g(v)); each piece's boundary
+    cycle enters its arc from one crossing.  The pieces' cycles run
+    with each other exactly when side A's entry crossing maps onto
+    side B's.
+    """
+    e_from, end = _ARC_SLOT[kind_a, typ_a, f, v][2]
+    perm = g.perm
+    x, y = model.EDGES[e_from]
+    mapped_from = (model.edge_index(perm[x], perm[y]),
+                   None if end is None else perm[end])
+    return mapped_from == _ARC_SLOT[kind_b, typ_b, g.face, perm[v]][2]
+
+
+def _crossing_direction(kind, typ, e):
+    """(face in, face out) of a piece's boundary crossing of edge e."""
+    cycle = _CYCLES[kind][typ]
+    for i, s in enumerate(cycle):
+        if s[3][0] == e:
+            return (s[0], cycle[(i + 1) % len(cycle)][0])
+    raise AssertionError((kind, typ, e))
 
 
 class ReconstructedSurface:
-    """Explicit pieces, arc gluings and derived invariants of a vector."""
+    """Components, their invariants and the edge weights of a vector.
+
+    Parallel copies are handled in runs.  A block is the set of copies
+    of one (tetrahedron, kind, type); its copies are stacked in order,
+    and a face gluing pairs the arcs on its two sides in order.  So each
+    arc type of an internal face pairs an interval of copies of one
+    block with an interval of another, by a translation or a reflection
+    of the copy index, and with one orientation parity for the whole
+    interval.  Every block is cut at the ends of these intervals and at
+    the tube's two pieces, and each cut is pushed through the pairings
+    until none adds a new one.  The blocks then fall into runs, and
+    every pairing maps whole runs onto whole runs.  For k times a
+    vector every cut is k times a cut of the vector, so the run count
+    does not grow with k.
+
+    Runs are joined in a :class:`ParityUnionFind` whose label has bit 0
+    for the orientation parity and bit 1 for a reversed copy index.  A
+    class of runs of length L holds one component per copy offset,
+    unless some cycle in its span reverses the index: then it holds
+    L // 2 components that meet every run twice and, when L is odd, a
+    middle one.  A component is nonorientable when a cycle it closes
+    flips the orientation: one that keeps the index, or for the middle
+    component any cycle.  Each piece adds a fixed amount to its
+    component's V - E + F (its entries in the edge stacks of the
+    orbits' first edges, less its arcs on boundary faces and on the
+    first side of each glued face pair, plus one face), so a
+    component's chi and closedness come from weights per block.  The
+    first piece of a class's components lies in its first run, at
+    consecutive copies, so listing the classes in order of their first
+    run numbers the components by their first piece.
+    """
 
     def __init__(self, tri, vector, skeleton=None):
         self.tri = tri
         self.vector = vector
         self.skeleton = skeleton if skeleton is not None \
             else compute_skeleton(tri)
-        self._build()
-        # Counted once _build has returned and freed its union-find.
-        self._finish_counts()
-
-    def _build(self):
-        tri, v = self.tri, self.vector
-        report = check_admissible(tri, v, infer_mode(v))
+        report = check_admissible(tri, vector, infer_mode(vector))
         if not report.admissible:
             raise SurfaceError(
                 "inadmissible vector: "
                 + "; ".join(viol.message for viol in report.violations))
+        self.edge_weights = self._edge_weights()
+        limit = ceiling("surface_cells")
+        blocks = self._blocks()
+        # Block number of each of the ten coordinates of each
+        # tetrahedron, -1 where the coordinate is 0.
+        number = [-1] * (10 * tri.tetrahedron_count)
+        for b, (t, kind, typ, *_) in enumerate(blocks):
+            number[10 * t + _SLOT[kind] + typ] = b
+        tube = vector.tube
+        # (block number, copy) of the tube's two pieces.
+        tube_ends = () if tube is None else tuple(
+            (number[10 * tube.tet + _SLOT[kind] + typ], copy)
+            for kind, typ, copy in tube.pieces())
+        cuts = self._cut(blocks, number, tube_ends, limit)
+        self._join_runs(blocks, number, cuts, tube_ends, limit)
 
-        # Pieces and their boundary cycles.
-        pieces = []
-        index = {}
-        for t, (tri_c, quad_c, oct_c) in enumerate(v.tets):
-            for w in range(4):
-                for i in range(tri_c[w]):
-                    index[(t, "tri", w, i)] = len(pieces)
-                    pieces.append((t, "tri", w, i))
-            for q in range(3):
-                for i in range(quad_c[q]):
-                    index[(t, "quad", q, i)] = len(pieces)
-                    pieces.append((t, "quad", q, i))
-            for q in range(3):
-                for i in range(oct_c[q]):
-                    index[(t, "oct", q, i)] = len(pieces)
-                    pieces.append((t, "oct", q, i))
-        self.pieces = tuple(pieces)
-
-        # Arc gluings across internal faces; boundary arcs recorded too.
-        # A piece's parity says whether its boundary cycle runs with or
-        # against its component's orientation; a class with an odd
-        # cycle is a nonorientable component.
-        sheets = ParityUnionFind(len(pieces))
-
-        self.boundary_arcs = []
-        for t, f in tri.boundary_faces():
-            for w in model.FACE_VERTICES[f]:
-                for piece in face_arcs(v.tets[t], f, w):
-                    self.boundary_arcs.append(
-                        (index[(t,) + piece], (t, f, w)))
-        self.arc_gluings = []
-        for t, f, g in tri.face_pairs():
-            for w in model.FACE_VERTICES[f]:
-                w2 = g.image_of_vertex(w)
-                side_a = face_arcs(v.tets[t], f, w)
-                side_b = face_arcs(v.tets[g.tet], g.face, w2)
-                assert len(side_a) == len(side_b), \
-                    "matching violated during reconstruction"
-                for pa, pb in zip(side_a, side_b):
-                    ia = index[(t,) + pa]
-                    ib = index[(g.tet,) + pb]
-                    sa = _ARC_SLOT[pa[0], pa[1], f, w]
-                    sb = _ARC_SLOT[pb[0], pb[1], g.face, w2]
-                    # Map side A's entry crossing through the gluing.
-                    e_from, end = sa[2]
-                    mapped_from = (g.image_of_edge(e_from),
-                                   None if end is None
-                                   else g.image_of_vertex(end))
-                    parallel = (mapped_from == sb[2])
-                    sheets.union(ia, ib, parallel)
-                    self.arc_gluings.append((ia, ib, (t, f, w)))
-
-        # Tube: join the two pieces; consecutive parallel sheets get
-        # opposite boundary orientations when their crossings of the
-        # shared edge run in the same face-to-face direction.
-        self.tube_pieces = None
-        if v.tube is not None:
-            t = v.tube.tet
-            ia = index[(t,) + v.tube.piece_a]
-            ib = index[(t,) + v.tube.piece_b]
-            self.tube_pieces = (ia, ib)
-            e_shared = _tube_shared_edge(v)
-            da = self._crossing_direction(ia, e_shared)
-            db = self._crossing_direction(ib, e_shared)
-            sheets.union(ia, ib, da == db)
-
-        # Components, numbered by their first piece.
-        labels, roots = sheets.classes()
-        self.component_of_piece = tuple(labels)
-        self.component_count = len(roots)
-        self._nonorientable = {c for c, root in enumerate(roots)
-                               if sheets.odd_cycle[root]}
-
-    def _crossing_direction(self, piece_id, e):
-        """(face in, face out) of the piece's boundary crossing of edge e."""
-        t, kind, typ, _ = self.pieces[piece_id]
-        cycles = _CYCLES[kind][typ]
-        for i, s in enumerate(cycles):
-            if s[3][0] == e:
-                nxt = cycles[(i + 1) % len(cycles)]
-                return (s[0], nxt[0])
-        raise AssertionError((self.pieces[piece_id], e))
-
-    def _finish_counts(self):
-        tri, v = self.tri, self.vector
-        ncomp = self.component_count
-        v_count = [0] * ncomp
-        e_count = [0] * ncomp
-        f_count = [0] * ncomp
-        closed = [True] * ncomp
-
-        piece_index = {p: i for i, p in enumerate(self.pieces)}
-        for i, _ in enumerate(self.pieces):
-            f_count[self.component_of_piece[i]] += 1
-        if self.tube_pieces is not None:
-            f_count[self.component_of_piece[self.tube_pieces[0]]] -= 2
-
+    def _edge_weights(self):
+        tets = self.vector.tets
         weights = []
         for orbit in self.skeleton.edge_orbits:
             t0, e0 = orbit[0]
-            stack = edge_stack(v.tets[t0], e0)
-            weights.append(len(stack))
+            weight = model.edge_weight(tets[t0], e0)
             for (t, e) in orbit[1:]:
-                assert model.edge_weight(v.tets[t], e) == len(stack), \
+                assert model.edge_weight(tets[t], e) == weight, \
                     "edge weights disagree across an orbit"
-            for entry in stack:
-                pid = piece_index[(t0, entry[0], entry[1], entry[2])]
-                v_count[self.component_of_piece[pid]] += 1
-        self.edge_weights = tuple(weights)
+            weights.append(weight)
+        return tuple(weights)
 
-        for (ia, _ib, _where) in self.arc_gluings:
-            e_count[self.component_of_piece[ia]] += 1
-        for (ia, _where) in self.boundary_arcs:
-            e_count[self.component_of_piece[ia]] += 1
-            closed[self.component_of_piece[ia]] = False
+    def _blocks(self):
+        """Nonzero blocks in piece order, with their cell weights.
 
-        self.component_chis = tuple(v_count[c] - e_count[c] + f_count[c]
-                                    for c in range(ncomp))
-        self.component_closed = tuple(closed)
-        self.component_orientable = tuple(c not in self._nonorientable
-                                          for c in range(ncomp))
+        Entries are (t, kind, type, count, V - E + F per piece, whether
+        a piece has a boundary arc).
+        """
+        tri = self.tri
+        first_edges = [[] for _ in range(tri.tetrahedron_count)]
+        for orbit in self.skeleton.edge_orbits:
+            t, e = orbit[0]
+            first_edges[t].append(e)
+        blocks = []
+        for t, counts in enumerate(self.vector.tets):
+            if not any(map(any, counts)):
+                continue
+            gluings = tri.gluings[t]
+            boundary = [f for f, g in enumerate(gluings) if g is None]
+            # Arcs on these faces are counted: boundary faces and the
+            # first side of each glued pair.
+            counted = [f for f, g in enumerate(gluings)
+                       if g is None or (t, f) < (g.tet, g.face)]
+            for kind, kind_counts in zip(PIECE_KINDS, counts):
+                for typ, count in enumerate(kind_counts):
+                    if not count:
+                        continue
+                    crossings = _EDGE_CROSSINGS[kind, typ].__getitem__
+                    arcs = _FACE_ARCS[kind, typ].__getitem__
+                    blocks.append((
+                        t, kind, typ, count,
+                        sum(map(crossings, first_edges[t]))
+                        - sum(map(arcs, counted)) + 1,
+                        any(map(arcs, boundary))))
+        return blocks
+
+    def _pairings(self, number, visit):
+        """The arc stacks glued across each internal face and arc type.
+
+        Yields (f, v, gluing, side A, side B) for every face pair with a
+        tetrahedron in ``visit``.  A side lists (offset, block number,
+        count, forward) in stacking order away from v: triangles, the
+        quad, whose copies meet the face in ascending order when
+        ``forward``, then octagons.  Each pass builds the stacks afresh,
+        so they are never all held at once.
+        """
+        tets = self.vector.tets
+
+        def side(t, f, v):
+            tri_c, quad_c, oct_c = tets[t]
+            base = 10 * t
+            q = model.ARC_QUAD[f][v]
+            out = []
+            offset = 0
+            if tri_c[v]:
+                out.append((0, number[base + v], tri_c[v], True))
+                offset = tri_c[v]
+            if quad_c[q]:
+                out.append((offset, number[base + 4 + q], quad_c[q],
+                            v in model.EDGES[min(model.PAIRS[q])]))
+                offset += quad_c[q]
+            for qq in range(3):
+                # model.oct_arc_count: every octagon type but q
+                if oct_c[qq] and qq != q:
+                    out.append((offset, number[base + 7 + qq], oct_c[qq],
+                                True))
+                    offset += oct_c[qq]
+            return out, offset
+
+        for t, f, g in self.tri.face_pairs():
+            if t not in visit and g.tet not in visit:
+                continue
+            for v in model.FACE_VERTICES[f]:
+                side_a, length = side(t, f, v)
+                side_b, length_b = side(g.tet, g.face, g.image_of_vertex(v))
+                assert length == length_b, \
+                    "matching violated during reconstruction"
+                if length:
+                    yield f, v, g, side_a, side_b
+
+    def _cut(self, blocks, number, tube_ends, limit):
+        """Sorted inner cut points of every block that has any.
+
+        Returns {block number: cuts}; a block of one copy is never cut.
+        Raises :class:`ResourceCeilingError` once the runs would pass
+        ``limit``.
+        """
+        cuts = {}
+        pending = []
+        runs = len(blocks)
+
+        def cut(side, position):
+            nonlocal runs
+            for offset, b, count, forward in side:
+                if offset < position < offset + count:
+                    x = position - offset if forward \
+                        else offset + count - position
+                    here = cuts.setdefault(b, set())
+                    if x not in here:
+                        runs += 1
+                        if runs > limit:
+                            raise ResourceCeilingError(
+                                f"surface reconstruction cuts more than "
+                                f"{limit} runs, over the surface_cells "
+                                f"ceiling")
+                        here.add(x)
+                        pending.append((b, x))
+                    return
+
+        # Where each block of two or more copies sits in a pairing, and
+        # the side facing it.  A face pair between blocks of one copy
+        # each can neither make a cut nor carry one.
+        seen_in = {}
+        many = {t for t, _, _, count, *_ in blocks if count > 1}
+        for *_, side_a, side_b in self._pairings(number, many):
+            for here, there in ((side_a, side_b), (side_b, side_a)):
+                for offset, b, count, forward in here:
+                    if count > 1:
+                        seen_in.setdefault(b, []).append(
+                            (offset, forward, there))
+                for offset, *_ in here[1:]:
+                    cut(there, offset)
+        for b, copy in tube_ends:
+            side = [(0, b, blocks[b][3], True)]
+            cut(side, copy)
+            cut(side, copy + 1)
+        while pending:
+            b, x = pending.pop()
+            count = blocks[b][3]
+            for offset, forward, there in seen_in.get(b, ()):
+                cut(there, offset + (x if forward else count - x))
+        return {b: sorted(here) for b, here in cuts.items()}
+
+    def _join_runs(self, blocks, number, cuts, tube_ends, limit):
+        # Runs are numbered in piece order; each block's runs, in
+        # ascending copy order, are a range of run numbers.
+        block_runs = []
+        run_length = []
+        run_block = []
+        for b, block in enumerate(blocks):
+            first = len(run_length)
+            points = [0, *cuts.get(b, ()), block[3]]
+            for lo, hi in zip(points, points[1:]):
+                run_length.append(hi - lo)
+                run_block.append(b)
+            block_runs.append(range(first, len(run_length)))
+        self.run_count = len(run_length)
+        sheets = ParityUnionFind(self.run_count)
+
+        used = {block[0] for block in blocks}
+        for f, v, g, side_a, side_b in self._pairings(number, used):
+            # The runs of the two sides line up.  Walk both sides block
+            # by block; done_a and done_b count the runs of the current
+            # two blocks already paired.
+            i = j = done_a = done_b = 0
+            while i < len(side_a):
+                _, ba, _, fa = side_a[i]
+                _, bb, _, fb = side_b[j]
+                runs_a = block_runs[ba] if fa else block_runs[ba][::-1]
+                runs_b = block_runs[bb] if fb else block_runs[bb][::-1]
+                step = min(len(runs_a) - done_a, len(runs_b) - done_b)
+                label = (fa != fb) << 1 | _parallel(
+                    blocks[ba][1], blocks[ba][2], f, v, g,
+                    blocks[bb][1], blocks[bb][2])
+                for ra, rb in zip(runs_a[done_a:done_a + step],
+                                  runs_b[done_b:done_b + step]):
+                    assert run_length[ra] == run_length[rb], \
+                        "matching violated during reconstruction"
+                    sheets.union(ra, rb, label)
+                done_a += step
+                done_b += step
+                if done_a == len(runs_a):
+                    i += 1
+                    done_a = 0
+                if done_b == len(runs_b):
+                    j += 1
+                    done_b = 0
+
+        # Tube: join its two singleton runs; consecutive parallel sheets
+        # get opposite boundary orientations when their crossings of
+        # the shared edge run in the same face-to-face direction.
+        tube_run = None
+        if tube_ends:
+            e_shared = _tube_shared_edge(self.vector)
+            (tube_run, da), (rb, db) = [
+                (block_runs[b][[0, *cuts.get(b, ())].index(copy)],
+                 _crossing_direction(blocks[b][1], blocks[b][2], e_shared))
+                for b, copy in tube_ends]
+            sheets.union(tube_run, rb, da == db)
+
+        # Classes in order of their first run, with chi and closedness
+        # per component of the class.
+        labels, roots = sheets.classes()
+        chi = [0] * len(roots)
+        closed = [True] * len(roots)
+        for r, c in enumerate(labels):
+            block = blocks[run_block[r]]
+            chi[c] += block[4]
+            if block[5]:
+                closed[c] = False
+        if tube_run is not None:
+            chi[labels[tube_run]] -= 2
+        spans = [sheets.span[root] for root in roots]
+        count = sum(run_length[root] if not span & _REVERSING
+                    else (run_length[root] + 1) // 2
+                    for root, span in zip(roots, spans))
+        if self.run_count + count > limit:
+            raise ResourceCeilingError(
+                f"surface reconstruction needs {self.run_count} runs and "
+                f"{count} components, over the surface_cells ceiling "
+                f"{limit}")
+
+        chis, closeds, orientables = [], [], []
+        for root, span, c_chi, c_closed in zip(roots, spans, chi, closed):
+            length = run_length[root]
+            orientable = not span & _FLIP_KEPT
+            if span & _REVERSING:
+                doubles = length // 2
+                chis += [2 * c_chi] * doubles
+                closeds += [c_closed] * doubles
+                orientables += [orientable] * doubles
+                if length % 2:
+                    chis.append(c_chi)
+                    closeds.append(c_closed)
+                    orientables.append(not span & ODD_LABELS)
+            else:
+                chis += [c_chi] * length
+                closeds += [c_closed] * length
+                orientables += [orientable] * length
+        self.component_count = count
+        self.component_chis = tuple(chis)
+        self.component_closed = tuple(closeds)
+        self.component_orientable = tuple(orientables)
 
     def summary(self):
         total_chi = sum(self.component_chis)
@@ -642,12 +832,20 @@ class ReconstructedSurface:
 
 
 def reconstruct_surface(tri, v, skeleton=None):
-    """Instantiate, stack and glue the pieces of an admissible vector.
+    """Components, orientability and edge weights of an admissible vector.
 
     Returns the :class:`ReconstructedSurface`, whose ``summary()``
-    carries components, per-component Euler characteristics,
-    orientability (by orientation propagation over the piece-gluing
-    graph) and edge weights.
+    carries components, per-component Euler characteristics and
+    closedness, orientability and edge weights, with components
+    numbered by their first piece.  Parallel copies are handled in runs
+    (see :class:`ReconstructedSurface`), so the cost is
+    O(n + R log R + C) for n tetrahedra, R runs and C components
+    (near linear: the run union-find adds an inverse-Ackermann
+    factor).  R is at most the number of pieces and does not grow with
+    k for k times a vector; C is what the summary lists.  When R, or R
+    plus C, would pass the ``surface_cells`` ceiling, it raises
+    :class:`ResourceCeilingError` before building them, and the
+    ``surface`` command exits 3.
     """
     return ReconstructedSurface(tri, v, skeleton)
 

@@ -158,7 +158,7 @@ class Triangulation:
         signs = ParityUnionFind(self.tetrahedron_count)
         for t, _, g in self.face_pairs():
             signs.union(t, g.tet, model.perm_sign(g.perm) == 1)
-        return not any(signs.odd_cycle)
+        return not any(span & ODD_LABELS for span in signs.span)
 
     def to_text(self, comment=None):
         """Serialize in the plain-text file format."""
@@ -262,27 +262,47 @@ def parse_triangulation(text):
 # Skeleton: orbits of model cells under the gluing identifications.
 # ---------------------------------------------------------------------------
 
-class ParityUnionFind:
-    """Union-find over the integers 0..size-1 with a parity per element.
+def _span_sum(a, b):
+    """The subgroup {x ^ y} spanned by two subgroups of 2-bit labels.
 
-    ``union(x, y, odd)`` puts x and y in one class and records that
-    their parities differ exactly when ``odd`` is true.  Each element
-    keeps its parity relative to its parent; after ``find(x)`` the
-    parent is the root and ``parity[x]`` is relative to it.  A class
-    whose recorded parities cannot all hold, because a cycle of
-    relations has odd total, is flagged at its root; a flag is carried
-    to the new root on union and never cleared.  Finding is
-    iterative with full path compression and union is by size, so no
-    chain recurses and the cost is near linear in the operations.
+    Subgroups are bitmasks over the labels 0..3.  When one subgroup
+    holds the other the sum is the larger; otherwise both have order 2
+    and differ, and together they span all four labels.
+    """
+    union = a | b
+    return union if union in (a, b) else 0b1111
+
+
+# Span bitmask bits of the labels with bit 0 set (labels 1 and 3).
+ODD_LABELS = 0b1010
+
+
+class ParityUnionFind:
+    """Union-find over the integers 0..size-1 with a label per element.
+
+    A label is a 2-bit vector under XOR; bit 0 is the parity that most
+    callers use alone, and bit 1 is free for a second relation.
+    ``union(x, y, label)`` puts x and y in one class and records that
+    their labels differ by ``label`` (a bool reads as 0 or 1).  Each
+    element keeps its label relative to its parent; after ``find(x)``
+    the parent is the root and ``parity[x]`` is relative to it.  A
+    relation that closes a cycle adds the XOR of the labels around it
+    to the class's cycle span, the subgroup of labels that cycles
+    generate.  ``span[root]`` holds it as a bitmask with bit s set when
+    label s is in it, so 1 is the trivial span; spans are summed on
+    union and never shrink.  A class holds an odd cycle, whose parities
+    cannot all hold, when its span has a label with bit 0 set.  Finding
+    is iterative with full path compression and union is by size, so
+    no chain recurses and the cost is near linear in the operations.
     """
 
-    __slots__ = ("parent", "parity", "size", "odd_cycle")
+    __slots__ = ("parent", "parity", "size", "span")
 
     def __init__(self, size):
         self.parent = list(range(size))
         self.parity = [0] * size
         self.size = [1] * size
-        self.odd_cycle = [False] * size
+        self.span = [1] * size
 
     def find(self, x):
         parent = self.parent
@@ -301,12 +321,13 @@ class ParityUnionFind:
             parent[y] = x
         return x
 
-    def union(self, x, y, odd=False):
+    def union(self, x, y, label=0):
         rx, ry = self.find(x), self.find(y)
-        differ = self.parity[x] ^ self.parity[y] ^ odd
+        differ = self.parity[x] ^ self.parity[y] ^ label
+        span = self.span
         if rx == ry:
             if differ:
-                self.odd_cycle[rx] = True
+                span[rx] = _span_sum(span[rx], 1 | 1 << differ)
             return
         size = self.size
         if size[rx] < size[ry]:
@@ -314,12 +335,12 @@ class ParityUnionFind:
         self.parent[ry] = rx
         self.parity[ry] = differ
         size[rx] += size[ry]
-        if self.odd_cycle[ry]:
-            self.odd_cycle[rx] = True
+        if span[ry] != 1:
+            span[rx] = _span_sum(span[rx], span[ry])
 
     def has_odd_cycle(self, x):
-        """Whether the class of x holds an odd cycle of relations."""
-        return self.odd_cycle[self.find(x)]
+        """Whether the class of x holds an odd cycle of bit 0."""
+        return bool(self.span[self.find(x)] & ODD_LABELS)
 
     def classes(self):
         """Class number of every element, and the root of every class.

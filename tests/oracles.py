@@ -16,17 +16,25 @@ over all presentations found by scoring every birth/death kind sequence,
 where the package uses a closed form, the skeleton from tuple-keyed
 cells with every edge doubled into its two directions, where the
 package keeps one parity per integer cell, orientability by
-propagating signs tetrahedron by tetrahedron, and the HST minimum
+propagating signs tetrahedron by tetrahedron, the HST minimum
 search rebuilding every rewrite and canonical key of every state it
-pops, where the package caches each thick level's rewrites.
+pops, where the package caches each thick level's rewrites, and
+surface reconstruction with one union-find element, one gluing and one
+edge-stack entry per piece, where the package joins runs of parallel
+copies.
 """
 
 import math
 
 from normalhst import hst, model
 from normalhst.curve_patterns import LoopDecomposition, PatternError
+from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
+                                       SurfaceSummary, _crossing_direction,
+                                       _tube_shared_edge, check_admissible,
+                                       edge_stack, infer_mode)
 from normalhst.thin_position import MorsePresentation, width
-from normalhst.triangulation import Skeleton
+from normalhst.triangulation import (ParityUnionFind, Skeleton,
+                                     compute_skeleton)
 
 
 class UnionFind:
@@ -397,6 +405,117 @@ def surface_cells(tri, vector):
 
     chis = [v_count[c] - e_count[c] + f_count[c] for c in range(ncomp)]
     return pieces, piece_comp, chis, closed
+
+
+def face_arcs(block, f, v):
+    """Pieces carrying an arc of type (f, v), ordered away from vertex v."""
+    tri_c, quad_c, oct_c = block
+    arcs = [("tri", v, i) for i in range(tri_c[v])]
+    q = model.quad_type_for_arc(f, v)
+    if quad_c[q]:
+        lo = min(model.PAIRS[q])
+        copies = range(quad_c[q])
+        if v not in model.EDGES[lo]:
+            copies = reversed(copies)
+        arcs.extend(("quad", q, i) for i in copies)
+    for qq in range(3):
+        if oct_c[qq] and model.oct_arc_count(qq, f, v):
+            arcs.extend(("oct", qq, i) for i in range(oct_c[qq]))
+    return arcs
+
+
+def explicit_reconstruction(tri, v, skeleton=None):
+    """The summary of a vector built piece by piece.
+
+    Every piece is a union-find element, every glued arc a union with
+    its orientation parity, and every entry of an orbit's first edge
+    stack a vertex of its piece's component; components are numbered
+    by their first piece.
+    """
+    report = check_admissible(tri, v, infer_mode(v))
+    if not report.admissible:
+        raise SurfaceError(
+            "inadmissible vector: "
+            + "; ".join(viol.message for viol in report.violations))
+    if skeleton is None:
+        skeleton = compute_skeleton(tri)
+
+    pieces = []
+    index = {}
+    for t, (tri_c, quad_c, oct_c) in enumerate(v.tets):
+        for kind, counts in (("tri", tri_c), ("quad", quad_c),
+                             ("oct", oct_c)):
+            for typ, count in enumerate(counts):
+                for i in range(count):
+                    index[(t, kind, typ, i)] = len(pieces)
+                    pieces.append((t, kind, typ, i))
+    sheets = ParityUnionFind(len(pieces))
+
+    boundary_arcs = []
+    for t, f in tri.boundary_faces():
+        for w in model.FACE_VERTICES[f]:
+            for piece in face_arcs(v.tets[t], f, w):
+                boundary_arcs.append(index[(t,) + piece])
+    glued_arcs = []
+    for t, f, g in tri.face_pairs():
+        for w in model.FACE_VERTICES[f]:
+            w2 = g.image_of_vertex(w)
+            side_a = face_arcs(v.tets[t], f, w)
+            side_b = face_arcs(v.tets[g.tet], g.face, w2)
+            assert len(side_a) == len(side_b)
+            for pa, pb in zip(side_a, side_b):
+                ia = index[(t,) + pa]
+                sa = _ARC_SLOT[pa[0], pa[1], f, w]
+                sb = _ARC_SLOT[pb[0], pb[1], g.face, w2]
+                e_from, end = sa[2]
+                mapped_from = (g.image_of_edge(e_from),
+                               None if end is None
+                               else g.image_of_vertex(end))
+                sheets.union(ia, index[(g.tet,) + pb], mapped_from == sb[2])
+                glued_arcs.append(ia)
+
+    tube_piece = None
+    if v.tube is not None:
+        t = v.tube.tet
+        e_shared = _tube_shared_edge(v)
+        (ka, ta, ca), (kb, tb, cb) = v.tube.pieces()
+        tube_piece = index[(t, ka, ta, ca)]
+        sheets.union(tube_piece, index[(t, kb, tb, cb)],
+                     _crossing_direction(ka, ta, e_shared)
+                     == _crossing_direction(kb, tb, e_shared))
+
+    labels, roots = sheets.classes()
+    ncomp = len(roots)
+    count = [0] * ncomp
+    closed = [True] * ncomp
+    for c in labels:
+        count[c] += 1
+    if tube_piece is not None:
+        count[labels[tube_piece]] -= 2
+    weights = []
+    for orbit in skeleton.edge_orbits:
+        t0, e0 = orbit[0]
+        stack = edge_stack(v.tets[t0], e0)
+        weights.append(len(stack))
+        for entry in stack:
+            count[labels[index[(t0,) + entry[:3]]]] += 1
+    for ia in glued_arcs:
+        count[labels[ia]] -= 1
+    for ia in boundary_arcs:
+        count[labels[ia]] -= 1
+        closed[labels[ia]] = False
+
+    orientable = tuple(not sheets.has_odd_cycle(root) for root in roots)
+    return SurfaceSummary(
+        euler_characteristic=sum(count),
+        component_count=ncomp,
+        component_chis=tuple(count),
+        component_closed=tuple(closed),
+        component_orientable=orientable,
+        orientable=all(orientable) if ncomp else None,
+        edge_weights=tuple(weights),
+        is_sphere_component=tuple(chi == 2 and cl
+                                  for chi, cl in zip(count, closed)))
 
 
 def unpruned_extreme_rays(system):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -165,6 +166,41 @@ def test_enumerate_ceiling_exit_3(files, capsys, monkeypatch):
     monkeypatch.setenv("NORMALHST_CEILING", "2")
     assert run(["enumerate", files["single"], "--method", "brute",
                 "--bound", "5"]) == 3
+
+
+def test_surface_ceiling_exit_3(files, tmp_path, capsys, monkeypatch):
+    # 1000 parallel link spheres: 2 runs and 1000 components
+    links = tmp_path / "links.json"
+    links.write_text(json.dumps(
+        vertex_link(library.doubled_tetrahedron(), 0).scale(1000)
+        .to_json_dict()))
+    assert run(["surface", files["doubled"], links, "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["components"] == 1000
+    monkeypatch.setenv("NORMALHST_CEILING", "1001")
+    assert run(["surface", files["doubled"], links, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource ceiling: surface reconstruction needs 2 runs and 1000 "
+        "components, over the surface_cells ceiling 1001"]
+
+
+def test_hst_search_rewrites_ceiling_exit_3(tmp_path, capsys):
+    # a genus-201 thick level has 201 compressions, so 40401 move pairs
+    # to untangle; the search stops before building any of them
+    path = tmp_path / "genus201.json"
+    path.write_text("[[], [[-400, 0]], []]")
+    for budget in ("1", "10000"):
+        start = time.perf_counter()
+        assert run(["hst", path, "--action", "search",
+                    "--budget", budget]) == 3
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "resource ceiling: thick level 1 has 201 compressions, so 40401 "
+            "move pairs to untangle, over the rewrites ceiling 10000"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])

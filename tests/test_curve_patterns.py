@@ -10,7 +10,7 @@ from normalhst.curve_patterns import (CurvePattern, PatternError,
                                       check_348, decompose_pattern,
                                       enumerate_normal_loops, loop_pattern,
                                       word_image)
-from normalhst.enumeration import ResourceCeilingError
+from normalhst.limits import ResourceCeilingError
 from oracles import explicit_decompose_pattern, naive_canonical_word
 
 TRIANGLE_WORDS = [canonical_word([e for e in range(6) if v in model.EDGES[e]])

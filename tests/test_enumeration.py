@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from normalhst.enumeration import (ResourceCeilingError,
-                                   brute_force_enumerate,
+from normalhst.enumeration import (brute_force_enumerate,
                                    enumerate_vertex_surfaces, is_extreme_ray,
                                    octagon_augmentations, rational_rank,
                                    reduced_extreme_solutions, solution_cone,
                                    find_connected_chi2)
 from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
                                lens_l41, single_tetrahedron)
+from normalhst.limits import ResourceCeilingError
 from normalhst.normal_surfaces import (check_admissible, matching_system,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton

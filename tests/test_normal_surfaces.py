@@ -3,10 +3,14 @@ import random
 import pytest
 
 from normalhst import model
-from normalhst.enumeration import brute_force_enumerate, octagon_augmentations
+from normalhst.enumeration import (brute_force_enumerate,
+                                   enumerate_vertex_surfaces,
+                                   octagon_augmentations)
 from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
-                               lens_l41, one_tet_sphere, rp3_two_tet,
+                               lens_l41, one_tet_sphere,
+                               pseudomanifold_two_tet, rp3_two_tet,
                                single_tetrahedron)
+from normalhst.limits import ResourceCeilingError
 from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        ALMOST_NORMAL_TUBE, INADMISSIBLE,
                                        NORMAL, SurfaceError, SurfaceVector,
@@ -17,7 +21,11 @@ from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import bareiss_rank, surface_cells
+from oracles import bareiss_rank, explicit_reconstruction, surface_cells
+from pairings import random_closed_pairing
+
+LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
+           one_tet_sphere, lens_l41, rp3_two_tet)
 
 
 def _component_profile(summary):
@@ -363,6 +371,165 @@ def test_octagon_arc_incidence_cross_check():
             assert total == 2
         dec = decompose_pattern(CurvePattern.from_block(block))
         assert dec.lengths == (8,)
+
+
+# ---------------------------------------------------------------------------
+# Runs of parallel pieces against the per-piece oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_oracle(tri, vec, sk=None):
+    rebuilt = reconstruct_surface(tri, vec, sk)
+    assert rebuilt.summary() == explicit_reconstruction(tri, vec, sk)
+    return rebuilt
+
+
+def _tube_vectors(tri, vec):
+    """Every admissible tube on two pieces adjacent in an edge stack."""
+    out = []
+    for t, block in enumerate(vec.tets):
+        seen = set()
+        for e in range(6):
+            stack = edge_stack(block, e)
+            for a, b in zip(stack, stack[1:]):
+                pair = (a[:3], b[:3])
+                if a[0] == "oct" or b[0] == "oct" or pair in seen:
+                    continue
+                seen.add(pair)
+                tubed = SurfaceVector(vec.tets, TubeAnnotation(t, *pair))
+                if check_admissible(tri, tubed, "almost_normal").admissible:
+                    out.append(tubed)
+    return out
+
+
+def test_runs_match_oracle_on_library_vectors():
+    # brute-force vectors, vertex surfaces and their octagon
+    # augmentations, each also carried on k - 1 extra copies of the
+    # normal surface under it, as the scaled benchmark builds them
+    for build in LIBRARY + (pseudomanifold_two_tet,):
+        tri = build()
+        sk = compute_skeleton(tri)
+        bound = 4 if tri.tetrahedron_count < 5 else 2
+        normal = brute_force_enumerate(tri, bound) \
+            + enumerate_vertex_surfaces(tri)
+        for vec in normal:
+            _assert_matches_oracle(tri, vec, sk)
+        for aug in octagon_augmentations(tri, normal):
+            base = SurfaceVector(tuple((t, q, (0, 0, 0))
+                                       for t, q, _ in aug.tets))
+            for k in (1, 2, 5):
+                _assert_matches_oracle(tri, base.scale(k - 1).add(aug), sk)
+
+
+def test_runs_match_oracle_on_tubes():
+    count = 0
+    for build in LIBRARY:
+        tri = build()
+        sk = compute_skeleton(tri)
+        bound = 3 if tri.tetrahedron_count < 5 else 1
+        for vec in brute_force_enumerate(tri, bound) \
+                + enumerate_vertex_surfaces(tri):
+            for k in (1, 2, 3, 5):
+                for tubed in _tube_vectors(tri, vec.scale(k)):
+                    _assert_matches_oracle(tri, tubed, sk)
+                    count += 1
+    assert count > 1000
+
+
+def test_runs_match_oracle_on_one_sided_multiples():
+    klein_tri = lens_l41()
+    klein = SurfaceVector.build(klein_tri, {(0, "quad", 1): 1})
+    rp2_tri = rp3_two_tet()
+    rp2 = SurfaceVector.build(rp2_tri, {(0, "quad", 2): 1, (1, "quad", 1): 1})
+    for tri, vec in ((klein_tri, klein), (rp2_tri, rp2)):
+        for k in range(1, 10):
+            summary = _assert_matches_oracle(tri, vec.scale(k)).summary()
+            # k // 2 doubles, orientable, then for odd k the surface itself
+            assert summary.component_count == k // 2 + k % 2
+            assert summary.component_orientable == \
+                (True,) * (k // 2) + (False,) * (k % 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_runs_match_oracle_on_random_pairings(n):
+    # vertex surfaces times k, and sums of two, whose arc stacks need
+    # not line up, so their blocks are cut into more runs
+    count = cut = 0
+    for seed in range(12):
+        tri = random_closed_pairing(n, 7000 + 100 * n + seed)
+        sk = compute_skeleton(tri)
+        vertex = enumerate_vertex_surfaces(tri)
+        for vec in vertex:
+            for k in (1, 2, 3, 7):
+                _assert_matches_oracle(tri, vec.scale(k), sk)
+                count += 1
+        for i, a in enumerate(vertex):
+            for b in vertex[i + 1:]:
+                vec = a.add(b.scale(2))
+                if check_admissible(tri, vec).admissible:
+                    runs = _assert_matches_oracle(tri, vec, sk).run_count
+                    cut += runs > sum(1 for block in vec.tets
+                                      for part in block for x in part if x)
+    assert count >= 40 and cut
+
+
+def test_runs_match_oracle_on_link_quad_sums():
+    for tri, quad in (
+            (doubled_tetrahedron(), {(0, "quad", 0): 1, (1, "quad", 0): 1}),
+            (lens_l41(), {(0, "quad", 1): 1}),
+            (rp3_two_tet(), {(0, "quad", 2): 1, (1, "quad", 1): 1})):
+        sk = compute_skeleton(tri)
+        quad = SurfaceVector.build(tri, quad)
+        for i in range(len(sk.vertex_orbits)):
+            link = vertex_link(tri, i, sk)
+            for a in range(5):
+                for b in range(5):
+                    _assert_matches_oracle(
+                        tri, link.scale(a).add(quad.scale(b)), sk)
+
+
+def test_run_count_does_not_grow_with_scale():
+    for build in LIBRARY:
+        tri = build()
+        sk = compute_skeleton(tri)
+        for vec in enumerate_vertex_surfaces(tri):
+            runs = reconstruct_surface(tri, vec, sk).run_count
+            assert runs <= vec.total_weight()
+            for k in (2, 3, 10, 997, 10 ** 6):
+                assert reconstruct_surface(tri, vec.scale(k),
+                                           sk).run_count == runs
+
+
+def test_huge_multiple_of_a_link():
+    tri = lens_l41()
+    k = 10 ** 5
+    summary = reconstruct_surface(tri, vertex_link(tri, 0).scale(k)).summary()
+    assert summary.component_count == k
+    assert summary.euler_characteristic == 2 * k
+    assert summary.component_chis == (2,) * k
+    assert summary.is_sphere_component == (True,) * k
+    assert summary.orientable is True
+
+
+def test_surface_cells_ceiling(monkeypatch):
+    tri = lens_l41()
+    vec = vertex_link(tri, 0).scale(50)
+    assert reconstruct_surface(tri, vec).run_count == 4
+    monkeypatch.setenv("NORMALHST_CEILING", "54")
+    assert reconstruct_surface(tri, vec).summary().component_count == 50
+    monkeypatch.setenv("NORMALHST_CEILING", "53")
+    with pytest.raises(ResourceCeilingError, match="surface_cells"):
+        reconstruct_surface(tri, vec)
+    # 16 blocks cut into 53 runs: refused while the cuts are pushed
+    tri = random_closed_pairing(4, 9)
+    vec = SurfaceVector((((3, 2, 3, 2), (0, 3, 0), (0, 0, 0)),
+                         ((0, 0, 4, 4), (0, 4, 0), (0, 0, 0)),
+                         ((6, 2, 0, 4), (2, 0, 0), (0, 0, 0)),
+                         ((6, 4, 2, 0), (0, 2, 0), (0, 0, 0))))
+    monkeypatch.delenv("NORMALHST_CEILING")
+    assert reconstruct_surface(tri, vec).run_count == 53
+    monkeypatch.setenv("NORMALHST_CEILING", "52")
+    with pytest.raises(ResourceCeilingError, match="cuts more than 52 runs"):
+        reconstruct_surface(tri, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -251,16 +251,25 @@ def _brute_force_colourings(size, relations):
             if all(bits[x] ^ bits[y] == odd for x, y, odd in relations)]
 
 
+def _bit(label, functional):
+    """The parity of the label's bits selected by ``functional``."""
+    return bin(label & functional).count("1") % 2
+
+
 def test_parity_union_find_against_brute_force():
+    # 2-bit labels: each of the three nonzero functionals (bit 0, bit 1,
+    # their XOR) turns the relations into a parity problem, and a class
+    # has a 2-colouring for it exactly when no label of its cycle span
+    # reads odd.  The three answers pin the span down.
     rng = random.Random(20261018)
     for _ in range(400):
         size = rng.randint(1, 9)
         relations = [(rng.randrange(size), rng.randrange(size),
-                      rng.randint(0, 1))
+                      rng.randint(0, 3))
                      for _ in range(rng.randint(0, 2 * size))]
         uf = ParityUnionFind(size)
-        for x, y, odd in relations:
-            uf.union(x, y, odd)
+        for x, y, label in relations:
+            uf.union(x, y, label)
 
         classes = UnionFind()
         for x in range(size):
@@ -271,12 +280,22 @@ def test_parity_union_find_against_brute_force():
         assert uf.orbits() == expected
 
         for orbit in expected:
-            inside = [r for r in relations if r[0] in orbit]
-            colourings = _brute_force_colourings(size, inside)
-            assert uf.has_odd_cycle(orbit[0]) == (not colourings)
-            for bits in colourings:
-                for x in orbit:
-                    root = uf.find(x)
-                    assert uf.parity[x] == bits[x] ^ bits[root]
-        assert any(uf.odd_cycle) == \
-            (not _brute_force_colourings(size, relations))
+            root = uf.find(orbit[0])
+            span = uf.span[root]
+            assert span & 1
+            for functional in (1, 2, 3):
+                inside = [(x, y, _bit(label, functional))
+                          for x, y, label in relations if x in orbit]
+                colourings = _brute_force_colourings(size, inside)
+                assert any(span >> label & 1 and _bit(label, functional)
+                           for label in range(4)) == (not colourings)
+                if functional == 1:
+                    assert uf.has_odd_cycle(orbit[0]) == (not colourings)
+                for bits in colourings:
+                    for x in orbit:
+                        uf.find(x)
+                        assert _bit(uf.parity[x], functional) == \
+                            bits[x] ^ bits[root]
+        odd = [(x, y, label & 1) for x, y, label in relations]
+        assert any(uf.has_odd_cycle(x) for x in range(size)) == \
+            (not _brute_force_colourings(size, odd))
