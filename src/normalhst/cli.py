@@ -9,27 +9,13 @@ diverge.  Exit codes: 0 success, 1 semantic failure, 2 input error,
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
-from . import selftest as selftest_module
-from .curve_patterns import (CurvePattern, PatternError, check_348,
-                             decompose_pattern, judge_348)
-from .enumeration import (brute_force_enumerate, enumerate_vertex_surfaces,
-                          reduced_extreme_solutions)
-from .hst import (HstError, is_minimal_reachable, splitting_complexity,
-                  splitting_from_json, splitting_to_json, trace_to_json,
-                  underlying_splitting)
+# Each subcommand imports the layers it runs at its own top, so a call
+# loads only those; ``main`` catches the two errors of ``limits``.
 from .limits import CeilingSettingError, ResourceCeilingError
-from .normal_surfaces import (SurfaceError, SurfaceVector, check_admissible,
-                              classification, classify, infer_mode,
-                              reconstruct_surface, INADMISSIBLE)
-from .thin_position import (PresentationError, induced_splitting,
-                            parse_presentation, thin_position_search, width)
-from .triangulation import (ParseError, TriangulationError, compute_skeleton,
-                            parse_triangulation, validate_manifold)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -100,6 +86,8 @@ class InputProblem(Exception):
 
 
 def _load_triangulation(path):
+    from .triangulation import ParseError, TriangulationError, \
+        parse_triangulation
     try:
         return parse_triangulation(_read(path))
     except (ParseError, TriangulationError) as exc:
@@ -118,6 +106,7 @@ def _load_json(path):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
+    from .triangulation import compute_skeleton, validate_manifold
     tri = _load_triangulation(args.triangulation)
     skeleton = compute_skeleton(tri)
     report = validate_manifold(tri, skeleton)
@@ -154,6 +143,10 @@ def cmd_validate(args):
 
 
 def cmd_surface(args):
+    from .curve_patterns import CurvePattern, check_348
+    from .normal_surfaces import (INADMISSIBLE, SurfaceError, SurfaceVector,
+                                  check_admissible, classification,
+                                  infer_mode, reconstruct_surface)
     tri = _load_triangulation(args.triangulation)
     try:
         vector = SurfaceVector.from_json_dict(_load_json(args.vector))
@@ -166,10 +159,11 @@ def cmd_surface(args):
     inferred = infer_mode(vector)
     mode = inferred if args.mode == "auto" else args.mode
     report = check_admissible(tri, vector, mode)
-    # classify() judges at the inferred mode, so its answer is the
-    # report's whenever the two modes agree.
-    kind = classification(vector, report) if mode == inferred \
-        else classify(tri, vector)
+    # The classification and the reconstruction judge the vector at its
+    # inferred mode: reuse the report when the two modes agree.
+    judged = report if mode == inferred \
+        else check_admissible(tri, vector, inferred)
+    kind = classification(vector, judged)
     payload = {"classification": kind,
                "mode": mode,
                "admissible": report.admissible,
@@ -177,7 +171,7 @@ def cmd_surface(args):
                               for v in report.violations]}
     ok = report.admissible and kind != INADMISSIBLE
     if ok:
-        summary = reconstruct_surface(tri, vector).summary()
+        summary = reconstruct_surface(tri, vector, report=judged).summary()
         payload["summary"] = {
             "euler_characteristic": summary.euler_characteristic,
             "components": summary.component_count,
@@ -208,6 +202,11 @@ def cmd_surface(args):
 
 
 def cmd_enumerate(args):
+    import hashlib
+
+    from .enumeration import (brute_force_enumerate,
+                              enumerate_vertex_surfaces,
+                              reduced_extreme_solutions)
     tri = _load_triangulation(args.triangulation)
     digest = hashlib.sha256(tri.to_text().encode()).hexdigest()
     if args.cross_check:
@@ -243,6 +242,9 @@ def _check_budget(args):
 
 
 def cmd_hst(args):
+    from .hst import (HstError, is_minimal_reachable, splitting_complexity,
+                      splitting_from_json, splitting_to_json, trace_to_json,
+                      underlying_splitting)
     _check_budget(args)
     try:
         splitting = splitting_from_json(_load_json(args.splitting))
@@ -276,6 +278,10 @@ def cmd_hst(args):
 
 
 def cmd_width(args):
+    from .hst import splitting_to_json
+    from .thin_position import (PresentationError, induced_splitting,
+                                parse_presentation, thin_position_search,
+                                width)
     _check_budget(args)
     try:
         pres = parse_presentation(_read(args.presentation))
@@ -316,6 +322,8 @@ def cmd_width(args):
 
 
 def cmd_curves(args):
+    from .curve_patterns import (CurvePattern, PatternError, check_348,
+                                 decompose_pattern)
     try:
         pattern = CurvePattern(tuple(args.counts))
         decomposition = decompose_pattern(pattern)
@@ -328,7 +336,7 @@ def cmd_curves(args):
     }
     ok = True
     if args.check_348:
-        result = judge_348(decomposition.loops)
+        result = check_348(pattern)
         payload["check_348"] = {
             "passed": result.passed,
             "loops_of_length_8": result.octagons,
@@ -340,9 +348,10 @@ def cmd_curves(args):
 
 
 def cmd_selftest(args):
+    from . import selftest
     numbers = None
     if args.criteria is not None:
-        known = {str(n): n for n in selftest_module.CRITERIA}
+        known = {str(n): n for n in selftest.CRITERIA}
         parts = [x.strip() for x in args.criteria.split(",")]
         unknown = [x for x in parts if x not in known]
         if unknown:
@@ -350,7 +359,7 @@ def cmd_selftest(args):
                 f"--criteria: unknown criterion {unknown[0]!r}, "
                 f"choose from {', '.join(sorted(known))}")
         numbers = sorted(known[x] for x in parts)
-    results = selftest_module.run(numbers, seed=args.seed)
+    results = selftest.run(numbers, seed=args.seed)
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_SEMANTIC

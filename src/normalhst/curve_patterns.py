@@ -199,7 +199,29 @@ def decompose_pattern(pattern):
 
     Raises :class:`PatternError` when the edge-balance invariant fails;
     balanced patterns always have an embedded realization.  The module
-    docstring describes the method.
+    docstring describes the method.  When the loops would pass the
+    ``curve_loops`` ceiling it raises :class:`ResourceCeilingError`
+    before listing any of them.
+    """
+    copies = _loop_copies(pattern)
+    limit = ceiling("curve_loops")
+    total = sum(m for _, m in copies)
+    if total > limit:
+        raise ResourceCeilingError(
+            f"{total} loops exceed the curve_loops ceiling {limit}")
+    loops = []
+    for word, m in copies:
+        loops += [word] * m
+    lengths = []
+    for word, m in sorted(copies, key=lambda c: len(c[0])):
+        lengths += [len(word)] * m
+    return LoopDecomposition(loops=tuple(loops), lengths=tuple(lengths))
+
+
+def _loop_copies(pattern):
+    """The loops of a balanced pattern as sorted (word, copies) pairs.
+
+    The work does not grow with the counts: see the module docstring.
     """
     counts = pattern.counts
     bad = [e for e, (au, aw, bu, bw) in enumerate(_EDGE_ARCS)
@@ -244,14 +266,7 @@ def decompose_pattern(pattern):
                 f"loops left after the triangle peel are not parallel: {rest}")
         word = canonical_word(word)
         copies[word] = m
-
-    loops = []
-    for word in sorted(copies):
-        loops += [word] * copies[word]
-    lengths = []
-    for word in sorted(copies, key=len):
-        lengths += [len(word)] * copies[word]
-    return LoopDecomposition(loops=tuple(loops), lengths=tuple(lengths))
+    return tuple(sorted(copies.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +405,16 @@ def check_348(pattern):
     whole surface (at most one tetrahedron carrying the length-8 loop)
     is enforced by the caller, which sees all tetrahedra.
     """
-    return judge_348(decompose_pattern(pattern).loops)
-
-
-def judge_348(loops):
-    """The :func:`check_348` verdict on a decomposition's sorted loops."""
     octagons = 0
-    for word in loops:
+    for word, m in _loop_copies(pattern):
         n = len(word)
         if n in (3, 4):
             continue
         if n == 8:
-            octagons += 1
-            if octagons > 1:
-                return Check348(False, witness=word, octagons=octagons)
+            if octagons + m > 1:
+                # The verdict falls at the second length-8 loop.
+                return Check348(False, witness=word, octagons=2)
+            octagons += m
             continue
         return Check348(False, witness=word, octagons=octagons)
     return Check348(True, octagons=octagons)

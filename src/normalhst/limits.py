@@ -23,6 +23,7 @@ DEFAULT_CEILINGS = {
     "rays": 20000,              # intermediate ray count in double description
     "brute_force_weight": 12,   # maximal total coordinate for brute force
     "loop_length": 20,          # normal curve enumeration ceiling
+    "curve_loops": 2000000,     # loops listed by one curve decomposition
     "surface_cells": 2000000,   # runs plus components of one reconstruction
     "rewrites": 10000,          # squared move count of one thick HST level
 }

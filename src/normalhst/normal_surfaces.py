@@ -540,12 +540,13 @@ class ReconstructedSurface:
     run numbers the components by their first piece.
     """
 
-    def __init__(self, tri, vector, skeleton=None):
+    def __init__(self, tri, vector, skeleton=None, report=None):
         self.tri = tri
         self.vector = vector
         self.skeleton = skeleton if skeleton is not None \
             else compute_skeleton(tri)
-        report = check_admissible(tri, vector, infer_mode(vector))
+        if report is None:
+            report = check_admissible(tri, vector, infer_mode(vector))
         if not report.admissible:
             raise SurfaceError(
                 "inadmissible vector: "
@@ -831,7 +832,7 @@ class ReconstructedSurface:
         )
 
 
-def reconstruct_surface(tri, v, skeleton=None):
+def reconstruct_surface(tri, v, skeleton=None, report=None):
     """Components, orientability and edge weights of an admissible vector.
 
     Returns the :class:`ReconstructedSurface`, whose ``summary()``
@@ -846,8 +847,13 @@ def reconstruct_surface(tri, v, skeleton=None):
     plus C, would pass the ``surface_cells`` ceiling, it raises
     :class:`ResourceCeilingError` before building them, and the
     ``surface`` command exits 3.
+
+    ``report`` is v's :func:`check_admissible` report at its inferred
+    mode, for a caller that has it already; without it the vector is
+    checked here.  Either way an inadmissible vector raises
+    :class:`SurfaceError`.
     """
-    return ReconstructedSurface(tri, v, skeleton)
+    return ReconstructedSurface(tri, v, skeleton, report)
 
 
 # ---------------------------------------------------------------------------

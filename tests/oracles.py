@@ -10,7 +10,9 @@ not matter), and vertex surfaces as the whole cone's extreme rays
 filtered for the quad constraint afterwards, where the package prunes
 inadmissible rays during double description, curve patterns split
 into loops by walking one explicit arc per end, where the package works
-from the counts, loop words canonicalized by comparing every rotation,
+from the counts, the 3/4/8 test judged loop by loop over the expanded
+list, where the package judges each loop word once with its number of
+copies, loop words canonicalized by comparing every rotation,
 where the package uses a least-rotation algorithm, and the least width
 over all presentations found by scoring every birth/death kind sequence,
 where the package uses a closed form, the skeleton from tuple-keyed
@@ -27,7 +29,7 @@ copies.
 import math
 
 from normalhst import hst, model
-from normalhst.curve_patterns import LoopDecomposition, PatternError
+from normalhst.curve_patterns import Check348, LoopDecomposition, PatternError
 from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        SurfaceSummary, _crossing_direction,
                                        _tube_shared_edge, check_admissible,
@@ -622,6 +624,22 @@ def explicit_decompose_pattern(pattern):
     loops.sort()
     return LoopDecomposition(loops=tuple(loops),
                              lengths=tuple(sorted(len(w) for w in loops)))
+
+
+def judge_348_loops(loops):
+    """The 3/4/8 verdict on a decomposition's sorted loops, one by one."""
+    octagons = 0
+    for word in loops:
+        n = len(word)
+        if n in (3, 4):
+            continue
+        if n == 8:
+            octagons += 1
+            if octagons > 1:
+                return Check348(False, witness=word, octagons=octagons)
+            continue
+        return Check348(False, witness=word, octagons=octagons)
+    return Check348(True, octagons=octagons)
 
 
 def naive_canonical_word(word):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from normalhst import cli, library
+from normalhst import cli, library, normal_surfaces
 from normalhst.normal_surfaces import SurfaceVector, vertex_link
 
 
@@ -78,28 +78,33 @@ def test_surface_vertex_link(files, capsys):
 
 
 def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
-    # --mode auto classifies from the one report it prints; an explicit
-    # mode other than the inferred one still asks classify().
+    # --mode auto classifies and reconstructs from the one report it
+    # prints.  The counter sits in the home module, so it also sees the
+    # reconstruction's own check, were it to run again.
     calls = []
-    real_check = cli.check_admissible
+    real_check = normal_surfaces.check_admissible
 
     def counted(*args):
         calls.append(args[2])
         return real_check(*args)
 
-    monkeypatch.setattr(cli, "check_admissible", counted)
-    monkeypatch.setattr(cli, "classify", None)
+    monkeypatch.setattr(normal_surfaces, "check_admissible", counted)
+    monkeypatch.setattr(normal_surfaces, "classify", None)
     assert run(["surface", files["doubled"], files["link"],
                 "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["classification"] == "Normal" and calls == ["normal"]
+    assert payload["summary"]["components"] == 1
 
-    monkeypatch.setattr(cli, "classify", lambda tri, v: "Normal")
+    # An explicit mode other than the inferred one is checked, and the
+    # classification still judges at the inferred mode.
+    calls.clear()
     assert run(["surface", files["doubled"], files["link"],
                 "--mode", "almost_normal", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["classification"] == "Normal"
     assert not payload["admissible"]
+    assert calls == ["almost_normal", "normal"]
 
 
 def test_surface_two_octagons_inadmissible(files, capsys):
@@ -372,6 +377,42 @@ def test_curves_subcommand(capsys):
 
     # unbalanced input is an input error
     assert run(["curves"] + ["1"] + ["0"] * 11) == 2
+
+
+def test_curves_loop_ceiling_exit_3(capsys, monkeypatch):
+    # 10^6 copies of each vertex triangle: 4 * 10^6 loops to list
+    assert run(["curves"] + ["1000000"] * 12 + ["--check-348"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource ceiling: 4000000 loops exceed the curve_loops ceiling "
+        "2000000"]
+    monkeypatch.setenv("NORMALHST_CEILING", "4")
+    assert run(["curves"] + ["1"] * 12) == 0
+    assert json.loads(capsys.readouterr().out)["lengths"] == [3, 3, 3, 3]
+    monkeypatch.setenv("NORMALHST_CEILING", "3")
+    assert run(["curves"] + ["1"] * 12) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource ceiling: 4 loops exceed the curve_loops ceiling 3"]
+
+
+def test_surface_never_lists_loops(tmp_path, capsys, monkeypatch):
+    # 1000 times the L(4,1) vertex link: 4 runs and 1000 spheres, so
+    # 1004 surface cells, but 4000 loops on the boundary of the one
+    # tetrahedron, which the 3/4/8 test judges without listing them.
+    tri = library.lens_l41()
+    tri_file = tmp_path / "lens.tri"
+    tri_file.write_text(tri.to_text())
+    vec_file = tmp_path / "links.json"
+    vec_file.write_text(json.dumps(vertex_link(tri, 0).scale(1000)
+                                   .to_json_dict()))
+    monkeypatch.setenv("NORMALHST_CEILING", "1004")
+    assert run(["surface", tri_file, vec_file, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"]["components"] == 1000
+    assert payload["check_348"]["passed"] is True
 
 
 @pytest.mark.parametrize("command", ["enumerate", "curves"])

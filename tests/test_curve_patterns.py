@@ -11,7 +11,8 @@ from normalhst.curve_patterns import (CurvePattern, PatternError,
                                       enumerate_normal_loops, loop_pattern,
                                       word_image)
 from normalhst.limits import ResourceCeilingError
-from oracles import explicit_decompose_pattern, naive_canonical_word
+from oracles import (explicit_decompose_pattern, judge_348_loops,
+                     naive_canonical_word)
 
 TRIANGLE_WORDS = [canonical_word([e for e in range(6) if v in model.EDGES[e]])
                   for v in range(4)]
@@ -115,6 +116,52 @@ def test_check_348_two_octagons():
         ((0, 0, 0, 0), (0, 0, 0), (2, 0, 0)))
     result = check_348(double)
     assert not result.passed and len(result.witness) == 8
+
+
+def test_check_348_matches_expanded_judge_on_small_patterns():
+    patterns = _balanced_patterns(12)
+    for pattern in patterns:
+        assert check_348(pattern) == judge_348_loops(
+            explicit_decompose_pattern(pattern).loops), pattern.counts
+    verdicts = {(check_348(p).passed, check_348(p).octagons) for p in patterns}
+    assert verdicts == {(True, 0), (True, 1), (False, 0)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 1000])
+def test_check_348_matches_expanded_judge_on_scaled_octagons(k):
+    # k octagons alone, one or two octagons beside k triangles, and an
+    # octagon with k loops of length 12 behind it in word order
+    twelve = next(c for c in enumerate_normal_loops(12) if c.length == 12)
+    octagon = CurvePattern.from_block(OCT_BLOCKS[0])
+    triangles = CurvePattern(tuple(k * c for c in loop_pattern(
+        TRIANGLE_WORDS[1]).counts))
+    twelves = CurvePattern(tuple(k * c for c in loop_pattern(
+        twelve.representative).counts))
+    patterns = [CurvePattern(tuple(k * c for c in octagon.counts)),
+                octagon.add(triangles),
+                octagon.add(octagon).add(triangles),
+                CurvePattern.from_block(((0, 0, 0, 0), (0, 0, 0), (2, 0, 0)))
+                .add(triangles),
+                octagon.add(twelves)]
+    for pattern in patterns:
+        assert check_348(pattern) == judge_348_loops(
+            decompose_pattern(pattern).loops), pattern.counts
+    assert check_348(patterns[0]).octagons == min(k, 2)
+    assert check_348(patterns[2]).octagons == 2
+
+
+def test_curve_loops_ceiling(monkeypatch):
+    # five triangles around vertex 1 and one octagon
+    pattern = CurvePattern(tuple(5 * c for c in loop_pattern(
+        TRIANGLE_WORDS[1]).counts)).add(CurvePattern.from_block(OCT_BLOCKS[0]))
+    monkeypatch.setenv("NORMALHST_CEILING", "6")
+    assert decompose_pattern(pattern).lengths == (3, 3, 3, 3, 3, 8)
+    monkeypatch.setenv("NORMALHST_CEILING", "5")
+    with pytest.raises(ResourceCeilingError, match="6 loops exceed the "
+                       "curve_loops ceiling 5"):
+        decompose_pattern(pattern)
+    # The 3/4/8 test lists no loops, so no ceiling applies to it.
+    assert check_348(pattern).passed
 
 
 def test_length_law_up_to_20():

@@ -158,6 +158,25 @@ def test_chi_rejects_inadmissible():
         euler_characteristic(tri, vec)
 
 
+def test_reconstruction_rejects_inadmissible():
+    # Without a report the vector is checked; a report handed in at the
+    # inferred mode is used as it is, and a report at the other mode can
+    # only reject, since each mode rules out the other's vectors.
+    tri = single_tetrahedron()
+    bad = SurfaceVector.build(tri, {(0, "quad", 0): 1, (0, "quad", 1): 1})
+    with pytest.raises(SurfaceError, match="inadmissible"):
+        reconstruct_surface(tri, bad)
+    with pytest.raises(SurfaceError, match="inadmissible"):
+        reconstruct_surface(tri, bad, report=check_admissible(tri, bad))
+    link = vertex_link(tri, 0)
+    with pytest.raises(SurfaceError, match="inadmissible"):
+        reconstruct_surface(tri, link, report=check_admissible(
+            tri, link, "almost_normal"))
+    assert reconstruct_surface(
+        tri, link, report=check_admissible(tri, link)).summary() == \
+        reconstruct_surface(tri, link).summary()
+
+
 def test_chi_two_paths_small_bound():
     for tri in (single_tetrahedron(), doubled_tetrahedron()):
         sk = compute_skeleton(tri)
