@@ -34,30 +34,29 @@ The work grows with the length of the traced loop and the number of
 loops returned, not with the number of arcs.
 """
 
-from dataclasses import dataclass
-
 from . import model
 from .limits import ResourceCeilingError, ceiling
+from .record import Record, setfield
 
 
 class PatternError(ValueError):
     """Raised for malformed or unbalanced curve patterns."""
 
 
-@dataclass(frozen=True)
-class CurvePattern:
+class CurvePattern(Record):
     """Counts of the 12 normal arc types, face-major order.
 
     ``counts[i]`` is the count of arc type ``model.ARC_TYPES[i]``; for
     face f the three types are ordered by ascending cut vertex.
     """
-    counts: tuple
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        if len(self.counts) != 12:
+    def __init__(self, counts):
+        if len(counts) != 12:
             raise PatternError("a curve pattern needs exactly 12 counts")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise PatternError("arc counts must be nonnegative")
+        setfield(self, "counts", counts)
 
     @classmethod
     def from_block(cls, block):
@@ -118,16 +117,18 @@ def _word_arcs(word):
 # Canonical realization and loop decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopDecomposition:
+class LoopDecomposition(Record):
     """The embedded loops realizing a balanced pattern.
 
     ``loops`` holds canonical cyclic edge words (lexicographically least
     rotation of the word or its reversal); ``lengths`` is the sorted
     multiset of loop lengths.
     """
-    loops: tuple
-    lengths: tuple
+    __slots__ = ("loops", "lengths")
+
+    def __init__(self, loops, lengths):
+        setfield(self, "loops", loops)
+        setfield(self, "lengths", lengths)
 
 
 def canonical_word(word):
@@ -273,12 +274,14 @@ def _loop_copies(pattern):
 # Loop enumeration up to the symmetry group of the tetrahedron
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopClass:
+class LoopClass(Record):
     """An orbit of embedded loops under the S4 symmetry action."""
-    length: int
-    representative: tuple
-    members: tuple
+    __slots__ = ("length", "representative", "members")
+
+    def __init__(self, length, representative, members):
+        setfield(self, "length", length)
+        setfield(self, "representative", representative)
+        setfield(self, "members", members)
 
     @property
     def size(self):
@@ -386,11 +389,13 @@ def enumerate_normal_loops(max_length=None):
 # The length-3/4/8 pattern condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check348:
-    passed: bool
-    witness: tuple = None        # offending loop word, when failing
-    octagons: int = 0            # number of length-8 loops seen
+class Check348(Record):
+    __slots__ = ("passed", "witness", "octagons")
+
+    def __init__(self, passed, witness=None, octagons=0):
+        setfield(self, "passed", passed)
+        setfield(self, "witness", witness)      # offending loop word, if any
+        setfield(self, "octagons", octagons)    # length-8 loops seen
 
     def __bool__(self):
         return self.passed

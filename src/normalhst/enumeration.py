@@ -16,13 +16,12 @@ octagon to a quad-admissible normal solution and keep the results that
 stay admissible.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .limits import ResourceCeilingError, ceiling
-from .normal_surfaces import (MatchingSystem, SurfaceVector, check_admissible,
+from .normal_surfaces import (SurfaceVector, check_admissible,
                               matching_system, reconstruct_surface)
+from .record import Record, setfield
 
 
 def _reduce(vec):
@@ -34,11 +33,13 @@ def _reduce(vec):
     return tuple(x // g for x in vec)
 
 
-@dataclass(frozen=True)
-class SolutionCone:
+class SolutionCone(Record):
     """Quad-admissible extreme rays of the matching cone."""
-    system: MatchingSystem
-    rays: tuple
+    __slots__ = ("system", "rays")
+
+    def __init__(self, system, rays):
+        setfield(self, "system", system)
+        setfield(self, "rays", rays)
 
 
 def _two_quads_in_one_tet(support, quads):
@@ -65,11 +66,16 @@ def extreme_rays(system, max_rays=None):
     rays: any ray whose zero set contains the pair's common zeros has
     support inside the union, hence is admissible and kept.
 
-    Zero sets are int bitmasks over the columns.  Equations are inserted
-    in order of increasing support size (ties by index), which keeps
-    intermediate ray counts small and fixes the output order.  Rays are
-    primitive integer vectors.  The ``rays`` ceiling bounds the number
-    of admissible rays after each equation.
+    Zero sets are int bitmasks over the columns, and the adjacency test
+    reads them transposed: one bitmask per column, with bit k set when
+    ray k is zero there.  The rays whose zero set contains ``common``
+    are the AND of the columns in ``common``, which stops as soon as
+    only the pair itself is left.  Equations are inserted in order of
+    increasing support size (ties by index), which keeps intermediate
+    ray counts small and fixes the output order; rows are sparse, so a
+    dot product has at most four terms.  Rays are primitive integer
+    vectors.  The ``rays`` ceiling bounds the number of admissible rays
+    after each equation.
     """
     n = system.columns
     if max_rays is None:
@@ -79,21 +85,30 @@ def extreme_rays(system, max_rays=None):
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     zero_sets = [full ^ (1 << j) for j in range(n)]
     order = sorted(range(len(system.rows)),
-                   key=lambda i: (sum(1 for c in system.rows[i] if c), i))
+                   key=lambda i: (len(system.rows[i]), i))
     for row_index in order:
         a = system.rows[row_index]
-        dots = [sum(c * r for c, r in zip(a, ray)) for ray in rays]
+        dots = [sum(c * ray[k] for k, c in a) for ray in rays]
         pos = [i for i, d in enumerate(dots) if d > 0]
         neg = [i for i, d in enumerate(dots) if d < 0]
         new_rays = [ray for ray, d in zip(rays, dots) if d == 0]
         new_zero_sets = [z for z, d in zip(zero_sets, dots) if d == 0]
+        zero_columns = _columns_of(zero_sets, n)
+        everyone = (1 << len(rays)) - 1
         for i in pos:
             for j in neg:
                 common = zero_sets[i] & zero_sets[j]
                 if _two_quads_in_one_tet(full ^ common, quads):
                     continue
-                if any(z & common == common
-                       for k, z in enumerate(zero_sets) if k != i and k != j):
+                # Rays i and j are zero on all of common, so they stay.
+                pair = 1 << i | 1 << j
+                inside = everyone
+                rest = common
+                while rest and inside != pair:
+                    low = rest & -rest
+                    inside &= zero_columns[low.bit_length() - 1]
+                    rest ^= low
+                if inside != pair:
                     continue
                 combo = tuple(dots[i] * rays[j][k] - dots[j] * rays[i][k]
                               for k in range(n))
@@ -104,6 +119,14 @@ def extreme_rays(system, max_rays=None):
                 f"double description exceeded {max_rays} rays")
         rays, zero_sets = new_rays, new_zero_sets
     return rays
+
+
+def _columns_of(zero_sets, n):
+    """The zero sets transposed: bit k of entry c is bit c of zero_sets[k]."""
+    # One binary string per zero set, highest ray first; zip reads them
+    # column by column, highest column first.
+    rows = [format(z, f"0{n}b") for z in reversed(zero_sets)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
 def solution_cone(tri, max_rays=None):
@@ -156,7 +179,9 @@ def brute_force_enumerate(tri, max_total_coordinate):
 
     Backtracks over tetrahedra, propagating the weight budget and
     checking each face equation as soon as the tetrahedra on both sides
-    are assigned.  Deterministic output order (lexicographic).
+    are assigned.  The blocks one tetrahedron can take within a budget
+    are listed once per budget.  Deterministic output order
+    (lexicographic).
     """
     if max_total_coordinate > ceiling("brute_force_weight"):
         raise ResourceCeilingError(
@@ -172,13 +197,19 @@ def brute_force_enumerate(tri, max_total_coordinate):
     from . import model
     results = []
     assigned = [None] * n
+    # Budget -> the (block, weight) pairs of _local_blocks(budget).
+    local = {}
 
     def extend(t, remaining):
         if t == n:
             results.append(tuple(assigned))
             return
-        for block in _local_blocks(remaining):
-            weight = sum(block[0]) + sum(block[1])
+        blocks = local.get(remaining)
+        if blocks is None:
+            blocks = local[remaining] = [
+                (block, sum(block[0]) + sum(block[1]))
+                for block in _local_blocks(remaining)]
+        for block, weight in blocks:
             assigned[t] = block
             ok = True
             for (ta, fa), (tb, fb), g in eq_by_stage[t]:
@@ -207,8 +238,13 @@ def brute_force_enumerate(tri, max_total_coordinate):
 # ---------------------------------------------------------------------------
 
 def rational_rank(rows):
-    """Rank of an integer matrix by exact fraction elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    """Rank of an integer matrix by exact elimination over the integers.
+
+    Each row below a pivot is cross-multiplied with the pivot row to
+    clear the pivot column, then divided by the gcd of its entries, so
+    the entries stay as small as the rows they span allow.
+    """
+    mat = [row for row in rows if any(row)]
     rank = 0
     col = 0
     ncols = len(mat[0]) if mat else 0
@@ -218,12 +254,13 @@ def rational_rank(rows):
             col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col]
+            if factor:
+                mat[r] = _reduce([p * x - factor * y
+                                  for x, y in zip(mat[r], top)])
         rank += 1
         col += 1
     return rank
@@ -237,7 +274,12 @@ def is_extreme_ray(system, flat):
     coordinates) have rank n - 1.  Independent of double description.
     """
     n = system.columns
-    rows = [list(r) for r in system.rows]
+    rows = []
+    for sparse in system.rows:
+        row = [0] * n
+        for c, x in sparse:
+            row[c] = x
+        rows.append(row)
     for i, x in enumerate(flat):
         if x == 0:
             rows.append([1 if j == i else 0 for j in range(n)])

@@ -15,29 +15,29 @@ weak-reduction step strictly decrease these complexities, which is what
 makes every rewrite search terminate.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .limits import ResourceCeilingError, ceiling
+from .record import Record, setfield
 
 
 class HstError(ValueError):
     """Raised for invalid surfaces, splittings or moves."""
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One closed surface component, possibly punctured."""
-    closed_chi: int
-    punctures: int = 0
+    __slots__ = ("closed_chi", "punctures")
 
-    def __post_init__(self):
-        if self.closed_chi % 2 or self.closed_chi > 2:
+    def __init__(self, closed_chi, punctures=0):
+        if closed_chi % 2 or closed_chi > 2:
             raise HstError(
                 f"closed Euler characteristic must be even and <= 2, "
-                f"got {self.closed_chi}")
-        if self.punctures < 0:
+                f"got {closed_chi}")
+        if punctures < 0:
             raise HstError("puncture count must be nonnegative")
+        setfield(self, "closed_chi", closed_chi)
+        setfield(self, "punctures", punctures)
 
     @property
     def punctured_chi(self):
@@ -56,14 +56,17 @@ def genus(g, punctures=0):
     return Component(2 - 2 * g, punctures)
 
 
-@dataclass(frozen=True)
-class AbstractSurface:
+class AbstractSurface(Record):
     """A surface as an addressable list of components.
 
     Components are kept in list order so that moves can name them by
     index; multiset equality is what the splitting calculus compares.
+    The cached properties live in the instance ``__dict__``.
     """
-    components: tuple
+    __slots__ = ("components", "__dict__")
+
+    def __init__(self, components):
+        setfield(self, "components", components)
 
     @classmethod
     def of(cls, *components):
@@ -124,17 +127,16 @@ def c_surface(surface, relative=False):
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-@dataclass(frozen=True)
-class ComplexityVector:
+class ComplexityVector(Record):
     """Non-increasing vector of nonnegative integers."""
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.entries):
+    def __init__(self, entries):
+        if any(e < 0 for e in entries):
             raise HstError("complexity entries must be nonnegative")
-        if any(self.entries[i] < self.entries[i + 1]
-               for i in range(len(self.entries) - 1)):
+        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
             raise HstError("complexity vector must be non-increasing")
+        setfield(self, "entries", entries)
 
     def __len__(self):
         return len(self.entries)
@@ -160,21 +162,21 @@ def compare_complexity(a, b):
 # Splittings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbstractSplitting:
+class AbstractSplitting(Record):
     """Alternating sequence of surfaces: thin at even, thick at odd index.
 
     Thick levels must be nonempty surfaces; thin levels, including the
     ends, may be empty.
     """
-    levels: tuple
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, levels):
+        if not levels:
             raise HstError("a splitting has at least one level")
-        for i in range(1, len(self.levels), 2):
-            if not self.levels[i].components:
+        for i in range(1, len(levels), 2):
+            if not levels[i].components:
                 raise HstError(f"thick level {i} is empty")
+        setfield(self, "levels", levels)
 
     @classmethod
     def of(cls, *levels):
@@ -216,35 +218,47 @@ def _relative_entries(splitting):
 # Compressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonseparatingCompression:
+# A compression's ``kind`` is a field kept on its class: it takes part
+# in equality, hashing and the repr, and is not a constructor argument.
+
+class NonseparatingCompression(Record):
     """Compress along a nonseparating disk: chi increases by 2."""
-    component: int
-    branch: int = 0
-    kind: str = field(default="nonseparating", init=False)
+    __slots__ = ("component", "branch")
+    _fields = ("component", "branch", "kind")
+    kind = "nonseparating"
+
+    def __init__(self, component, branch=0):
+        setfield(self, "component", component)
+        setfield(self, "branch", branch)
 
 
-@dataclass(frozen=True)
-class SeparatingCompression:
+class SeparatingCompression(Record):
     """Compress along a separating disk, splitting one component in two.
 
     chi1 + chi2 = chi + 2 with both parts of nonpositive Euler
     characteristic (no sphere is cut off); punctures are divided as the
     caller directs.
     """
-    component: int
-    chi1: int
-    punctures1: int = 0
-    branch: int = 0
-    kind: str = field(default="separating", init=False)
+    __slots__ = ("component", "chi1", "punctures1", "branch")
+    _fields = ("component", "chi1", "punctures1", "branch", "kind")
+    kind = "separating"
+
+    def __init__(self, component, chi1, punctures1=0, branch=0):
+        setfield(self, "component", component)
+        setfield(self, "chi1", chi1)
+        setfield(self, "punctures1", punctures1)
+        setfield(self, "branch", branch)
 
 
-@dataclass(frozen=True)
-class RelativeCompression:
+class RelativeCompression(Record):
     """Isotopy across a disk cutting |F ∩ K| down by exactly two."""
-    component: int
-    branch: int = 0
-    kind: str = field(default="relative", init=False)
+    __slots__ = ("component", "branch")
+    _fields = ("component", "branch", "kind")
+    kind = "relative"
+
+    def __init__(self, component, branch=0):
+        setfield(self, "component", component)
+        setfield(self, "branch", branch)
 
 
 def compress(surface, move):
@@ -502,13 +516,16 @@ def legal_rewrites(splitting):
     return out
 
 
-@dataclass(frozen=True)
-class MinimalSearchResult:
-    minimum: ComplexityVector
-    splitting: AbstractSplitting
-    trace: tuple
-    certified: bool
-    states_explored: int
+class MinimalSearchResult(Record):
+    __slots__ = ("minimum", "splitting", "trace", "certified",
+                 "states_explored")
+
+    def __init__(self, minimum, splitting, trace, certified, states_explored):
+        setfield(self, "minimum", minimum)
+        setfield(self, "splitting", splitting)
+        setfield(self, "trace", trace)
+        setfield(self, "certified", certified)
+        setfield(self, "states_explored", states_explored)
 
 
 def is_minimal_reachable(splitting, budget=10000):

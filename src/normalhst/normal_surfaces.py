@@ -17,11 +17,9 @@ identified face matches these orders, which makes reconstruction a pure
 function of the vector.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import model
 from .limits import ResourceCeilingError, ceiling
+from .record import Record, setfield
 from .triangulation import ODD_LABELS, ParityUnionFind, compute_skeleton
 
 
@@ -32,31 +30,35 @@ class SurfaceError(ValueError):
 PIECE_KINDS = ("tri", "quad", "oct")
 
 
-@dataclass(frozen=True)
-class TubeAnnotation:
+class TubeAnnotation(Record):
     """An unknotted tube joining two normal disks in one tetrahedron.
 
     Pieces are addressed as (kind, type, stacking index) with kind
     "tri" or "quad".  The tube is the single exceptional piece of an
     almost normal surface, so its multiplicity is always 1.
     """
-    tet: int
-    piece_a: tuple
-    piece_b: tuple
+    __slots__ = ("tet", "piece_a", "piece_b")
+
+    def __init__(self, tet, piece_a, piece_b):
+        setfield(self, "tet", tet)
+        setfield(self, "piece_a", piece_a)
+        setfield(self, "piece_b", piece_b)
 
     def pieces(self):
         return (self.piece_a, self.piece_b)
 
 
-@dataclass(frozen=True)
-class SurfaceVector:
+class SurfaceVector(Record):
     """Coordinates of a candidate (almost) normal surface.
 
     ``tets[t]`` is a triple (tri, quad, oct) of coordinate tuples for
     tetrahedron t.
     """
-    tets: tuple
-    tube: Optional[TubeAnnotation] = None
+    __slots__ = ("tets", "tube")
+
+    def __init__(self, tets, tube=None):
+        setfield(self, "tets", tets)
+        setfield(self, "tube", tube)
 
     @classmethod
     def zero(cls, tri):
@@ -178,22 +180,22 @@ def _json_int(x):
 # Matching system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchingSystem:
+class MatchingSystem(Record):
     """The integer linear system cut out by the internal face gluings.
 
     One equation per glued face pair and normal arc type, over the
-    triangle/quad coordinates (7 per tetrahedron, tet-major).  Row labels
-    record ((t, f), (t', f'), v): the arc type (f, v) matched with
+    triangle/quad coordinates (7 per tetrahedron, tet-major).  Each row
+    is sparse: its (column, coefficient) pairs in ascending column
+    order, with no zero coefficient, so at most four.  Row labels record
+    ((t, f), (t', f'), v): the arc type (f, v) matched with
     (f', perm(v)).
     """
-    columns: int
-    rows: tuple
-    row_labels: tuple
+    __slots__ = ("columns", "rows", "row_labels")
 
-    def evaluate(self, flat_normal_coords):
-        return tuple(sum(c * x for c, x in zip(row, flat_normal_coords))
-                     for row in self.rows)
+    def __init__(self, columns, rows, row_labels):
+        setfield(self, "columns", columns)
+        setfield(self, "rows", rows)
+        setfield(self, "row_labels", row_labels)
 
 
 def _column(t, kind, index):
@@ -207,38 +209,51 @@ def matching_system(tri):
     count induced from one side equals the count from the other; each
     arc type on a face is met by exactly one triangle type and one quad
     type per side.  Boundary faces contribute no equations.
+
+    Face pairs come with t <= t', so the four columns ascend unless the
+    face is glued to another face of its own tetrahedron.  Such a row
+    can meet one column from both sides: its coefficients are summed,
+    and a column whose sum is zero is left out.
     """
-    n = tri.tetrahedron_count
     rows = []
     labels = []
     for t, f, g in tri.face_pairs():
         for v in model.FACE_VERTICES[f]:
-            row = [0] * (7 * n)
-            row[_column(t, "tri", v)] += 1
-            row[_column(t, "quad", model.quad_type_for_arc(f, v))] += 1
             v2 = g.image_of_vertex(v)
-            row[_column(g.tet, "tri", v2)] -= 1
-            row[_column(g.tet, "quad",
-                        model.quad_type_for_arc(g.face, v2))] -= 1
-            rows.append(tuple(row))
+            row = ((_column(t, "tri", v), 1),
+                   (_column(t, "quad", model.quad_type_for_arc(f, v)), 1),
+                   (_column(g.tet, "tri", v2), -1),
+                   (_column(g.tet, "quad",
+                            model.quad_type_for_arc(g.face, v2)), -1))
+            if g.tet == t:
+                merged = {}
+                for column, sign in row:
+                    merged[column] = merged.get(column, 0) + sign
+                row = tuple(sorted((c, x) for c, x in merged.items() if x))
+            rows.append(row)
             labels.append(((t, f), (g.tet, g.face), v))
-    return MatchingSystem(7 * n, tuple(rows), tuple(labels))
+    return MatchingSystem(7 * tri.tetrahedron_count, tuple(rows),
+                          tuple(labels))
 
 
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code, message):
+        setfield(self, "code", code)
+        setfield(self, "message", message)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    mode: str
-    violations: tuple
+class AdmissibilityReport(Record):
+    __slots__ = ("mode", "violations")
+
+    def __init__(self, mode, violations):
+        setfield(self, "mode", mode)
+        setfield(self, "violations", violations)
 
     @property
     def admissible(self):
@@ -441,16 +456,22 @@ def euler_characteristic(tri, v, skeleton=None, mode=None):
 # Reconstruction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceSummary:
-    euler_characteristic: int
-    component_count: int
-    component_chis: tuple
-    component_closed: tuple
-    component_orientable: tuple
-    orientable: Optional[bool]
-    edge_weights: tuple
-    is_sphere_component: tuple
+class SurfaceSummary(Record):
+    __slots__ = ("euler_characteristic", "component_count", "component_chis",
+                 "component_closed", "component_orientable", "orientable",
+                 "edge_weights", "is_sphere_component")
+
+    def __init__(self, euler_characteristic, component_count, component_chis,
+                 component_closed, component_orientable, orientable,
+                 edge_weights, is_sphere_component):
+        setfield(self, "euler_characteristic", euler_characteristic)
+        setfield(self, "component_count", component_count)
+        setfield(self, "component_chis", component_chis)
+        setfield(self, "component_closed", component_closed)
+        setfield(self, "component_orientable", component_orientable)
+        setfield(self, "orientable", orientable)
+        setfield(self, "edge_weights", edge_weights)
+        setfield(self, "is_sphere_component", is_sphere_component)
 
 
 # Boundary cycles by piece kind, and the directed arc slot of each

@@ -7,7 +7,6 @@ these, so there is a single source of truth for what passing means.
 """
 
 import random
-from dataclasses import dataclass
 
 from . import library
 from .curve_patterns import (CurvePattern, check_348,
@@ -21,18 +20,21 @@ from .hst import (EMPTY_SURFACE, LESS, AbstractSplitting, AbstractSurface,
                   untangle_step, RelativeCompression)
 from .normal_surfaces import (euler_characteristic, reconstruct_surface,
                               vertex_link)
+from .record import Record, setfield
 from .thin_position import (MorsePresentation, all_presentations,
                             exchange_move, legal_exchanges,
                             thin_position_search, width)
 from .triangulation import compute_skeleton, validate_manifold
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(Record):
+    __slots__ = ("number", "title", "passed", "detail")
+
+    def __init__(self, number, title, passed, detail):
+        setfield(self, "number", number)
+        setfield(self, "title", title)
+        setfield(self, "passed", passed)
+        setfield(self, "detail", detail)
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

@@ -12,9 +12,8 @@ tracked.
 Text format: one event per line, ``B i`` or ``D i``.
 """
 
-from dataclasses import dataclass
-
 from .hst import AbstractSplitting, AbstractSurface, Component, EMPTY_SURFACE
+from .record import Record, setfield
 
 
 class PresentationError(ValueError):
@@ -25,26 +24,25 @@ BIRTH = "B"
 DEATH = "D"
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str
-    position: int
+class Event(Record):
+    __slots__ = ("kind", "position")
 
-    def __post_init__(self):
-        if self.kind not in (BIRTH, DEATH):
-            raise PresentationError(f"unknown event kind {self.kind!r}")
-        if self.position < 0:
+    def __init__(self, kind, position):
+        if kind not in (BIRTH, DEATH):
+            raise PresentationError(f"unknown event kind {kind!r}")
+        if position < 0:
             raise PresentationError("event position must be nonnegative")
+        setfield(self, "kind", kind)
+        setfield(self, "position", position)
 
 
-@dataclass(frozen=True)
-class MorsePresentation:
+class MorsePresentation(Record):
     """A validated event sequence with zero strands at both ends."""
-    events: tuple
+    __slots__ = ("events",)
 
-    def __post_init__(self):
+    def __init__(self, events):
         count = 0
-        for i, ev in enumerate(self.events):
+        for i, ev in enumerate(events):
             if ev.kind == BIRTH:
                 if ev.position > count:
                     raise PresentationError(
@@ -62,6 +60,7 @@ class MorsePresentation:
                 count -= 2
         if count != 0:
             raise PresentationError("strand count must return to zero")
+        setfield(self, "events", events)
 
     @classmethod
     def of(cls, *specs):
@@ -116,8 +115,7 @@ def format_presentation(pres):
 # Width
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WidthProfile:
+class WidthProfile(Record):
     """Strand counts at the regular levels between consecutive events.
 
     The gaps before the first and after the last event carry zero
@@ -127,11 +125,16 @@ class WidthProfile:
     minima.  ``hits_zero_interior`` flags presentations that fall apart
     into stacked pieces, the surrogate for a split or trivial component.
     """
-    profile: tuple
-    width: int
-    thick_indices: tuple
-    thin_indices: tuple
-    hits_zero_interior: bool
+    __slots__ = ("profile", "width", "thick_indices", "thin_indices",
+                 "hits_zero_interior")
+
+    def __init__(self, profile, width, thick_indices, thin_indices,
+                 hits_zero_interior):
+        setfield(self, "profile", profile)
+        setfield(self, "width", width)
+        setfield(self, "thick_indices", thick_indices)
+        setfield(self, "thin_indices", thin_indices)
+        setfield(self, "hits_zero_interior", hits_zero_interior)
 
 
 def width(pres):
@@ -172,10 +175,12 @@ def induced_splitting(pres):
 # The width-reducing exchange
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExchangeResult:
-    presentation: "MorsePresentation"
-    width_decrease: int
+class ExchangeResult(Record):
+    __slots__ = ("presentation", "width_decrease")
+
+    def __init__(self, presentation, width_decrease):
+        setfield(self, "presentation", presentation)
+        setfield(self, "width_decrease", width_decrease)
 
 
 def exchange_move(pres, death_index, birth_index):
@@ -228,12 +233,14 @@ def legal_exchanges(pres):
 # Width minimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThinPositionResult:
-    minimum_width: int
-    witness: MorsePresentation
-    certified: bool
-    states_explored: int
+class ThinPositionResult(Record):
+    __slots__ = ("minimum_width", "witness", "certified", "states_explored")
+
+    def __init__(self, minimum_width, witness, certified, states_explored):
+        setfield(self, "minimum_width", minimum_width)
+        setfield(self, "witness", witness)
+        setfield(self, "certified", certified)
+        setfield(self, "states_explored", states_explored)
 
 
 def thin_position_search(pres, budget=100000, mode="exchange",

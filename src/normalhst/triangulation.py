@@ -17,9 +17,8 @@ The text file format accepted by :func:`parse_triangulation`:
 * ``#`` starts a comment running to the end of the line.
 """
 
-from dataclasses import dataclass
-
 from . import model
+from .record import Record, setfield
 
 
 class TriangulationError(ValueError):
@@ -36,16 +35,18 @@ class ParseError(TriangulationError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(Record):
     """One side of a face identification.
 
     ``perm`` maps the source tetrahedron's vertex labels to the target's;
     perm[source face] = target face.
     """
-    tet: int
-    face: int
-    perm: tuple
+    __slots__ = ("tet", "face", "perm")
+
+    def __init__(self, tet, face, perm):
+        setfield(self, "tet", tet)
+        setfield(self, "face", face)
+        setfield(self, "perm", perm)
 
     def image_of_vertex(self, v):
         return self.perm[v]
@@ -367,8 +368,7 @@ class ParityUnionFind:
         return out
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(Record):
     """Cell orbits of a triangulation.
 
     Vertex cells are (tet, vertex), edge cells (tet, edge index), face
@@ -378,13 +378,20 @@ class Skeleton:
     endpoints; such identifications produce non-manifold points that no
     vertex link detects.
     """
-    vertex_orbits: tuple
-    edge_orbits: tuple
-    face_orbits: tuple
-    vertex_boundary: tuple
-    edge_boundary: tuple
-    face_boundary: tuple
-    edge_reversed: tuple
+    __slots__ = ("vertex_orbits", "edge_orbits", "face_orbits",
+                 "vertex_boundary", "edge_boundary", "face_boundary",
+                 "edge_reversed")
+
+    def __init__(self, vertex_orbits, edge_orbits, face_orbits,
+                 vertex_boundary, edge_boundary, face_boundary,
+                 edge_reversed):
+        setfield(self, "vertex_orbits", vertex_orbits)
+        setfield(self, "edge_orbits", edge_orbits)
+        setfield(self, "face_orbits", face_orbits)
+        setfield(self, "vertex_boundary", vertex_boundary)
+        setfield(self, "edge_boundary", edge_boundary)
+        setfield(self, "face_boundary", face_boundary)
+        setfield(self, "edge_reversed", edge_reversed)
 
     @property
     def counts(self):
@@ -453,12 +460,15 @@ def compute_skeleton(tri):
 # Vertex links and the manifold check.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexLinkReport:
-    vertex_orbit: int
-    euler_characteristic: int
-    closed: bool
-    connected: bool
+class VertexLinkReport(Record):
+    __slots__ = ("vertex_orbit", "euler_characteristic", "closed",
+                 "connected")
+
+    def __init__(self, vertex_orbit, euler_characteristic, closed, connected):
+        setfield(self, "vertex_orbit", vertex_orbit)
+        setfield(self, "euler_characteristic", euler_characteristic)
+        setfield(self, "closed", closed)
+        setfield(self, "connected", connected)
 
     @property
     def is_sphere(self):
@@ -473,12 +483,14 @@ class VertexLinkReport:
         return self.is_sphere or self.is_disk
 
 
-@dataclass(frozen=True)
-class ManifoldReport:
-    is_manifold: bool
-    links: tuple
-    orientable: bool
-    reversed_edges: tuple
+class ManifoldReport(Record):
+    __slots__ = ("is_manifold", "links", "orientable", "reversed_edges")
+
+    def __init__(self, is_manifold, links, orientable, reversed_edges):
+        setfield(self, "is_manifold", is_manifold)
+        setfield(self, "links", links)
+        setfield(self, "orientable", orientable)
+        setfield(self, "reversed_edges", reversed_edges)
 
 
 def validate_manifold(tri, skeleton=None):

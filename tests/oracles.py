@@ -2,8 +2,8 @@
 Independent oracles used by the test suite.
 
 These re-derive quantities along different routes than the package:
-rank by fraction-free (Bareiss) elimination instead of rational
-elimination, vertex links built directly from corner triangles, and
+rank by fraction-free (Bareiss) elimination instead of elimination
+with gcd-reduced rows, vertex links built directly from corner triangles, and
 surfaces assembled as explicit cell complexes from face-side arc lists
 (with the opposite labelling convention for parallel quads, which must
 not matter), and vertex surfaces as the whole cone's extreme rays
@@ -520,21 +520,40 @@ def explicit_reconstruction(tri, v, skeleton=None):
                                   for chi, cl in zip(count, closed)))
 
 
+def dense_rows(system):
+    """The matching system's sparse rows as dense tuples of its columns."""
+    out = []
+    for sparse in system.rows:
+        row = [0] * system.columns
+        for column, coefficient in sparse:
+            row[column] = coefficient
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def evaluate(system, flat_normal_coords):
+    """Every row of the matching system applied to a flat 7n vector."""
+    return tuple(sum(c * x for c, x in zip(row, flat_normal_coords))
+                 for row in dense_rows(system))
+
+
 def unpruned_extreme_rays(system):
     """All extreme rays of {x >= 0, rows(x) = 0}, admissible or not.
 
-    Plain double description without quad pruning, with frozenset zero
-    sets and the combinatorial adjacency test over every ray.  Equations
-    are inserted in the package's order (support size, then index), so
-    both routes see the same intermediate cones.  Exponentially slower
-    than the package on larger inputs; keep n small.
+    Plain double description without quad pruning, on dense rows, with
+    frozenset zero sets and the combinatorial adjacency test over every
+    ray.  Equations are inserted in the package's order (support size,
+    then index), so both routes see the same intermediate cones.
+    Exponentially slower than the package on larger inputs; keep n
+    small.
     """
     n = system.columns
+    rows = dense_rows(system)
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    order = sorted(range(len(system.rows)),
-                   key=lambda i: (sum(1 for c in system.rows[i] if c), i))
+    order = sorted(range(len(rows)),
+                   key=lambda i: (sum(1 for c in rows[i] if c), i))
     for row_index in order:
-        a = system.rows[row_index]
+        a = rows[row_index]
         dots = [sum(c * r for c, r in zip(a, ray)) for ray in rays]
         pos = [i for i, d in enumerate(dots) if d > 0]
         neg = [i for i, d in enumerate(dots) if d < 0]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,8 @@ from normalhst.normal_surfaces import (check_admissible, matching_system,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import bareiss_rank, quad_admissible, unpruned_extreme_rays
+from oracles import (bareiss_rank, dense_rows, evaluate, quad_admissible,
+                     unpruned_extreme_rays)
 from pairings import random_closed_pairing
 
 # (tetrahedra, seed) of the random closed pairings checked against the
@@ -38,7 +40,7 @@ def test_cone_invariants():
         seen = set()
         for ray in cone.rays:
             assert all(x >= 0 for x in ray)
-            assert all(v == 0 for v in system.evaluate(ray))
+            assert all(v == 0 for v in evaluate(system, ray))
             assert quad_admissible(ray)
             from math import gcd
             g = 0
@@ -118,13 +120,28 @@ def test_determinism_byte_identical():
 
 def test_rank_oracle_and_extremality():
     system = matching_system(doubled_tetrahedron())
-    assert rational_rank(system.rows) == bareiss_rank(system.rows)
+    rows = dense_rows(system)
+    assert rational_rank(rows) == bareiss_rank(rows)
     rays = enumerate_vertex_surfaces(doubled_tetrahedron())
     for v in rays:
         assert is_extreme_ray(system, v.normal_coordinates())
     # a sum of two distinct rays is not extreme
     s = rays[0].add(rays[1])
     assert not is_extreme_ray(system, s.normal_coordinates())
+
+
+def test_rational_rank_matches_bareiss_on_random_matrices():
+    # A product of (rows x k) and (k x cols) factors has rank at most k,
+    # so deficient ranks are common.
+    rng = random.Random(9)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.randint(1, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        mat = [tuple(sum(x * y for x, y in zip(row, column))
+                     for column in zip(*right)) for row in left]
+        assert rational_rank(mat) == bareiss_rank(mat)
 
 
 def test_brute_force_ceiling():

@@ -1,7 +1,10 @@
 """Which modules a command line call and ``import normalhst`` load.
 
 Each probe runs in a fresh interpreter, since this test process has
-imported every layer already.
+imported every layer already.  Beyond the package's own modules, no
+call may load the standard library's code generators or rational
+arithmetic: ``dataclasses`` (with ``inspect``) and ``fractions`` (with
+``decimal``) cost more at start-up than most commands compute.
 """
 
 import importlib
@@ -42,7 +45,7 @@ SUBMODULES = {"curve_patterns", "enumeration", "hst", "library", "limits",
               "model", "normal_surfaces", "thin_position", "triangulation"}
 
 # Runs ``cli.main`` on argv with stdout swallowed, then prints the exit
-# code and the loaded ``normalhst`` modules as one JSON line.
+# code and every loaded module as one JSON line.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from normalhst import cli
@@ -51,9 +54,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "normalhst")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+BARE_PROBE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+# The code generators and rational arithmetic no command may load.
+FORBIDDEN = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def _probe(script, *argv):
@@ -64,8 +69,13 @@ def _probe(script, *argv):
 
 
 def _loaded(*names):
+    """The modules a call loads: the ``--help`` three, and with any layer
+    also ``normalhst.record``, the base of the layers' records."""
+    layers = [f"normalhst.{name}" for name in names]
+    if names:
+        layers.append("normalhst.record")
     return sorted(["normalhst", "normalhst.cli", "normalhst.limits"]
-                  + [f"normalhst.{name}" for name in names])
+                  + layers)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +111,33 @@ COMMANDS = [
 def test_command_loads_only_its_layers(inputs, argv, loaded):
     code, modules = _probe(CLI_PROBE, *[a.format(**inputs) for a in argv])
     assert code == 0
-    assert modules == loaded
+    assert [m for m in modules if m.split(".")[0] == "normalhst"] == loaded
+
+
+# Every subcommand, and the routes inside them that reach other code:
+# brute force, the rank oracle of the cross-check, and the acceptance
+# suite, which imports every layer.
+EVERY_COMMAND = [argv for argv, _ in COMMANDS] + [
+    ["enumerate", "{tri}", "--method", "brute", "--bound", "2"],
+    ["enumerate", "{tri}", "--cross-check", "--bound", "3"],
+    ["hst", "{split}", "--action", "complexity"],
+    ["width", "{pres}", "--action", "search", "--search-mode", "all"],
+    ["selftest", "--criteria", "6"],
+]
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    return set(_probe(BARE_PROBE))
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND,
+                         ids=[" ".join(a for a in argv if "{" not in a)
+                              for argv in EVERY_COMMAND])
+def test_command_loads_no_code_generator(inputs, bare_modules, argv):
+    code, modules = _probe(CLI_PROBE, *[a.format(**inputs) for a in argv])
+    assert code == 0
+    assert not (set(modules) - bare_modules) & FORBIDDEN
 
 
 def test_command_boundaries():

@@ -21,7 +21,8 @@ from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import bareiss_rank, explicit_reconstruction, surface_cells
+from oracles import (bareiss_rank, dense_rows, evaluate,
+                     explicit_reconstruction, surface_cells)
 from pairings import random_closed_pairing
 
 LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
@@ -49,20 +50,48 @@ def test_matching_shapes():
     assert len(system5.rows) == 30 and system5.columns == 35
 
 
+@pytest.mark.parametrize("tri", [f() for f in LIBRARY] + [
+    random_closed_pairing(n, seed) for n in (1, 2, 3) for seed in range(8)])
+def test_sparse_rows_match_arc_counts(tri):
+    # Each coefficient is what one piece adds to the arc count on the
+    # row's first side minus what it adds on the second.  Faces glued
+    # within one tetrahedron meet some columns from both sides.
+    system = matching_system(tri)
+    n = tri.tetrahedron_count
+    units = []
+    for c in range(7 * n):
+        flat = [0] * (7 * n)
+        flat[c] = 1
+        units.append([(tuple(flat[7 * t:7 * t + 4]),
+                       tuple(flat[7 * t + 4:7 * t + 7]), (0, 0, 0))
+                      for t in range(n)])
+    for row, ((t, f), (t2, f2), v) in zip(system.rows, system.row_labels):
+        columns = [c for c, _ in row]
+        assert columns == sorted(set(columns)) and len(row) <= 4
+        g = tri.gluings[t][f]
+        assert (g.tet, g.face) == (t2, f2)
+        coefficients = dict(row)
+        for c, blocks in enumerate(units):
+            want = model.arc_count(blocks[t], f, v) \
+                - model.arc_count(blocks[t2], f2, g.image_of_vertex(v))
+            assert coefficients.get(c, 0) == want
+        assert 0 not in coefficients.values()
+
+
 def test_doubled_kernel_rank_via_bareiss():
     system = matching_system(doubled_tetrahedron())
-    rank = bareiss_rank(system.rows)
+    rank = bareiss_rank(dense_rows(system))
     # kernel dimension = unknowns - rank; the cone spans the kernel
     assert 14 - rank >= 1
     from normalhst.enumeration import rational_rank
-    assert rational_rank(system.rows) == rank
+    assert rational_rank(dense_rows(system)) == rank
 
 
 def test_matching_solutions_satisfy_system():
     tri = doubled_tetrahedron()
     system = matching_system(tri)
     for vec in brute_force_enumerate(tri, 4):
-        assert all(x == 0 for x in system.evaluate(vec.normal_coordinates()))
+        assert all(x == 0 for x in evaluate(system, vec.normal_coordinates()))
 
 
 # ---------------------------------------------------------------------------
