@@ -372,12 +372,17 @@ def cmd_selftest(args):
 def _common(parser):
     parser.add_argument("--format", choices=("json", "table"),
                         default="table", help="output format")
-    parser.add_argument("--seed", type=int, default=20260810,
-                        help="seed for randomized property suites")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with one stderr line and exit 2, no usage."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normalhst",
         description="Normal surface, splitting-complexity and width "
                     "calculations on triangulated 3-manifolds.")
@@ -434,13 +439,13 @@ def build_parser():
     p.add_argument("--check-348", action="store_true",
                    help="test the length-3/4/8 condition")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--seed", type=int, default=20260810)
     p.set_defaults(fn=cmd_curves)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
-    _common(p)
+    p.add_argument("--seed", type=int, default=20260810,
+                   help="seed of criterion 5's random descents")
     p.set_defaults(fn=cmd_selftest)
 
     return parser

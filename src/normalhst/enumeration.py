@@ -53,7 +53,7 @@ def _two_quads_in_one_tet(support, quads):
     return bool(q & ((q >> 1) | (q >> 2)))
 
 
-def extreme_rays(system, max_rays=None):
+def extreme_rays(system):
     """Quad-admissible extreme rays of {x >= 0, rows(x) = 0}.
 
     Incremental double description that keeps only rays obeying the
@@ -78,8 +78,7 @@ def extreme_rays(system, max_rays=None):
     after each equation.
     """
     n = system.columns
-    if max_rays is None:
-        max_rays = ceiling("rays")
+    max_rays = ceiling("rays")
     full = (1 << n) - 1
     quads = sum(0b111 << (7 * t + 4) for t in range(n // 7))
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
@@ -129,10 +128,10 @@ def _columns_of(zero_sets, n):
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def solution_cone(tri, max_rays=None):
+def solution_cone(tri):
     system = matching_system(tri)
     return SolutionCone(system=system,
-                        rays=tuple(sorted(extreme_rays(system, max_rays))))
+                        rays=tuple(sorted(extreme_rays(system))))
 
 
 def _vector_from_flat(tri, flat):
@@ -143,14 +142,14 @@ def _vector_from_flat(tri, flat):
     return SurfaceVector(tuple(blocks))
 
 
-def enumerate_vertex_surfaces(tri, max_rays=None):
+def enumerate_vertex_surfaces(tri):
     """Quad-admissible extreme rays of the matching cone, sorted.
 
     Output order is lexicographic on the flat coordinate tuples, so
     repeated runs produce identical results.
     """
     return [_vector_from_flat(tri, ray)
-            for ray in solution_cone(tri, max_rays).rays]
+            for ray in solution_cone(tri).rays]
 
 
 def _local_blocks(budget):

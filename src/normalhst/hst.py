@@ -421,6 +421,19 @@ def component_moves(surface):
     return moves
 
 
+def _move_count(pairs):
+    """``len(component_moves(...))`` of the surface with these
+    (closed_chi, punctures) components, without building a move.
+
+    Per component: one nonseparating move when chi <= 0, p + 1 puncture
+    splits for each of the -chi/2 values chi1 of a separating move, and
+    one relative move when p >= 2 and chi - p <= 0.
+    """
+    return sum((chi <= 0) + len(range(chi + 2, 1, 2)) * (p + 1)
+               + (p >= 2 and chi - p <= 0)
+               for chi, p in pairs)
+
+
 def _untangle_candidates(splitting, p):
     """All legal untangle steps at thick level p, with derived flags."""
     g_p = splitting.levels[p]
@@ -468,20 +481,21 @@ def _thick_level_rewrites(p, below, thick, above):
     neighbour itself, so one triple serves every splitting that has it.
 
     A level with m moves has up to about m^2 untangle candidates, and m
-    grows with the level's |chi|; a level whose m^2 passes the
-    ``rewrites`` ceiling raises :class:`ResourceCeilingError` before
-    any candidate is built.  The ceiling is read only on a cache miss,
-    so a level cached earlier in the same process is not checked again;
-    reading the environment once per state would add to every state's
-    cost.
+    grows with the level's |chi| and punctures.  m is counted by
+    :func:`_move_count`, so a level whose m^2 passes the ``rewrites``
+    ceiling raises :class:`ResourceCeilingError` before any move is
+    built, at a cost that does not grow with chi or the punctures.  The
+    ceiling is read only on a cache miss, so a level cached earlier in
+    the same process is not checked again; reading the environment once
+    per state would add to every state's cost.
     """
-    level = AbstractSurface.from_pairs(thick)
-    moves = len(level.moves)
+    moves = _move_count(thick)
     limit = ceiling("rewrites")
     if moves * moves > limit:
         raise ResourceCeilingError(
             f"thick level {p} has {moves} compressions, so {moves * moves} "
             f"move pairs to untangle, over the rewrites ceiling {limit}")
+    level = AbstractSurface.from_pairs(thick)
     out = [(("compress", p, move), p, p + 1, (compress(level, move),))
            for move in level.moves]
     if above is not None:
@@ -581,12 +595,12 @@ def is_minimal_reachable(splitting, budget=10000):
                                states_explored=explored)
 
 
-def random_descent(splitting, rng, untangle_probability=0.5):
+def random_descent(splitting, rng):
     """Apply random legal rewrites until none remain.
 
-    Draws single compressions directly and attempts untangle steps with
-    randomly paired moves (full enumeration of move pairs is avoided, so
-    long runs stay cheap).  Returns (moves applied, final splitting);
+    Draws single compressions directly and, on half of the steps,
+    first attempts untangle steps with randomly paired moves (full
+    enumeration of move pairs is avoided, so long runs stay cheap).  Returns (moves applied, final splitting);
     asserts strict lexicographic descent at every step, so
     nontermination would surface as an error.
     """
@@ -601,7 +615,7 @@ def random_descent(splitting, rng, untangle_probability=0.5):
             return steps, current
         successor = None
         interior = [p for p in thicks if 1 <= p < len(levels) - 1]
-        if interior and rng.random() < untangle_probability:
+        if interior and rng.random() < 0.5:
             for _ in range(4):
                 p = rng.choice(interior)
                 moves = levels[p].moves
@@ -640,22 +654,21 @@ def random_descent(splitting, rng, untangle_probability=0.5):
         steps += 1
 
 
-def random_splitting(rng, max_thick=2, max_components=2,
-                     chi_range=(-4, 0), max_punctures=3):
-    """A random valid splitting for termination experiments."""
-    n_thick = rng.randint(1, max_thick)
+def random_splitting(rng, max_punctures=3):
+    """A random valid splitting for termination experiments.
+
+    Above an empty bottom level come one or two pairs of a thick level
+    of one or two components and a thin level of zero to two.  Each
+    component has closed chi -4, -2 or 0 and at most ``max_punctures``
+    punctures.
+    """
     levels = [EMPTY_SURFACE]
-    for _ in range(n_thick):
-        comps = tuple(
-            Component(2 * rng.randint(chi_range[0] // 2, chi_range[1] // 2),
-                      rng.randint(0, max_punctures))
-            for _ in range(rng.randint(1, max_components)))
-        levels.append(AbstractSurface(comps))
-        thin = tuple(
-            Component(2 * rng.randint(chi_range[0] // 2, chi_range[1] // 2),
-                      rng.randint(0, max_punctures))
-            for _ in range(rng.randint(0, max_components)))
-        levels.append(AbstractSurface(thin))
+    for _ in range(rng.randint(1, 2)):
+        for least in (1, 0):
+            levels.append(AbstractSurface(tuple(
+                Component(2 * rng.randint(-2, 0),
+                          rng.randint(0, max_punctures))
+                for _ in range(rng.randint(least, 2)))))
     return AbstractSplitting(tuple(levels))
 
 

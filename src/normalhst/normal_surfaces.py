@@ -67,24 +67,24 @@ class SurfaceVector(Record):
 
     @classmethod
     def build(cls, tri, coords, tube=None):
-        """From {(t, kind, index): value} sparse coordinates."""
-        blocks = []
-        for t in range(tri.tetrahedron_count):
-            tri_c = [0] * 4
-            quad_c = [0] * 3
-            oct_c = [0] * 3
-            for (tt, kind, index), value in coords.items():
-                if tt != t:
-                    continue
+        """From {(t, kind, index): value} sparse coordinates.
+
+        One pass over ``coords``, and every tetrahedron it does not name
+        shares one zero block; entries of a tetrahedron outside the
+        triangulation are ignored.
+        """
+        n = tri.tetrahedron_count
+        named = {}
+        for (t, kind, index), value in coords.items():
+            if 0 <= t < n:
                 if kind not in PIECE_KINDS:
                     raise SurfaceError(f"unknown piece kind {kind!r}")
-                (tri_c if kind == "tri" else
-                 quad_c if kind == "quad" else oct_c)[index] = value
-            blocks.append((tuple(tri_c), tuple(quad_c), tuple(oct_c)))
-        return cls(tuple(blocks), tube)
-
-    def block(self, t):
-        return self.tets[t]
+                if t not in named:
+                    named[t] = ([0] * 4, [0] * 3, [0] * 3)
+                named[t][PIECE_KINDS.index(kind)][index] = value
+        zero = ((0, 0, 0, 0), (0, 0, 0), (0, 0, 0))
+        return cls(tuple(tuple(map(tuple, named[t])) if t in named else zero
+                         for t in range(n)), tube)
 
     def coordinates(self):
         """All 10 coordinates per tetrahedron, tet-major, flat."""
@@ -373,46 +373,40 @@ def check_admissible(tri, v, mode="normal"):
 # Stacking of parallel pieces
 # ---------------------------------------------------------------------------
 
-def edge_stack(block, e):
-    """Pieces of one tetrahedron crossing edge e, in stacking order.
+def _stack_position(block, e, piece):
+    """Where a triangle or quad copy crosses edge e, or None.
 
-    Positions run from the lower-numbered endpoint.  Entries are
-    (kind, type, copy, end) and an octagon contributes two entries on
-    each edge of its own pair, tagged with the nearer endpoint.
+    The pieces of one tetrahedron crossing e = (u, w), u < w, are
+    stacked from u: the triangles at u, the quads of the two pairs
+    that cross e, their copies ascending when u lies on the lower edge
+    of the pair and descending otherwise, every octagon (twice for the
+    pair of e), then the triangles at w in descending copy order.
     """
     u, w = model.EDGES[e]
-    tri_c, quad_c, oct_c = block
-    stack = [("tri", u, i, None) for i in range(tri_c[u])]
-    for q in range(3):
-        if quad_c[q] and model.PAIR_OF_EDGE[e] != q:
-            lo = min(model.PAIRS[q])
-            copies = range(quad_c[q])
-            if u not in model.EDGES[lo]:
-                copies = reversed(copies)
-            stack.extend(("quad", q, i, None) for i in copies)
-    for q in range(3):
-        if oct_c[q]:
-            for copy in range(oct_c[q]):
-                if model.PAIR_OF_EDGE[e] == q:
-                    stack.append(("oct", q, copy, u))
-                    stack.append(("oct", q, copy, w))
-                else:
-                    stack.append(("oct", q, copy, None))
-    stack.extend(("tri", w, i, None) for i in reversed(range(tri_c[w])))
-    return stack
+    kind, typ, copy = piece
+    tri_c, quad_c, _ = block
+    if kind == "tri":
+        if typ == u:
+            return copy
+        return model.edge_weight(block, e) - 1 - copy if typ == w else None
+    if model.PAIR_OF_EDGE[e] == typ:
+        return None
+    if u not in model.EDGES[min(model.PAIRS[typ])]:
+        copy = quad_c[typ] - 1 - copy
+    return tri_c[u] + copy + sum(quad_c[q] for q in range(typ)
+                                 if model.PAIR_OF_EDGE[e] != q)
 
 
 def _tube_shared_edge(v):
-    """An edge the tube's pieces cross in consecutive positions, or None."""
+    """The first edge the tube's pieces cross at consecutive positions,
+    or None; O(1) whatever the coordinates."""
     tube = v.tube
     block = v.tets[tube.tet]
-    a = tube.piece_a + (None,)
-    b = tube.piece_b + (None,)
     for e in range(6):
-        stack = edge_stack(block, e)
-        for i in range(len(stack) - 1):
-            if {stack[i], stack[i + 1]} == {a, b}:
-                return e
+        a = _stack_position(block, e, tube.piece_a)
+        b = _stack_position(block, e, tube.piece_b)
+        if a is not None and b is not None and abs(a - b) == 1:
+            return e
     return None
 
 
@@ -420,17 +414,16 @@ def _tube_shared_edge(v):
 # Euler characteristic, counting route
 # ---------------------------------------------------------------------------
 
-def euler_characteristic(tri, v, skeleton=None, mode=None):
+def euler_characteristic(tri, v, skeleton=None):
     """Euler characteristic via cell counts.
 
     chi = V - E + F where V sums the edge weights over edge orbits, E
     sums arc counts over face orbits (each internal face once), and F
     counts pieces, a tube assembly (two disks plus the joining annulus)
-    contributing 0 in place of its two disks.
+    contributing 0 in place of its two disks.  The vector must be
+    admissible at its inferred mode, or :class:`SurfaceError` is raised.
     """
-    if mode is None:
-        mode = infer_mode(v)
-    report = check_admissible(tri, v, mode)
+    report = check_admissible(tri, v, infer_mode(v))
     if not report.admissible:
         raise SurfaceError(
             "inadmissible vector: "
@@ -884,19 +877,13 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
 def vertex_link(tri, vertex_orbit, skeleton=None):
     """The normal surface linking a vertex orbit.
 
-    One triangle coordinate per (tetrahedron, corner) in the orbit; all
-    quads and octagons zero.  ``vertex_orbit`` may be an orbit index or
-    the orbit itself.
+    One triangle coordinate per (tetrahedron, corner) in the orbit
+    numbered ``vertex_orbit``; all quads and octagons zero.
     """
     if skeleton is None:
         skeleton = compute_skeleton(tri)
-    if isinstance(vertex_orbit, int):
-        orbit = skeleton.vertex_orbits[vertex_orbit]
-    else:
-        orbit = tuple(vertex_orbit)
-        if orbit not in skeleton.vertex_orbits:
-            raise KeyError(f"no vertex orbit {vertex_orbit!r}")
-    coords = {(t, "tri", w): 1 for (t, w) in orbit}
+    coords = {(t, "tri", w): 1
+              for (t, w) in skeleton.vertex_orbits[vertex_orbit]}
     return SurfaceVector.build(tri, coords)
 
 

@@ -218,15 +218,16 @@ def exchange_move(pres, death_index, birth_index):
 
 
 def legal_exchanges(pres):
-    """All (death_index, birth_index) pairs accepted by exchange_move."""
-    out = []
-    for b in range(len(pres.events) - 1):
-        try:
-            exchange_move(pres, b + 1, b)
-        except PresentationError:
-            continue
-        out.append((b + 1, b))
-    return out
+    """All (death_index, birth_index) pairs accepted by exchange_move.
+
+    A birth at slot i_b followed by a death at slot i_d is one exactly
+    when i_d lies outside [i_b - 1, i_b + 1]; swapping such a pair
+    always leaves a valid presentation, so no move is built here.
+    """
+    events = pres.events
+    return [(b + 1, b) for b in range(len(events) - 1)
+            if events[b].kind == BIRTH and events[b + 1].kind == DEATH
+            and abs(events[b + 1].position - events[b].position) > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -58,23 +58,18 @@ class Gluing(Record):
 class Triangulation:
     """An immutable collection of tetrahedra with face pairings.
 
-    ``gluings[t][f]`` is either None (boundary face) or a :class:`Gluing`.
-    Construction validates involutivity and rejects faces glued to
-    themselves.
+    ``gluings`` maps every (t, f) to None (boundary face) or a
+    :class:`Gluing`, and a missing key reads as a boundary face; the
+    table is kept as ``gluings[t][f]``.  Construction validates
+    involutivity and rejects faces glued to themselves.
     """
 
     def __init__(self, tetrahedron_count, gluings):
         if tetrahedron_count <= 0:
             raise TriangulationError("tetrahedron count must be positive")
         self.tetrahedron_count = tetrahedron_count
-        table = []
-        for t in range(tetrahedron_count):
-            row = []
-            for f in range(4):
-                g = gluings.get((t, f)) if isinstance(gluings, dict) else gluings[t][f]
-                row.append(g)
-            table.append(tuple(row))
-        self.gluings = tuple(table)
+        self.gluings = tuple(tuple(gluings.get((t, f)) for f in range(4))
+                             for t in range(tetrahedron_count))
         self._validate()
 
     @classmethod
@@ -161,12 +156,9 @@ class Triangulation:
             signs.union(t, g.tet, model.perm_sign(g.perm) == 1)
         return not any(span & ODD_LABELS for span in signs.span)
 
-    def to_text(self, comment=None):
+    def to_text(self):
         """Serialize in the plain-text file format."""
-        lines = []
-        if comment:
-            lines.append(f"# {comment}")
-        lines.append(str(self.tetrahedron_count))
+        lines = [str(self.tetrahedron_count)]
         for t in range(self.tetrahedron_count):
             tokens = []
             for f in range(4):

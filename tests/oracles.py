@@ -23,7 +23,9 @@ search rebuilding every rewrite and canonical key of every state it
 pops, where the package caches each thick level's rewrites, and
 surface reconstruction with one union-find element, one gluing and one
 edge-stack entry per piece, where the package joins runs of parallel
-copies.
+copies, tube adjacency read off explicit edge stacks, where the
+package computes each piece's stack position, and the legal exchanges
+found by attempting every move, where the package tests the slots.
 """
 
 import math
@@ -32,9 +34,9 @@ from normalhst import hst, model
 from normalhst.curve_patterns import Check348, LoopDecomposition, PatternError
 from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        SurfaceSummary, _crossing_direction,
-                                       _tube_shared_edge, check_admissible,
-                                       edge_stack, infer_mode)
-from normalhst.thin_position import MorsePresentation, width
+                                       check_admissible, infer_mode)
+from normalhst.thin_position import (MorsePresentation, PresentationError,
+                                     exchange_move, width)
 from normalhst.triangulation import (ParityUnionFind, Skeleton,
                                      compute_skeleton)
 
@@ -409,6 +411,49 @@ def surface_cells(tri, vector):
     return pieces, piece_comp, chis, closed
 
 
+def edge_stack(block, e):
+    """Pieces of one tetrahedron crossing edge e, in stacking order.
+
+    Positions run from the lower-numbered endpoint.  Entries are
+    (kind, type, copy, end) and an octagon contributes two entries on
+    each edge of its own pair, tagged with the nearer endpoint.
+    """
+    u, w = model.EDGES[e]
+    tri_c, quad_c, oct_c = block
+    stack = [("tri", u, i, None) for i in range(tri_c[u])]
+    for q in range(3):
+        if quad_c[q] and model.PAIR_OF_EDGE[e] != q:
+            lo = min(model.PAIRS[q])
+            copies = range(quad_c[q])
+            if u not in model.EDGES[lo]:
+                copies = reversed(copies)
+            stack.extend(("quad", q, i, None) for i in copies)
+    for q in range(3):
+        if oct_c[q]:
+            for copy in range(oct_c[q]):
+                if model.PAIR_OF_EDGE[e] == q:
+                    stack.append(("oct", q, copy, u))
+                    stack.append(("oct", q, copy, w))
+                else:
+                    stack.append(("oct", q, copy, None))
+    stack.extend(("tri", w, i, None) for i in reversed(range(tri_c[w])))
+    return stack
+
+
+def tube_shared_edge(v):
+    """The first edge whose stack holds the tube's pieces side by side."""
+    tube = v.tube
+    block = v.tets[tube.tet]
+    a = tube.piece_a + (None,)
+    b = tube.piece_b + (None,)
+    for e in range(6):
+        stack = edge_stack(block, e)
+        for i in range(len(stack) - 1):
+            if {stack[i], stack[i + 1]} == {a, b}:
+                return e
+    return None
+
+
 def face_arcs(block, f, v):
     """Pieces carrying an arc of type (f, v), ordered away from vertex v."""
     tri_c, quad_c, oct_c = block
@@ -479,7 +524,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
     tube_piece = None
     if v.tube is not None:
         t = v.tube.tet
-        e_shared = _tube_shared_edge(v)
+        e_shared = tube_shared_edge(v)
         (ka, ta, ca), (kb, tb, cb) = v.tube.pieces()
         tube_piece = index[(t, ka, ta, ca)]
         sheets.union(tube_piece, index[(t, kb, tb, cb)],
@@ -670,6 +715,18 @@ def naive_canonical_word(word):
             if best is None or rot < best:
                 best = rot
     return best
+
+
+def exchanges_by_trial(pres):
+    """Every (death_index, birth_index) whose exchange_move succeeds."""
+    out = []
+    for b in range(len(pres.events) - 1):
+        try:
+            exchange_move(pres, b + 1, b)
+        except PresentationError:
+            continue
+        out.append((b + 1, b))
+    return out
 
 
 def kind_sequences(births):

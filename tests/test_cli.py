@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -206,6 +208,21 @@ def test_hst_search_rewrites_ceiling_exit_3(tmp_path, capsys):
         assert captured.err.splitlines() == [
             "resource ceiling: thick level 1 has 201 compressions, so 40401 "
             "move pairs to untangle, over the rewrites ceiling 10000"]
+
+
+def test_hst_search_huge_punctures_exit_3(tmp_path, capsys):
+    # the moves are counted, not built: 10^12 punctures cost nothing
+    path = tmp_path / "punctured.json"
+    path.write_text(f"[[], [[-2, {10 ** 12}]], []]")
+    start = time.perf_counter()
+    assert run(["hst", path, "--action", "search", "--budget", "1"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"resource ceiling: thick level 1 has {10 ** 12 + 3} compressions, "
+        f"so {(10 ** 12 + 3) ** 2} move pairs to untangle, over the "
+        f"rewrites ceiling 10000"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
@@ -446,3 +463,71 @@ def test_selftest_unknown_criterion_exit_2(capsys, criteria):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "unknown criterion" in captured.err
+
+
+def _rejected(argv, capsys):
+    """The one stderr line of an argument the parser refuses."""
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_bad_int_is_one_line(files, capsys):
+    assert _rejected(["enumerate", files["single"], "--bound", "abc"],
+                     capsys) == ("error: normalhst enumerate: argument "
+                                 "--bound: invalid int value: 'abc'")
+
+
+def test_missing_positional_is_one_line(capsys):
+    assert _rejected(["validate"], capsys) == (
+        "error: normalhst validate: the following arguments are required: "
+        "triangulation")
+    assert _rejected([], capsys) == (
+        "error: normalhst: the following arguments are required: command")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "doubled", "--seed", "1"],
+    ["surface", "doubled", "link", "--seed", "1"],
+    ["enumerate", "doubled", "--seed", "1"],
+    ["hst", "split", "--seed", "1"],
+    ["width", "pres", "--seed", "1"],
+    ["curves", *"0" * 12, "--seed", "1"],
+    ["selftest", "--format", "json"],
+])
+def test_removed_flags_are_one_line(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    assert _rejected(argv, capsys) == \
+        f"error: normalhst: unrecognized arguments: {' '.join(argv[-2:])}"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["hst", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: normalhst hst ")
+
+
+# ``enumerate`` always prints JSON lines, but the benchmark passes
+# ``--format json`` to it, so the option stays, accepted and ignored.
+INERT_OPTIONS = {("enumerate", "format")}
+
+
+def test_every_option_is_read_by_its_handler():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    inert = set()
+    for name, command in sub.choices.items():
+        source = inspect.getsource(command.get_default("fn"))
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if f"args.{action.dest}" not in source:
+                inert.add((name, action.dest))
+    assert inert == INERT_OPTIONS

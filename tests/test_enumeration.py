@@ -157,9 +157,10 @@ def test_env_ceiling_override(monkeypatch):
     assert brute_force_enumerate(single_tetrahedron(), 2)
 
 
-def test_ray_ceiling():
-    with pytest.raises(ResourceCeilingError):
-        enumerate_vertex_surfaces(boundary_4_simplex(), max_rays=3)
+def test_ray_ceiling(monkeypatch):
+    monkeypatch.setenv("NORMALHST_CEILING", "3")
+    with pytest.raises(ResourceCeilingError, match="exceeded 3 rays"):
+        enumerate_vertex_surfaces(boundary_4_simplex())
 
 
 def test_find_connected_chi2():

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normalhst import hst
+from normalhst.limits import ResourceCeilingError
 from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            AbstractSplitting, AbstractSurface, Component,
                            ComplexityVector, HstError,
@@ -421,10 +423,37 @@ def test_search_calls_legal_rewrites_once_per_expanded_state(
         assert len({s.canonical() for s in calls}) == len(calls)
 
 
+def test_move_count_matches_moves():
+    for chi in range(-12, 3, 2):
+        for punctures in range(8):
+            pairs = ((chi, punctures),)
+            assert hst._move_count(pairs) == len(
+                component_moves(AbstractSurface.from_pairs(pairs)))
+    rng = random.Random(11)
+    for _ in range(200):
+        pairs = tuple((2 * rng.randint(-5, 1), rng.randint(0, 6))
+                      for _ in range(rng.randint(0, 3)))
+        assert hst._move_count(pairs) == len(
+            component_moves(AbstractSurface.from_pairs(pairs)))
+
+
+def test_rewrites_ceiling_builds_no_move():
+    # 10^5 punctures give 10^5 + 3 moves: refused before any is built
+    splitting = splitting_from_json([[], [[-2, 10 ** 5]], []])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCeilingError, match="100003 compressions"):
+            is_minimal_reachable(splitting, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
 def test_every_rewrite_decreases():
     rng = random.Random(3)
     for _ in range(20):
-        splitting = random_splitting(rng, chi_range=(-4, 0), max_punctures=2)
+        splitting = random_splitting(rng, max_punctures=2)
         before = splitting_complexity(splitting, True)
         for _move, successor in legal_rewrites(splitting):
             after = splitting_complexity(successor, True)

@@ -1,4 +1,7 @@
 import random
+import time
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,15 +17,16 @@ from normalhst.limits import ResourceCeilingError
 from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        ALMOST_NORMAL_TUBE, INADMISSIBLE,
                                        NORMAL, SurfaceError, SurfaceVector,
-                                       TubeAnnotation, check_admissible,
-                                       classify, edge_stack,
-                                       euler_characteristic,
+                                       TubeAnnotation, _stack_position,
+                                       _tube_shared_edge, check_admissible,
+                                       classify, euler_characteristic,
                                        matching_system, reconstruct_surface,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import (bareiss_rank, dense_rows, evaluate,
-                     explicit_reconstruction, surface_cells)
+from oracles import (bareiss_rank, dense_rows, edge_stack, evaluate,
+                     explicit_reconstruction, surface_cells,
+                     tube_shared_edge)
 from pairings import random_closed_pairing
 
 LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
@@ -481,6 +485,84 @@ def test_runs_match_oracle_on_tubes():
                     _assert_matches_oracle(tri, tubed, sk)
                     count += 1
     assert count > 1000
+
+
+def _tube_pieces(block):
+    """Every triangle and quad copy of a block, as a tube addresses it."""
+    return [(kind, typ, copy)
+            for kind, counts in (("tri", block[0]), ("quad", block[1]))
+            for typ, count in enumerate(counts) for copy in range(count)]
+
+
+def test_stack_positions_match_edge_stacks():
+    # two quad types and octagons too, which no admissible tube meets
+    rng = random.Random(2027)
+    for _ in range(300):
+        block = (tuple(rng.randint(0, 3) for _ in range(4)),
+                 tuple(rng.randint(0, 3) for _ in range(3)),
+                 tuple(rng.randint(0, 2) for _ in range(3)))
+        for e in range(6):
+            stack = [entry[:3] for entry in edge_stack(block, e)]
+            for piece in _tube_pieces(block):
+                want = stack.index(piece) if piece in stack else None
+                assert _stack_position(block, e, piece) == want
+
+
+def test_tube_adjacency_matches_edge_stack_oracle():
+    # every pair of pieces in the tube's tetrahedron of the generated
+    # tube vectors, adjacent or not
+    blocks = set()
+    for build in LIBRARY:
+        tri = build()
+        for vec in brute_force_enumerate(tri, 3) \
+                + enumerate_vertex_surfaces(tri):
+            for k in (1, 2, 3):
+                for tubed in _tube_vectors(tri, vec.scale(k)):
+                    blocks.add(tubed.tets[tubed.tube.tet])
+    checked = adjacent = 0
+    for block in blocks:
+        pieces = _tube_pieces(block)
+        for a in pieces:
+            for b in pieces:
+                if a != b:
+                    vec = SurfaceVector((block,), TubeAnnotation(0, a, b))
+                    want = tube_shared_edge(vec)
+                    assert _tube_shared_edge(vec) == want
+                    checked += 1
+                    adjacent += want is not None
+    assert 1000 < adjacent < checked
+
+
+def test_tube_adjacency_does_not_grow_with_copies():
+    # k copies of a vertex link, two neighbouring copies tubed together
+    tri = doubled_tetrahedron()
+    link = vertex_link(tri, 0).scale(10 ** 6)
+    t, v = compute_skeleton(tri).vertex_orbits[0][0]
+    vec = SurfaceVector(link.tets,
+                        TubeAnnotation(t, ("tri", v, 0), ("tri", v, 1)))
+    tracemalloc.start()
+    try:
+        assert classify(tri, vec) == ALMOST_NORMAL_TUBE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+def test_build_is_one_pass():
+    # 3 * 10^4 tetrahedra times 3000 entries would be 9 * 10^7 steps if
+    # every tetrahedron rescanned the coordinates
+    n = 3 * 10 ** 4
+    tri = SimpleNamespace(tetrahedron_count=n)
+    coords = {(t, "tri", t % 4): t for t in range(0, n, 10)}
+    coords[(n, "tri", 0)] = 7       # outside: ignored
+    start = time.perf_counter()
+    vec = SurfaceVector.build(tri, coords)
+    assert time.perf_counter() - start < 2
+    assert vec.tets[30] == ((0, 0, 30, 0), (0, 0, 0), (0, 0, 0))
+    assert vec.total_weight() == sum(range(0, n, 10))
+    with pytest.raises(SurfaceError, match="unknown piece kind 'hex'"):
+        SurfaceVector.build(tri, {(3, "hex", 0): 1})
 
 
 def test_runs_match_oracle_on_one_sided_multiples():

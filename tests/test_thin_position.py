@@ -6,7 +6,7 @@ from normalhst.thin_position import (Event, MorsePresentation,
                                      induced_splitting, legal_exchanges,
                                      parse_presentation,
                                      thin_position_search, width)
-from oracles import least_width_by_enumeration
+from oracles import exchanges_by_trial, least_width_by_enumeration
 
 
 def levels_of(splitting):
@@ -169,6 +169,16 @@ def test_all_legal_exchanges_drop_width_by_four():
                 assert width(result.presentation).width == w0 - 4
                 checked += 1
     assert checked > 0
+
+
+def test_legal_exchanges_match_trial_moves():
+    found = 0
+    for count in range(2, 9, 2):
+        for pres in all_presentations(count):
+            legal = legal_exchanges(pres)
+            assert legal == exchanges_by_trial(pres)
+            found += len(legal)
+    assert found > 1000
 
 
 # ---------------------------------------------------------------------------
