@@ -3,9 +3,11 @@ Small reference triangulations used by the test corpus, the self test
 and the demos.
 """
 
+import random
 from itertools import combinations
 
-from .triangulation import Triangulation
+from . import model
+from .triangulation import Gluing, Triangulation
 
 
 def single_tetrahedron():
@@ -98,6 +100,45 @@ def pseudomanifold_two_tet():
         ((0, 2), (1, 2), {0: 0, 1: 1, 3: 3}),
         ((0, 3), (1, 3), {0: 0, 1: 1, 2: 2}),
     ])
+
+
+# _SWAP[i][j] is the transposition of i and j.
+_SWAP = tuple(tuple(tuple(j if k == i else i if k == j else k
+                          for k in range(4)) for j in range(4))
+              for i in range(4))
+
+
+def stellar_subdivision(tri, moves, seed):
+    """The triangulation after ``moves`` seeded 1-4 moves.
+
+    Each move draws a tetrahedron t and cones it from a new interior
+    vertex into four pieces, t itself and three new tetrahedra appended
+    in order.  Piece i keeps face i of t with its gluing and carries the
+    new vertex under label i; its face j meets piece j's face i through
+    the transposition of i and j, which is odd, so orientability is
+    kept.  A move adds one vertex and three tetrahedra and keeps the
+    manifold.
+    """
+    rng = random.Random(seed)
+    rows = [list(row) for row in tri.gluings]
+    for _ in range(moves):
+        t = rng.randrange(len(rows))
+        pieces = (t, len(rows), len(rows) + 1, len(rows) + 2)
+        old = rows[t]
+        rows.extend([None] * 4 for _ in range(3))
+        for i in range(4):
+            row = [Gluing(pieces[j], i, _SWAP[i][j]) for j in range(4)]
+            g = old[i]
+            if g is None:
+                row[i] = None
+            elif g.tet == t:
+                row[i] = Gluing(pieces[g.face], g.face, g.perm)
+            else:
+                row[i] = g
+                rows[g.tet][g.face] = Gluing(pieces[i], i,
+                                             model.INVERSE[g.perm])
+            rows[pieces[i]] = row
+    return Triangulation(rows)
 
 
 CORPUS = {

@@ -242,11 +242,6 @@ def perm_sign(p):
     return sign
 
 
-def perm_compose(p, q):
-    """The permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(4))
-
-
 def perm_invert(p):
     inv = [0] * 4
     for i, pi in enumerate(p):
@@ -258,3 +253,15 @@ def perm_on_edge(p, e):
     """Image of edge index e under a vertex permutation."""
     u, v = EDGES[e]
     return edge_index(p[u], p[v])
+
+
+# INVERSE[p] is the inverse of p; keys and values are the tuples of S4,
+# so a table built from them shares 24 permutation objects.
+_INTERNED = {p: p for p in S4}
+INVERSE = {p: _INTERNED[perm_invert(p)] for p in S4}
+
+# EDGE_IMAGE[p][e] = (edge index of the image of e, flip), where flip is
+# 1 when p sends the lower endpoint of e to the higher endpoint of its image.
+EDGE_IMAGE = {p: tuple((perm_on_edge(p, e), int(p[u] > p[v]))
+                       for e, (u, v) in enumerate(EDGES))
+              for p in S4}

@@ -14,6 +14,8 @@ The text file format accepted by :func:`parse_triangulation`:
   face) or ``t:f:abc`` gluing to face f of tetrahedron t, with ``abc``
   the images of the source face's corners listed in ascending
   source-corner order;
+* every number is a canonical ASCII decimal numeral, with no sign,
+  underscore or leading zero but for ``0`` itself;
 * ``#`` starts a comment running to the end of the line.
 """
 
@@ -51,25 +53,21 @@ class Gluing(Record):
     def image_of_vertex(self, v):
         return self.perm[v]
 
-    def image_of_edge(self, e):
-        return model.perm_on_edge(self.perm, e)
-
 
 class Triangulation:
     """An immutable collection of tetrahedra with face pairings.
 
-    ``gluings`` maps every (t, f) to None (boundary face) or a
-    :class:`Gluing`, and a missing key reads as a boundary face; the
-    table is kept as ``gluings[t][f]``.  Construction validates
-    involutivity and rejects faces glued to themselves.
+    ``gluings`` has one row per tetrahedron, and row t holds, for faces
+    0..3, None (boundary face) or a :class:`Gluing`; the table is kept
+    as ``gluings[t][f]``.  Construction validates involutivity and
+    rejects faces glued to themselves.
     """
 
-    def __init__(self, tetrahedron_count, gluings):
-        if tetrahedron_count <= 0:
+    def __init__(self, gluings):
+        if not gluings:
             raise TriangulationError("tetrahedron count must be positive")
-        self.tetrahedron_count = tetrahedron_count
-        self.gluings = tuple(tuple(gluings.get((t, f)) for f in range(4))
-                             for t in range(tetrahedron_count))
+        self.tetrahedron_count = len(gluings)
+        self.gluings = tuple(map(tuple, gluings))
         self._validate()
 
     @classmethod
@@ -86,42 +84,43 @@ class Triangulation:
             perm[f] = f2
             for v, w in corner_map.items():
                 perm[v] = w
-            if None in perm or sorted(perm) != [0, 1, 2, 3]:
+            perm = tuple(perm)
+            if perm not in model.INVERSE:
                 raise TriangulationError(
                     f"corner map not a bijection for gluing ({t},{f})")
-            perm = tuple(perm)
             table[(t, f)] = Gluing(t2, f2, perm)
-            table[(t2, f2)] = Gluing(t, f, model.perm_invert(perm))
-        gluings = {(t, f): table.get((t, f))
-                   for t in range(tetrahedron_count) for f in range(4)}
-        return cls(tetrahedron_count, gluings)
+            table[(t2, f2)] = Gluing(t, f, model.INVERSE[perm])
+        return cls([[table.get((t, f)) for f in range(4)]
+                    for t in range(tetrahedron_count)])
 
     def _validate(self):
         n = self.tetrahedron_count
-        for t in range(n):
-            for f in range(4):
-                g = self.gluings[t][f]
+        rows = self.gluings
+        inverse = model.INVERSE
+        for t, row in enumerate(rows):
+            for f, g in enumerate(row):
                 if g is None:
                     continue
-                if not (0 <= g.tet < n):
+                t2, f2, perm = g.tet, g.face, g.perm
+                if not 0 <= t2 < n:
                     raise TriangulationError(
-                        f"gluing ({t},{f}) targets tetrahedron {g.tet}, "
+                        f"gluing ({t},{f}) targets tetrahedron {t2}, "
                         f"out of range")
-                if not (0 <= g.face < 4):
+                if not 0 <= f2 < 4:
                     raise TriangulationError(
-                        f"gluing ({t},{f}) targets face {g.face}, out of range")
-                if sorted(g.perm) != [0, 1, 2, 3]:
+                        f"gluing ({t},{f}) targets face {f2}, out of range")
+                if perm not in inverse:
                     raise TriangulationError(
                         f"corner map not a bijection at ({t},{f})")
-                if g.perm[f] != g.face:
+                if perm[f] != f2:
                     raise TriangulationError(
                         f"corner map at ({t},{f}) does not send face {f} "
-                        f"to face {g.face}")
-                if (g.tet, g.face) == (t, f):
+                        f"to face {f2}")
+                if t2 == t and f2 == f:
                     raise TriangulationError(f"self-glued face ({t},{f})")
-                back = self.gluings[g.tet][g.face]
-                if back is None or (back.tet, back.face) != (t, f) \
-                        or back.perm != model.perm_invert(g.perm):
+                back = rows[t2][f2]
+                if back is None or back.tet != t or back.face != f \
+                        or back.perm != inverse[perm]:
                     raise TriangulationError(
                         f"non-involutive gluing at ({t},{f})")
 
@@ -130,10 +129,6 @@ class Triangulation:
     def is_closed(self):
         return all(g is not None
                    for row in self.gluings for g in row)
-
-    def boundary_faces(self):
-        return [(t, f) for t in range(self.tetrahedron_count)
-                for f in range(4) if self.gluings[t][f] is None]
 
     def face_pairs(self):
         """Each glued face pair once, as (t, f, gluing) in (t, f) order."""
@@ -179,8 +174,66 @@ class Triangulation:
         return hash(self.gluings)
 
 
+# _TAILS[f] maps each of the 24 valid tails ``f2:abc`` of a gluing token
+# on face f, the part after the target tetrahedron, to (f2, perm) with
+# perm the tuple of model.S4 it spells.
+_TAILS = tuple({f"{p[f]}:" + "".join(str(p[v]) for v in corners): (p[f], p)
+                for p in model.S4}
+               for f, corners in enumerate(model.FACE_VERTICES))
+
+
+def _numeral(text):
+    """The value of a canonical decimal numeral, or None.
+
+    A canonical numeral is ASCII digits with no sign, underscore or
+    leading zero but for ``0`` itself, so ``str`` writes its value back
+    unchanged.  A minus sign before a nonzero one reads as a negative
+    number, which every caller rejects as out of range.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() \
+            and (digits[0] != "0" or text == "0"):
+        return int(text)
+    return None
+
+
+def _token_error(token, f, count):
+    """Why a gluing token on face f names no gluing, as a message.
+
+    The token missed the tables of :func:`parse_triangulation`, and the
+    checks run in a fixed order: a token that passes all but the last
+    spells a corner map that is not a bijection.
+    """
+    parts = token.split(":")
+    if len(parts) != 3:
+        return f"malformed gluing token {token!r}"
+    t2, f2 = _numeral(parts[0]), _numeral(parts[1])
+    if t2 is None or f2 is None:
+        return f"malformed gluing token {token!r}"
+    if not 0 <= t2 < count:
+        return f"tetrahedron index {t2} out of range"
+    if not 0 <= f2 < 4:
+        return f"face index {f2} out of range"
+    corners = parts[2]
+    if len(corners) != 3 or not (corners.isascii() and corners.isdigit()):
+        return f"corner map {corners!r} must be 3 digits"
+    if max(corners) > "3":
+        return f"corner {max(corners)} out of range"
+    return f"corner map not a bijection in {token!r}"
+
+
 def parse_triangulation(text):
-    """Parse the text format into a validated :class:`Triangulation`."""
+    """Parse the text format into a validated :class:`Triangulation`.
+
+    Every numeral must be canonical (see :func:`_numeral`), so
+    ``to_text`` writes each accepted token back unchanged.  A gluing
+    token ``t:f:abc`` is read by two table lookups: the string t in a
+    table of the N canonical tetrahedron indices, and the tail ``f:abc``
+    in the 24-entry table of the source face.  A token either table
+    misses is explained by :func:`_token_error`, so the tables are the
+    validity check.  With the involutivity check of
+    :class:`Triangulation`, the cost is linear in the file length.
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -189,11 +242,10 @@ def parse_triangulation(text):
     if not rows:
         raise ParseError("empty file", 1)
     lineno, head = rows[0]
-    try:
-        count = int(head.strip())
-    except ValueError:
+    count = _numeral(head.strip())
+    if count is None:
         raise ParseError(f"expected tetrahedron count, got {head.strip()!r}",
-                         lineno) from None
+                         lineno)
     if count <= 0:
         raise ParseError("tetrahedron count must be positive", lineno)
     if len(rows) - 1 != count:
@@ -201,52 +253,28 @@ def parse_triangulation(text):
             f"expected {count} gluing lines, found {len(rows) - 1}",
             rows[-1][0] if len(rows) > 1 else lineno)
 
-    gluings = {}
-    for t, (lineno, body) in enumerate(rows[1:]):
+    index = {str(t): t for t in range(count)}
+    gluings = []
+    for lineno, body in rows[1:]:
         tokens = body.split()
         if len(tokens) != 4:
             raise ParseError(f"expected 4 gluing tokens, found {len(tokens)}",
                              lineno)
+        row = []
         for f, token in enumerate(tokens):
-            column = body.index(token) + 1
             if token == "-":
-                gluings[(t, f)] = None
+                row.append(None)
                 continue
-            parts = token.split(":")
-            if len(parts) != 3:
-                raise ParseError(f"malformed gluing token {token!r}",
-                                 lineno, column)
-            try:
-                t2 = int(parts[0])
-                f2 = int(parts[1])
-            except ValueError:
-                raise ParseError(f"malformed gluing token {token!r}",
-                                 lineno, column) from None
-            if not (0 <= t2 < count):
-                raise ParseError(f"tetrahedron index {t2} out of range",
-                                 lineno, column)
-            if not (0 <= f2 < 4):
-                raise ParseError(f"face index {f2} out of range",
-                                 lineno, column)
-            if len(parts[2]) != 3 or not parts[2].isdigit():
-                raise ParseError(f"corner map {parts[2]!r} must be 3 digits",
-                                 lineno, column)
-            images = [int(c) for c in parts[2]]
-            if any(i > 3 for i in images):
-                raise ParseError(f"corner {max(images)} out of range",
-                                 lineno, column)
-            perm = [None] * 4
-            perm[f] = f2
-            for v, w in zip([v for v in range(4) if v != f], images):
-                perm[v] = w
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise ParseError(f"corner map not a bijection in {token!r}",
-                                 lineno, column)
-            gluings[(t, f)] = Gluing(t2, f2, tuple(perm))
+            head, _, tail = token.partition(":")
+            t2 = index.get(head)
+            hit = _TAILS[f].get(tail)
+            if t2 is None or hit is None:
+                raise ParseError(_token_error(token, f, count),
+                                 lineno, body.index(token) + 1)
+            row.append(Gluing(t2, *hit))
+        gluings.append(row)
     try:
-        return Triangulation(count, gluings)
-    except ParseError:
-        raise
+        return Triangulation(gluings)
     except TriangulationError as exc:
         raise ParseError(str(exc), rows[-1][0]) from exc
 
@@ -331,10 +359,6 @@ class ParityUnionFind:
         if span[ry] != 1:
             span[rx] = _span_sum(span[rx], span[ry])
 
-    def has_odd_cycle(self, x):
-        """Whether the class of x holds an odd cycle of bit 0."""
-        return bool(self.span[self.find(x)] & ODD_LABELS)
-
     def classes(self):
         """Class number of every element, and the root of every class.
 
@@ -350,14 +374,6 @@ class ParityUnionFind:
                 roots.append(root)
             labels.append(number[root])
         return labels, roots
-
-    def orbits(self):
-        """The classes as ascending lists, in order of smallest member."""
-        labels, roots = self.classes()
-        out = [[] for _ in roots]
-        for x, c in enumerate(labels):
-            out[c].append(x)
-        return out
 
 
 class Skeleton(Record):
@@ -395,56 +411,108 @@ class Skeleton(Record):
         return v - e + f - tetrahedron_count
 
 
+# _EXIT[e][f] is the face of edge e other than f, for f a face of e.
+_EXIT = tuple({fa: fb, fb: fa} for fa, fb in model.FACES_OF_EDGE)
+
+
 def compute_skeleton(tri):
     """Orbits of vertices, edges and faces under the gluing maps.
 
-    Cells are numbered 4t+v, 6t+e and 4t+f in one
-    :class:`ParityUnionFind` each, and every glued face pair is visited
-    once, so the cost is linear in the tetrahedron count.  An edge
-    cell's parity is its direction: a gluing that sends the lower
-    endpoint to the higher one relates the two edges with odd parity,
-    and an orbit whose classes hold an odd cycle identifies an edge
-    with itself reversed.
+    Each orbit is walked from its smallest cell, cells numbered 4t+v
+    and 6t+e, and sorted, so orbits come in order of smallest member.
+    A vertex orbit is a breadth-first walk: cell (t, v) meets
+    (t', perm[v]) across every glued face of t at v, and is on the
+    boundary when one of those faces is not glued.  An edge cell lies
+    in two faces, so its orbit is a cycle or, on the boundary, a path:
+    the walk crosses the face it did not come in by, with the image
+    edge and its direction flip read from ``model.EDGE_IMAGE``, until it
+    is back at its first cell or, on a path, at a boundary face, where
+    it walks the other way from the first cell.  A cycle whose flips
+    add to an odd parity identifies an edge with itself reversed.  A
+    face orbit is one glued pair or one boundary face.  Each cell is
+    visited once and each glued face crossed a bounded number of times,
+    so the cost is linear in the tetrahedron count, plus the sorting of
+    the orbits.
     """
     n = tri.tetrahedron_count
-    vertices = ParityUnionFind(4 * n)
-    edges = ParityUnionFind(6 * n)
-    faces = ParityUnionFind(4 * n)
-    for t, f, g in tri.face_pairs():
-        t2, perm = g.tet, g.perm
-        faces.union(4 * t + f, 4 * t2 + g.face)
-        for v in model.FACE_VERTICES[f]:
-            vertices.union(4 * t + v, 4 * t2 + perm[v])
-        for e in model.FACE_EDGES[f]:
-            u, w = model.EDGES[e]
-            edges.union(6 * t + e, 6 * t2 + model.edge_index(perm[u], perm[w]),
-                        perm[u] > perm[w])
+    rows = tri.gluings
+    edge_image = model.EDGE_IMAGE
 
-    edge_classes = edges.orbits()
-    vertex_orbits = tuple(tuple((c >> 2, c & 3) for c in o)
-                          for o in vertices.orbits())
-    edge_orbits = tuple(tuple(divmod(c, 6) for c in o) for o in edge_classes)
-    face_orbits = tuple(tuple((c >> 2, c & 3) for c in o)
-                        for o in faces.orbits())
+    seen = bytearray(4 * n)
+    vertex_orbits, vertex_boundary = [], []
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        boundary = False
+        for cell in orbit:
+            t, v = cell >> 2, cell & 3
+            row = rows[t]
+            for f in model.FACE_VERTICES[v]:    # the faces f != v
+                g = row[f]
+                if g is None:
+                    boundary = True
+                    continue
+                image = 4 * g.tet + g.perm[v]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        orbit.sort()
+        vertex_orbits.append(tuple([(c >> 2, c & 3) for c in orbit]))
+        vertex_boundary.append(boundary)
 
-    def vertex_is_boundary(orbit):
-        return any(tri.gluings[t][f] is None
-                   for (t, v) in orbit
-                   for f in range(4) if f != v)
+    seen = bytearray(6 * n)
+    edge_orbits, edge_boundary, edge_reversed = [], [], []
+    for start in range(6 * n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        boundary = reverse = False
+        t0, e0 = divmod(start, 6)
+        for exit_face in model.FACES_OF_EDGE[e0]:
+            t, e, f, parity = t0, e0, exit_face, 0
+            while True:
+                g = rows[t][f]
+                if g is None:
+                    boundary = True
+                    break
+                e, flip = edge_image[g.perm][e]
+                parity ^= flip
+                t = g.tet
+                cell = 6 * t + e
+                if cell == start:
+                    reverse = parity == 1
+                    break
+                seen[cell] = 1
+                orbit.append(cell)
+                f = _EXIT[e][g.face]
+            if not boundary:
+                break
+        orbit.sort()
+        edge_orbits.append(tuple([divmod(c, 6) for c in orbit]))
+        edge_boundary.append(boundary)
+        edge_reversed.append(reverse)
 
-    def edge_is_boundary(orbit):
-        return any(tri.gluings[t][f] is None
-                   for (t, e) in orbit
-                   for f in model.FACES_OF_EDGE[e])
+    face_orbits, face_boundary = [], []
+    for t, row in enumerate(rows):
+        for f, g in enumerate(row):
+            if g is None:
+                face_orbits.append(((t, f),))
+                face_boundary.append(True)
+            elif t < g.tet or (t == g.tet and f < g.face):
+                face_orbits.append(((t, f), (g.tet, g.face)))
+                face_boundary.append(False)
 
     return Skeleton(
-        vertex_orbits=vertex_orbits,
-        edge_orbits=edge_orbits,
-        face_orbits=face_orbits,
-        vertex_boundary=tuple(vertex_is_boundary(o) for o in vertex_orbits),
-        edge_boundary=tuple(edge_is_boundary(o) for o in edge_orbits),
-        face_boundary=tuple(len(o) == 1 for o in face_orbits),
-        edge_reversed=tuple(edges.has_odd_cycle(o[0]) for o in edge_classes),
+        vertex_orbits=tuple(vertex_orbits),
+        edge_orbits=tuple(edge_orbits),
+        face_orbits=tuple(face_orbits),
+        vertex_boundary=tuple(vertex_boundary),
+        edge_boundary=tuple(edge_boundary),
+        face_boundary=tuple(face_boundary),
+        edge_reversed=tuple(edge_reversed),
     )
 
 

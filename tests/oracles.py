@@ -17,7 +17,7 @@ where the package uses a least-rotation algorithm, and the least width
 over all presentations found by scoring every birth/death kind sequence,
 where the package uses a closed form, the skeleton from tuple-keyed
 cells with every edge doubled into its two directions, where the
-package keeps one parity per integer cell, orientability by
+package walks each orbit with one direction parity, orientability by
 propagating signs tetrahedron by tetrahedron, the HST minimum
 search rebuilding every rewrite and canonical key of every state it
 pops, where the package caches each thick level's rewrites, and
@@ -26,6 +26,8 @@ edge-stack entry per piece, where the package joins runs of parallel
 copies, tube adjacency read off explicit edge stacks, where the
 package computes each piece's stack position, and the legal exchanges
 found by attempting every move, where the package tests the slots.
+It also keeps the permutation and gluing helpers that only the tests
+use.
 """
 
 import math
@@ -37,7 +39,7 @@ from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        check_admissible, infer_mode)
 from normalhst.thin_position import (MorsePresentation, PresentationError,
                                      exchange_move, width)
-from normalhst.triangulation import (ParityUnionFind, Skeleton,
+from normalhst.triangulation import (ODD_LABELS, ParityUnionFind, Skeleton,
                                      compute_skeleton)
 
 
@@ -76,6 +78,22 @@ class UnionFind:
         for x in self.parent:
             groups.setdefault(self.find(x), set()).add(x)
         return list(groups.values())
+
+
+def perm_compose(p, q):
+    """The permutation of {0,1,2,3} applying q first, then p."""
+    return tuple(p[q[i]] for i in range(4))
+
+
+def image_of_edge(gluing, e):
+    """The edge index a gluing sends edge e of its source face to."""
+    return model.perm_on_edge(gluing.perm, e)
+
+
+def boundary_faces(tri):
+    """The unglued faces (t, f) of a triangulation, in (t, f) order."""
+    return [(t, f) for t in range(tri.tetrahedron_count)
+            for f in range(4) if tri.gluings[t][f] is None]
 
 
 def bareiss_rank(rows):
@@ -134,7 +152,7 @@ def explicit_skeleton(tri):
             for v in model.FACE_VERTICES[f]:
                 vertices.union((t, v), (g.tet, g.image_of_vertex(v)))
             for e in model.FACE_EDGES[f]:
-                e2 = g.image_of_edge(e)
+                e2 = image_of_edge(g, e)
                 edges.union((t, e), (g.tet, e2))
                 u, v = model.EDGES[e]
                 flip = 0 if g.image_of_vertex(u) < g.image_of_vertex(v) else 1
@@ -221,7 +239,7 @@ def link_chi(tri, vertex_orbit_members):
             sides.union((t, v, f), (g.tet, v2, g.face))
             for e in model.FACE_EDGES[f]:
                 if v in model.EDGES[e]:
-                    ends.union((t, v, e), (g.tet, v2, g.image_of_edge(e)))
+                    ends.union((t, v, e), (g.tet, v2, image_of_edge(g, e)))
     return ends.orbit_count() - sides.orbit_count() + len(members)
 
 
@@ -359,7 +377,7 @@ def surface_cells(tri, vector):
             if g is None:
                 continue
             for e in model.FACE_EDGES[f]:
-                e2 = g.image_of_edge(e)
+                e2 = image_of_edge(g, e)
                 u, w = model.EDGES[e]
                 width = _edge_width(vector, t, e)
                 assert width == _edge_width(vector, g.tet, e2)
@@ -499,7 +517,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
     sheets = ParityUnionFind(len(pieces))
 
     boundary_arcs = []
-    for t, f in tri.boundary_faces():
+    for t, f in boundary_faces(tri):
         for w in model.FACE_VERTICES[f]:
             for piece in face_arcs(v.tets[t], f, w):
                 boundary_arcs.append(index[(t,) + piece])
@@ -515,7 +533,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
                 sa = _ARC_SLOT[pa[0], pa[1], f, w]
                 sb = _ARC_SLOT[pb[0], pb[1], g.face, w2]
                 e_from, end = sa[2]
-                mapped_from = (g.image_of_edge(e_from),
+                mapped_from = (image_of_edge(g, e_from),
                                None if end is None
                                else g.image_of_vertex(end))
                 sheets.union(ia, index[(g.tet,) + pb], mapped_from == sb[2])
@@ -552,7 +570,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
         count[labels[ia]] -= 1
         closed[labels[ia]] = False
 
-    orientable = tuple(not sheets.has_odd_cycle(root) for root in roots)
+    orientable = tuple(not sheets.span[r] & ODD_LABELS for r in roots)
     return SurfaceSummary(
         euler_characteristic=sum(count),
         component_count=ncomp,

@@ -65,6 +65,37 @@ def test_validate_json_schema(files, capsys):
     assert all(link["kind"] == "sphere" for link in payload["links"])
 
 
+DOUBLED_TEXT = library.doubled_tetrahedron().to_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    (DOUBLED_TEXT.replace("1:0:123", "1_0:0:123", 1),
+     "line 2, column 1: malformed gluing token '1_0:0:123'"),
+    (DOUBLED_TEXT.replace("1:0:123", "+1:0:123", 1),
+     "line 2, column 1: malformed gluing token '+1:0:123'"),
+    (DOUBLED_TEXT.replace("1:0:123", "1:+0:123", 1),
+     "line 2, column 1: malformed gluing token '1:+0:123'"),
+    (DOUBLED_TEXT.replace("1:0:123", "1:00:123", 1),
+     "line 2, column 1: malformed gluing token '1:00:123'"),
+    (DOUBLED_TEXT.replace("1:0:123", "\u0661:0:123", 1),
+     "line 2, column 1: malformed gluing token '\u0661:0:123'"),
+    (DOUBLED_TEXT.replace("1:0:123", "1:0:1\u00b23", 1),
+     "line 2, column 1: corner map '1\u00b23' must be 3 digits"),
+    ("+2" + DOUBLED_TEXT[1:],
+     "line 1: expected tetrahedron count, got '+2'"),
+    ("2_0\n" + "- - - -\n" * 20,
+     "line 1: expected tetrahedron count, got '2_0'"),
+], ids=["underscore", "sign", "face-sign", "face-zero", "arabic-indic",
+        "superscript", "count-sign", "count-underscore"])
+def test_non_canonical_numeral_is_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.tri"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert run(["validate", tmp_path / "nope.tri"]) == 2
 
@@ -107,6 +138,44 @@ def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
     assert payload["classification"] == "Normal"
     assert not payload["admissible"]
     assert calls == ["almost_normal", "normal"]
+
+
+def test_surface_checks_each_distinct_block_once(tmp_path, capsys,
+                                                monkeypatch):
+    # Six unglued tetrahedra, so every vector is admissible: one octagon
+    # block, two blocks that repeat, and the zero block.
+    from normalhst import curve_patterns
+    from normalhst.curve_patterns import CurvePattern, check_348
+    blocks = [((1, 1, 0, 0), (0, 0, 0), (1, 0, 0)),
+              ((1, 0, 2, 0), (0, 0, 0), (0, 0, 0)),
+              ((0, 0, 0, 0), (0, 3, 0), (0, 0, 0)),
+              ((1, 0, 2, 0), (0, 0, 0), (0, 0, 0)),
+              ((0, 0, 0, 0), (0, 3, 0), (0, 0, 0)),
+              ((0, 0, 0, 0), (0, 0, 0), (0, 0, 0))]
+    tri_file = tmp_path / "six.tri"
+    tri_file.write_text("6\n" + "- - - -\n" * 6)
+    vec_file = tmp_path / "blocks.json"
+    vec_file.write_text(json.dumps(SurfaceVector(tuple(blocks))
+                                   .to_json_dict()))
+    calls = []
+    monkeypatch.setattr(curve_patterns, "check_348",
+                        lambda pattern: calls.append(pattern)
+                        or check_348(pattern))
+    assert run(["surface", tri_file, vec_file, "--format", "json"]) == 0
+    assert len(calls) == len(set(blocks)) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "AlmostNormalOctagon"
+    per_tet = []
+    for t, block in enumerate(blocks):
+        result = check_348(CurvePattern.from_block(block))
+        per_tet.append({"tet": t, "passed": result.passed,
+                        "loops_of_length_8": result.octagons,
+                        "witness": list(result.witness)
+                        if result.witness else None})
+    assert payload["check_348"] == {"per_tetrahedron": per_tet,
+                                    "octagon_loops_total": 1,
+                                    "single_octagon_globally": True,
+                                    "passed": True}
 
 
 def test_surface_two_octagons_inadmissible(files, capsys):

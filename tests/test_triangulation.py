@@ -3,19 +3,20 @@ import random
 
 import pytest
 
-from normalhst import model
+from normalhst import model, triangulation
 from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
                                lens_l41, one_tet_sphere,
                                pseudomanifold_two_tet, rp3_two_tet,
-                               single_tetrahedron)
-from normalhst.triangulation import (ParityUnionFind, ParseError,
-                                     Triangulation, TriangulationError,
-                                     compute_skeleton, parse_triangulation,
-                                     validate_manifold)
+                               single_tetrahedron, stellar_subdivision)
+from normalhst.triangulation import (ODD_LABELS, ParityUnionFind,
+                                     ParseError, Triangulation,
+                                     TriangulationError, compute_skeleton,
+                                     parse_triangulation, validate_manifold)
 
-from oracles import (UnionFind, explicit_skeleton, link_chi,
-                     orientable_by_propagation)
-from pairings import random_closed_pairing
+from oracles import (UnionFind, boundary_faces, explicit_skeleton,
+                     image_of_edge, link_chi, orientable_by_propagation,
+                     perm_compose)
+from pairings import random_closed_pairing, random_pairing
 
 LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
            one_tet_sphere, lens_l41, rp3_two_tet, pseudomanifold_two_tet)
@@ -23,16 +24,35 @@ LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
 PAIRINGS = [(n, seed) for n in range(1, 7) for seed in range(100)]
 
 
+DOUBLED_TEXT = doubled_tetrahedron().to_text()
+
+
 def _oracle_inputs():
     yield from (build() for build in LIBRARY)
     yield from (random_closed_pairing(n, seed) for n, seed in PAIRINGS)
+
+
+def _bounded_pairings():
+    """Seeded pairings with unglued faces, up to 300 tetrahedra."""
+    for n in range(1, 7):
+        for seed in range(40):
+            yield random_pairing(n, seed, 2 * (seed % (2 * n) + 1))
+    for n, boundary in ((50, 2), (120, 10), (300, 40)):
+        yield random_pairing(n, n, boundary)
+
+
+def _stellar_subdivisions():
+    """Seeded 1-4 moves on the library, up to about 300 tetrahedra."""
+    for build in LIBRARY:
+        for moves in (1, 7, 40, 99):
+            yield stellar_subdivision(build(), moves, moves)
 
 
 def test_parse_single_unglued():
     tri = parse_triangulation("1\n- - - -\n")
     assert tri.tetrahedron_count == 1
     assert not tri.is_closed()
-    assert len(tri.boundary_faces()) == 4
+    assert len(boundary_faces(tri)) == 4
 
 
 def test_parse_doubled_identity():
@@ -93,7 +113,7 @@ def test_involutivity_exhaustive():
                     continue
                 back = tri.gluings[g.tet][g.face]
                 assert (back.tet, back.face) == (t, f)
-                assert model.perm_compose(back.perm, g.perm) == (0, 1, 2, 3)
+                assert perm_compose(back.perm, g.perm) == (0, 1, 2, 3)
 
 
 def test_skeleton_counts_single():
@@ -159,7 +179,7 @@ def test_orbit_soundness():
                         v_orbit[(g.tet, g.image_of_vertex(v))]
                 for e in model.FACE_EDGES[f]:
                     assert e_orbit[(t, e)] == \
-                        e_orbit[(g.tet, g.image_of_edge(e))]
+                        e_orbit[(g.tet, image_of_edge(g, e))]
 
 
 def test_closed_triangulations_have_zero_alternating_sum():
@@ -245,6 +265,109 @@ def test_validate_and_orientability_against_oracles():
             orientable_by_propagation(tri)
 
 
+def test_skeleton_matches_oracles_with_boundary_and_stellar_moves():
+    # Bounded pairings give edge orbits that are paths, not cycles.
+    paths = 0
+    for tri in itertools.chain(_bounded_pairings(), _stellar_subdivisions()):
+        sk = compute_skeleton(tri)
+        assert sk == explicit_skeleton(tri)
+        assert parse_triangulation(tri.to_text()) == tri
+        report = validate_manifold(tri, sk)
+        assert [link.euler_characteristic for link in report.links] == \
+            [link_chi(tri, orbit) for orbit in sk.vertex_orbits]
+        paths += sum(sk.edge_boundary)
+    assert paths > 1000
+
+
+def test_stellar_moves_keep_the_manifold():
+    for build in LIBRARY:
+        tri = build()
+        before = validate_manifold(tri)
+        vertices = compute_skeleton(tri).counts[0]
+        for moves in (1, 12):
+            after = stellar_subdivision(tri, moves, 5)
+            assert after.tetrahedron_count == tri.tetrahedron_count + 3 * moves
+            report = validate_manifold(after)
+            assert report.is_manifold == before.is_manifold
+            assert report.orientable == before.orientable
+            assert len(report.links) == vertices + moves
+
+
+def test_skeleton_uses_no_union_find(monkeypatch):
+    monkeypatch.setattr(triangulation, "ParityUnionFind", None)
+    for tri in (lens_l41(), single_tetrahedron(), random_pairing(9, 3, 6)):
+        assert compute_skeleton(tri) == explicit_skeleton(tri)
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0:0:123", "malformed gluing token '1_0:0:123'"),
+    ("+1:0:123", "malformed gluing token '+1:0:123'"),
+    ("1:+0:123", "malformed gluing token '1:+0:123'"),
+    ("1:00:123", "malformed gluing token '1:00:123'"),
+    ("01:0:123", "malformed gluing token '01:0:123'"),
+    ("-0:0:123", "malformed gluing token '-0:0:123'"),
+    ("\u0661:0:123", "malformed gluing token '\u0661:0:123'"),
+    ("1:0:1\u06623", "corner map '1\u06623' must be 3 digits"),
+    ("1:0:1\u00b23", "corner map '1\u00b23' must be 3 digits"),
+])
+def test_non_canonical_gluing_numeral_rejected(token, message):
+    # Each form was read as a number before: 1_0 as 10, +1 as 1, the
+    # Arabic-Indic digits as 1 and 2; the superscript two raised a bare
+    # ValueError.
+    text = DOUBLED_TEXT.replace("1:0:123", token, 1)
+    with pytest.raises(ParseError) as info:
+        parse_triangulation(text)
+    assert str(info.value) == f"line 2, column 1: {message}"
+
+
+@pytest.mark.parametrize("count, lines", [
+    ("+2", 2), ("2_0", 20), ("02", 2), ("\u0662", 2)])
+def test_non_canonical_count_rejected(count, lines):
+    # Each count was read as a number before, with as many lines as it
+    # reads as.
+    text = f"{count}\n" + "- - - -\n" * lines
+    with pytest.raises(ParseError) as info:
+        parse_triangulation(text)
+    assert str(info.value) == \
+        f"line 1: expected tetrahedron count, got {count!r}"
+
+
+def test_negative_numerals_stay_out_of_range():
+    with pytest.raises(ParseError, match="must be positive"):
+        parse_triangulation("-1\n- - - -\n")
+    with pytest.raises(ParseError, match="tetrahedron index -1 out of range"):
+        parse_triangulation(DOUBLED_TEXT.replace("1:0:123", "-1:0:123", 1))
+
+
+def test_accepted_tokens_are_written_back_unchanged():
+    # Seeded one-character edits of valid files, with signs, underscores
+    # and non-ASCII digits among the inserted characters: whatever parses
+    # is written back token for token.
+    rng = random.Random(20261019)
+    alphabet = "0123456789:-+_ \n\u0661\u00b2"
+    accepted = 0
+    for tri in itertools.islice(_oracle_inputs(), 0, None, 6):
+        text = tri.to_text()
+        for _ in range(20):
+            chars = list(text)
+            i = rng.randrange(len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                chars[i] = rng.choice(alphabet)
+            elif edit == 1:
+                chars.insert(i, rng.choice(alphabet))
+            else:
+                del chars[i]
+            mutated = "".join(chars)
+            try:
+                parsed = parse_triangulation(mutated)
+            except ParseError:
+                continue
+            accepted += 1
+            assert parsed.to_text().split() == mutated.split()
+    assert accepted > 50
+
+
 def _brute_force_colourings(size, relations):
     """Every parity assignment satisfying all (x, y, odd) relations."""
     return [bits for bits in itertools.product((0, 1), repeat=size)
@@ -277,7 +400,10 @@ def test_parity_union_find_against_brute_force():
         for x, y, _ in relations:
             classes.union(x, y)
         expected = sorted(sorted(o) for o in classes.orbits())
-        assert uf.orbits() == expected
+        labels, roots = uf.classes()
+        assert [[x for x in range(size) if labels[x] == c]
+                for c in range(len(roots))] == expected
+        assert all(uf.find(x) == roots[labels[x]] for x in range(size))
 
         for orbit in expected:
             root = uf.find(orbit[0])
@@ -290,12 +416,13 @@ def test_parity_union_find_against_brute_force():
                 assert any(span >> label & 1 and _bit(label, functional)
                            for label in range(4)) == (not colourings)
                 if functional == 1:
-                    assert uf.has_odd_cycle(orbit[0]) == (not colourings)
+                    assert bool(span & ODD_LABELS) == (not colourings)
                 for bits in colourings:
                     for x in orbit:
                         uf.find(x)
                         assert _bit(uf.parity[x], functional) == \
                             bits[x] ^ bits[root]
         odd = [(x, y, label & 1) for x, y, label in relations]
-        assert any(uf.has_odd_cycle(x) for x in range(size)) == \
+        assert any(uf.span[uf.find(x)] & ODD_LABELS
+                   for x in range(size)) == \
             (not _brute_force_colourings(size, odd))
