@@ -5,7 +5,8 @@ splittings.
 Reading bottom to top, a birth inserts two adjacent strands and a death
 joins two; the width sums the strand counts between consecutive events.
 An independent maximum sitting just above a minimum slides below it and
-drops the width by exactly four.
+drops the width by exactly four; the exchange-mode search applies such
+slides until none is left.
 """
 
 from normalhst.thin_position import (MorsePresentation, exchange_move,
@@ -41,6 +42,13 @@ print(f"  start: width {width(tangled).width}, "
 result = exchange_move(tangled, 3, 2)
 print(f"  after swapping: width {width(result.presentation).width} "
       f"(drop {result.width_decrease})")
+# Exchanges act on disjoint pairs and commute, so every maximal chain of
+# them ends at one presentation, the least width they reach.
+thinnest = thin_position_search(tangled, mode="exchange")
+witness = " ".join(f"{ev.kind}{ev.position}"
+                   for ev in thinnest.witness.events)
+print(f"  exchange-mode minimum: width {thinnest.minimum_width} "
+      f"(witness {witness}, {thinnest.states_explored} states explored)")
 
 print()
 print("Minimal width over all orderings of two births and two deaths:")

@@ -242,16 +242,12 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def _check_budget(args):
-    if args.budget < 1:
-        raise InputProblem(f"--budget must be at least 1, got {args.budget}")
-
-
 def cmd_hst(args):
     from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                       splitting_from_json, splitting_to_json, trace_to_json,
                       underlying_splitting)
-    _check_budget(args)
+    if args.budget < 1:
+        raise InputProblem(f"--budget must be at least 1, got {args.budget}")
     try:
         splitting = splitting_from_json(_load_json(args.splitting))
     except (HstError, TypeError, ValueError) as exc:
@@ -288,41 +284,33 @@ def cmd_width(args):
     from .thin_position import (PresentationError, induced_splitting,
                                 parse_presentation, thin_position_search,
                                 width)
-    _check_budget(args)
     try:
         pres = parse_presentation(_read(args.presentation))
         profile = width(pres)
+        if args.action == "width":
+            payload = {
+                "profile": list(profile.profile),
+                "width": profile.width,
+                "thick_levels": list(profile.thick_indices),
+                "thin_levels": list(profile.thin_indices),
+                "hits_zero_interior": profile.hits_zero_interior,
+            }
+        elif args.action == "split":
+            payload = {"levels": splitting_to_json(induced_splitting(pres)),
+                       "width": profile.width}
+        else:
+            result = thin_position_search(
+                pres, mode=args.search_mode,
+                single_component=args.single_component)
+            payload = {
+                "minimum_width": result.minimum_width,
+                "witness": [[e.kind, e.position]
+                            for e in result.witness.events],
+                "states_explored": result.states_explored,
+                "status": "certified",
+            }
     except PresentationError as exc:
         raise InputProblem(f"{args.presentation}: {exc}")
-    if args.action == "width":
-        payload = {
-            "profile": list(profile.profile),
-            "width": profile.width,
-            "thick_levels": list(profile.thick_indices),
-            "thin_levels": list(profile.thin_indices),
-            "hits_zero_interior": profile.hits_zero_interior,
-        }
-    elif args.action == "split":
-        try:
-            splitting = induced_splitting(pres)
-        except PresentationError as exc:
-            raise InputProblem(f"{args.presentation}: {exc}")
-        payload = {"levels": splitting_to_json(splitting),
-                   "width": profile.width}
-    else:
-        try:
-            result = thin_position_search(
-                pres, budget=args.budget, mode=args.search_mode,
-                single_component=args.single_component)
-        except PresentationError as exc:
-            raise InputProblem(f"{args.presentation}: {exc}")
-        payload = {
-            "minimum_width": result.minimum_width,
-            "witness": [[e.kind, e.position]
-                        for e in result.witness.events],
-            "states_explored": result.states_explored,
-            "status": "certified" if result.certified else "budget exhausted",
-        }
     emit(payload, args.format)
     return EXIT_OK
 
@@ -430,7 +418,6 @@ def build_parser():
     p.add_argument("presentation", help="presentation text file")
     p.add_argument("--action", choices=("width", "split", "search"),
                    default="width")
-    p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--search-mode", choices=("exchange", "all"),
                    default="exchange")
     p.add_argument("--single-component", action="store_true",

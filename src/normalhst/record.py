@@ -19,6 +19,21 @@ from operator import attrgetter
 setfield = object.__setattr__
 
 
+def numeral(text):
+    """The value of a canonical decimal numeral, or None.
+
+    A canonical numeral is ASCII digits with no sign, underscore or
+    leading zero but for ``0`` itself, so ``str`` writes its value back
+    unchanged.  A minus sign before a nonzero one reads as a negative
+    number, which every caller rejects as out of range.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() \
+            and (digits[0] != "0" or text == "0"):
+        return int(text)
+    return None
+
+
 class FrozenInstanceError(AttributeError):
     """Raised on assigning or deleting an attribute of a record."""
 

@@ -20,7 +20,7 @@ The text file format accepted by :func:`parse_triangulation`:
 """
 
 from . import model
-from .record import Record, setfield
+from .record import Record, numeral, setfield
 
 
 class TriangulationError(ValueError):
@@ -182,21 +182,6 @@ _TAILS = tuple({f"{p[f]}:" + "".join(str(p[v]) for v in corners): (p[f], p)
                for f, corners in enumerate(model.FACE_VERTICES))
 
 
-def _numeral(text):
-    """The value of a canonical decimal numeral, or None.
-
-    A canonical numeral is ASCII digits with no sign, underscore or
-    leading zero but for ``0`` itself, so ``str`` writes its value back
-    unchanged.  A minus sign before a nonzero one reads as a negative
-    number, which every caller rejects as out of range.
-    """
-    digits = text[1:] if text[:1] == "-" else text
-    if digits.isascii() and digits.isdigit() \
-            and (digits[0] != "0" or text == "0"):
-        return int(text)
-    return None
-
-
 def _token_error(token, f, count):
     """Why a gluing token on face f names no gluing, as a message.
 
@@ -207,7 +192,7 @@ def _token_error(token, f, count):
     parts = token.split(":")
     if len(parts) != 3:
         return f"malformed gluing token {token!r}"
-    t2, f2 = _numeral(parts[0]), _numeral(parts[1])
+    t2, f2 = numeral(parts[0]), numeral(parts[1])
     if t2 is None or f2 is None:
         return f"malformed gluing token {token!r}"
     if not 0 <= t2 < count:
@@ -225,7 +210,7 @@ def _token_error(token, f, count):
 def parse_triangulation(text):
     """Parse the text format into a validated :class:`Triangulation`.
 
-    Every numeral must be canonical (see :func:`_numeral`), so
+    Every numeral must be canonical (see :func:`.record.numeral`), so
     ``to_text`` writes each accepted token back unchanged.  A gluing
     token ``t:f:abc`` is read by two table lookups: the string t in a
     table of the N canonical tetrahedron indices, and the tail ``f:abc``
@@ -242,7 +227,7 @@ def parse_triangulation(text):
     if not rows:
         raise ParseError("empty file", 1)
     lineno, head = rows[0]
-    count = _numeral(head.strip())
+    count = numeral(head.strip())
     if count is None:
         raise ParseError(f"expected tetrahedron count, got {head.strip()!r}",
                          lineno)
@@ -269,8 +254,9 @@ def parse_triangulation(text):
             t2 = index.get(head)
             hit = _TAILS[f].get(tail)
             if t2 is None or hit is None:
-                raise ParseError(_token_error(token, f, count),
-                                 lineno, body.index(token) + 1)
+                # token f starts where the rest after f splits begins
+                raise ParseError(_token_error(token, f, count), lineno,
+                                 len(body) - len(body.split(None, f)[f]) + 1)
             row.append(Gluing(t2, *hit))
         gluings.append(row)
     try:

@@ -24,8 +24,10 @@ pops, where the package caches each thick level's rewrites, and
 surface reconstruction with one union-find element, one gluing and one
 edge-stack entry per piece, where the package joins runs of parallel
 copies, tube adjacency read off explicit edge stacks, where the
-package computes each piece's stack position, and the legal exchanges
-found by attempting every move, where the package tests the slots.
+package computes each piece's stack position, the legal exchanges
+found by attempting every move, where the package tests the slots, and
+the least width reachable by exchanges found by searching every
+reachable presentation, where the package runs one descent.
 It also keeps the permutation and gluing helpers that only the tests
 use.
 """
@@ -38,7 +40,7 @@ from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        SurfaceSummary, _crossing_direction,
                                        check_admissible, infer_mode)
 from normalhst.thin_position import (MorsePresentation, PresentationError,
-                                     exchange_move, width)
+                                     exchange_move, legal_exchanges, width)
 from normalhst.triangulation import (ODD_LABELS, ParityUnionFind, Skeleton,
                                      compute_skeleton)
 
@@ -777,6 +779,44 @@ def least_width_by_enumeration(births, single_component=False):
         if best is None or prof.width < best[0]:
             best = (prof.width, pres)
     return best
+
+
+def exchange_minimum_by_search(pres, budget=100000, single_component=False):
+    """(minimum width, witness, exhausted) of a depth-first search over
+    every presentation reachable from ``pres`` by exchange moves, visiting
+    at most ``budget`` of them, where the package runs one descent.
+
+    With ``single_component`` a presentation that hits zero between events
+    is visited but not a candidate; with no candidate at all it raises
+    the package's error.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    best = None
+    best_pres = None
+    explored = 0
+    exhausted = True
+    seen = set()
+    stack = [pres]
+    while stack:
+        current = stack.pop()
+        if current.events in seen:
+            continue
+        seen.add(current.events)
+        explored += 1
+        if explored > budget:
+            exhausted = False
+            break
+        prof = width(current)
+        if not (single_component and prof.hits_zero_interior) \
+                and (best is None or prof.width < best):
+            best, best_pres = prof.width, current
+        for d, b in legal_exchanges(current):
+            stack.append(exchange_move(current, d, b).presentation)
+    if best is None:
+        raise PresentationError(
+            "no presentation satisfies the single-component flag")
+    return best, best_pres, exhausted
 
 
 def rebuilt_rewrites(splitting):

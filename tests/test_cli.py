@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from normalhst import cli, library, normal_surfaces
 from normalhst.normal_surfaces import SurfaceVector, vertex_link
+from normalhst.thin_position import MorsePresentation, legal_exchanges, width
 
 
 @pytest.fixture
@@ -319,7 +321,7 @@ def test_hst_search_budget(files, capsys):
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
-@pytest.mark.parametrize("command", [("hst", "split"), ("width", "pres")])
+@pytest.mark.parametrize("command", [("hst", "split")])
 def test_budget_below_one_is_input_error(files, capsys, command, budget):
     subcommand, path = command
     assert run([subcommand, files[path], "--action", "search",
@@ -404,6 +406,47 @@ def test_width_all_mode_search_twelve_births(tmp_path, capsys):
     assert payload["status"] == "certified"
     assert payload["minimum_width"] == 24
     assert payload["witness"] == [["B", 0], ["D", 0]] * 12
+
+
+def test_width_exchange_search_forty_births(tmp_path, capsys):
+    # A depth-first search over the exchanges from this start does not
+    # finish within 20000 presentations; the descent makes 47 exchanges.
+    rng = random.Random(40)
+    events, count, left = [], 0, 40
+    while left or count:
+        if left and (count == 0 or rng.random() < 0.5):
+            events.append(("B", rng.randint(0, count)))
+            count += 2
+            left -= 1
+        else:
+            events.append(("D", rng.randint(0, count - 2)))
+            count -= 2
+    path = tmp_path / "forty.txt"
+    path.write_text("".join(f"{k} {i}\n" for k, i in events))
+    start = time.perf_counter()
+    assert run(["width", path, "--action", "search", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 0.5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "certified"
+    pres = MorsePresentation.of(*events)
+    assert payload["states_explored"] > 1
+    assert payload["minimum_width"] == \
+        width(pres).width - 4 * (payload["states_explored"] - 1)
+    witness = MorsePresentation.of(*payload["witness"])
+    assert width(witness).width == payload["minimum_width"]
+    assert legal_exchanges(witness) == []
+
+
+@pytest.mark.parametrize("slot", ["+0", "0_0", "00", "-0", "\u0660"])
+def test_width_non_canonical_slot_is_one_line(tmp_path, capsys, slot):
+    # int() read each of these as slot 0
+    path = tmp_path / "bad.txt"
+    path.write_text(f"B 0\nB {slot}\nD 0\nD 0\n", encoding="utf-8")
+    assert run(["width", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {path}: line 2: bad position {slot!r}\n"
 
 
 def test_width_bad_presentation(tmp_path):
@@ -568,6 +611,7 @@ def test_missing_positional_is_one_line(capsys):
     ["width", "pres", "--seed", "1"],
     ["curves", *"0" * 12, "--seed", "1"],
     ["selftest", "--format", "json"],
+    ["width", "pres", "--action", "search", "--budget", "5"],
 ])
 def test_removed_flags_are_one_line(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]

@@ -90,8 +90,8 @@ SAMPLES = {
     WidthProfile: ("(profile, width, thick_indices, thin_indices, "
                    "hits_zero_interior)", ((2,), 2, (0,), (), False), {}),
     ExchangeResult: ("(presentation, width_decrease)", (PRESENTATION, 4), {}),
-    ThinPositionResult: ("(minimum_width, witness, certified, "
-                         "states_explored)", (2, PRESENTATION, True, 1), {}),
+    ThinPositionResult: ("(minimum_width, witness, states_explored)",
+                         (2, PRESENTATION, 1), {}),
     CriterionResult: ("(number, title, passed, detail)",
                       (6, "width arithmetic", True, "ok"), {}),
 }

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from normalhst.thin_position import (Event, MorsePresentation,
+from normalhst.thin_position import (BIRTH, DEATH, Event, MorsePresentation,
                                      PresentationError, all_presentations,
                                      exchange_move, format_presentation,
                                      induced_splitting, legal_exchanges,
                                      parse_presentation,
                                      thin_position_search, width)
-from oracles import exchanges_by_trial, least_width_by_enumeration
+from oracles import (exchange_minimum_by_search, exchanges_by_trial,
+                     least_width_by_enumeration)
 
 
 def levels_of(splitting):
@@ -190,7 +193,6 @@ def test_search_all_two_births_two_deaths():
     free = thin_position_search(pres, mode="all")
     assert free.minimum_width == 4
     assert free.witness.kinds() == "BDBD"
-    assert free.certified
     tied = thin_position_search(pres, mode="all", single_component=True)
     assert tied.minimum_width == 8
 
@@ -212,33 +214,71 @@ def test_search_exchange_mode():
                                 ("D", 0), ("D", 0))
     res = thin_position_search(pres, mode="exchange")
     assert res.minimum_width == width(pres).width - 4
-    assert res.certified
+    assert res.states_explored == 2
 
 
 @pytest.mark.parametrize("single_component", [False, True])
 def test_all_mode_closed_form_matches_enumeration(single_component):
     for births in range(1, 9):
         pres = MorsePresentation.of(*("B" * births + "D" * births))
-        res = thin_position_search(pres, mode="all", budget=0,
+        res = thin_position_search(pres, mode="all",
                                    single_component=single_component)
         assert (res.minimum_width, res.witness) == \
             least_width_by_enumeration(births, single_component)
-        assert res.certified and res.states_explored == 1
+        assert res.states_explored == 1
 
 
-def test_search_budget_exhausted():
-    pres = MorsePresentation.of(("B", 0), ("B", 0), ("B", 0), ("D", 2),
-                                ("D", 0), ("D", 0))
-    res = thin_position_search(pres, mode="exchange", budget=1)
-    assert not res.certified
-    assert res.minimum_width == width(pres).width
+def random_presentation(rng, births):
+    """A random kind sequence with ``births`` births, random legal slots."""
+    events = []
+    count = 0
+    left = births
+    while left or count:
+        if left and (count == 0 or rng.random() < 0.5):
+            events.append(Event(BIRTH, rng.randint(0, count)))
+            count += 2
+            left -= 1
+        else:
+            events.append(Event(DEATH, rng.randint(0, count - 2)))
+            count -= 2
+    return MorsePresentation(tuple(events))
 
 
-@pytest.mark.parametrize("budget", [0, -5])
-def test_exchange_search_rejects_budget_below_one(budget):
-    pres = MorsePresentation.of("B", "B", "D", "D")
-    with pytest.raises(ValueError, match="budget must be at least 1"):
-        thin_position_search(pres, mode="exchange", budget=budget)
+def assert_descent_matches_search(pres, single_component):
+    try:
+        minimum, witness, exhausted = exchange_minimum_by_search(
+            pres, single_component=single_component)
+    except PresentationError as exc:
+        assert width(pres).hits_zero_interior
+        with pytest.raises(PresentationError) as info:
+            thin_position_search(pres, single_component=single_component)
+        assert str(info.value) == str(exc)
+        return
+    assert exhausted
+    res = thin_position_search(pres, single_component=single_component)
+    assert (res.minimum_width, res.witness) == (minimum, witness)
+    assert res.minimum_width == \
+        width(pres).width - 4 * (res.states_explored - 1)
+
+
+@pytest.mark.parametrize("single_component", [False, True])
+def test_exchange_descent_matches_search_on_every_small_presentation(
+        single_component):
+    checked = 0
+    for count in range(1, 9):
+        for pres in all_presentations(count):
+            assert_descent_matches_search(pres, single_component)
+            checked += 1
+    assert checked == 22486
+
+
+@pytest.mark.parametrize("single_component", [False, True])
+def test_exchange_descent_matches_search_on_random_presentations(
+        single_component):
+    rng = random.Random(20261019)
+    for _ in range(500):
+        pres = random_presentation(rng, rng.randint(5, 12))
+        assert_descent_matches_search(pres, single_component)
 
 
 def test_induced_splitting_feeds_complexity_calculus():

@@ -320,6 +320,20 @@ def test_non_canonical_gluing_numeral_rejected(token, message):
     assert str(info.value) == f"line 2, column 1: {message}"
 
 
+@pytest.mark.parametrize("text, column", [
+    ("2\n1:0:123 1:0:123 1:0:12 -\n- - - -\n", 17),
+    ("13\n12:0:123 2:0:12 - -\n" + "- - - -\n" * 12, 10),
+    ("2\n\t1:0:123  \t1:0:12 - -\n- - - -\n", 12),
+], ids=["repeated-token", "inside-earlier-token", "tabs"])
+def test_error_column_is_the_bad_token(text, column):
+    # The column used to be that of the first place the token's text
+    # occurs in the line: 1, 2 and 2 here.
+    with pytest.raises(ParseError) as info:
+        parse_triangulation(text)
+    assert str(info.value) == \
+        f"line 2, column {column}: corner map '12' must be 3 digits"
+
+
 @pytest.mark.parametrize("count, lines", [
     ("+2", 2), ("2_0", 20), ("02", 2), ("\u0662", 2)])
 def test_non_canonical_count_rejected(count, lines):
