@@ -144,9 +144,9 @@ def cmd_validate(args):
 
 def cmd_surface(args):
     from .curve_patterns import CurvePattern, check_348
-    from .normal_surfaces import (INADMISSIBLE, SurfaceError, SurfaceVector,
+    from .normal_surfaces import (SurfaceError, SurfaceVector,
                                   check_admissible, classification,
-                                  infer_mode, reconstruct_surface)
+                                  reconstruct_surface)
     tri = _load_triangulation(args.triangulation)
     try:
         vector = SurfaceVector.from_json_dict(_load_json(args.vector))
@@ -156,22 +156,15 @@ def cmd_surface(args):
         raise InputProblem(
             f"{args.vector}: vector sized for {len(vector.tets)} tetrahedra, "
             f"triangulation has {tri.tetrahedron_count}")
-    inferred = infer_mode(vector)
-    mode = inferred if args.mode == "auto" else args.mode
-    report = check_admissible(tri, vector, mode)
-    # The classification and the reconstruction judge the vector at its
-    # inferred mode: reuse the report when the two modes agree.
-    judged = report if mode == inferred \
-        else check_admissible(tri, vector, inferred)
-    kind = classification(vector, judged)
-    payload = {"classification": kind,
-               "mode": mode,
+    report = check_admissible(tri, vector)
+    payload = {"classification": classification(vector, report),
+               "mode": report.mode,
                "admissible": report.admissible,
                "violations": [{"code": v.code, "message": v.message}
                               for v in report.violations]}
-    ok = report.admissible and kind != INADMISSIBLE
+    ok = report.admissible
     if ok:
-        summary = reconstruct_surface(tri, vector, report=judged).summary()
+        summary = reconstruct_surface(tri, vector, report=report).summary()
         payload["summary"] = {
             "euler_characteristic": summary.euler_characteristic,
             "components": summary.component_count,
@@ -368,6 +361,19 @@ def _common(parser):
                         default="table", help="output format")
 
 
+def _integer(text):
+    """The type of every integer argument: a canonical decimal numeral."""
+    from .record import numeral
+    value = numeral(text)
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+# argparse names the type in its message: "invalid int value: 'abc'".
+_integer.__name__ = "int"
+
+
 class _Parser(argparse.ArgumentParser):
     """Rejects bad arguments with one stderr line and exit 2, no usage."""
 
@@ -390,15 +396,13 @@ def build_parser():
     p = sub.add_parser("surface", help="classify a surface vector")
     p.add_argument("triangulation")
     p.add_argument("vector", help="SurfaceVector JSON file")
-    p.add_argument("--mode", choices=("auto", "normal", "almost_normal"),
-                   default="auto")
     _common(p)
     p.set_defaults(fn=cmd_surface)
 
     p = sub.add_parser("enumerate", help="enumerate admissible surfaces")
     p.add_argument("triangulation")
     p.add_argument("--method", choices=("vertex", "brute"), default="vertex")
-    p.add_argument("--bound", type=int, default=4,
+    p.add_argument("--bound", type=_integer, default=4,
                    help="total weight bound for brute force / cross-check")
     p.add_argument("--cross-check", action="store_true",
                    help="diff double description against the brute-force "
@@ -410,7 +414,7 @@ def build_parser():
     p.add_argument("splitting", help="splitting JSON file")
     p.add_argument("--action", choices=("complexity", "underlying", "search"),
                    default="complexity")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_integer, default=10000)
     _common(p)
     p.set_defaults(fn=cmd_hst)
 
@@ -427,7 +431,7 @@ def build_parser():
 
     p = sub.add_parser("curves",
                        help="decompose a curve pattern on one tetrahedron")
-    p.add_argument("counts", nargs=12, type=int, metavar="N",
+    p.add_argument("counts", nargs=12, type=_integer, metavar="N",
                    help="arc counts, face-major, cut-vertex-minor")
     p.add_argument("--check-348", action="store_true",
                    help="test the length-3/4/8 condition")
@@ -437,7 +441,7 @@ def build_parser():
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
-    p.add_argument("--seed", type=int, default=20260810,
+    p.add_argument("--seed", type=_integer, default=20260810,
                    help="seed of criterion 5's random descents")
     p.set_defaults(fn=cmd_selftest)
 

@@ -358,7 +358,7 @@ def octagon_augmentations(tri, base_vectors):
                 if key in seen:
                     continue
                 seen.add(key)
-                if check_admissible(tri, candidate, "almost_normal").admissible:
+                if check_admissible(tri, candidate).admissible:
                     out.append(candidate)
     out.sort(key=lambda v: v.coordinates())
     return out

@@ -18,7 +18,7 @@ makes every rewrite search terminate.
 from functools import cached_property, lru_cache
 
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, setfield
+from .record import Record, json_int, setfield
 
 
 class HstError(ValueError):
@@ -145,17 +145,13 @@ class ComplexityVector(Record):
 def compare_complexity(a, b):
     """Lexicographic comparison; a proper prefix is smaller.
 
-    The prefix rule makes dropping a thick level a strict decrease,
-    which the termination arguments rely on.
+    This is Python's tuple order.  The prefix rule makes dropping a
+    thick level a strict decrease, which the termination arguments rely
+    on.
     """
     xs = a.entries if isinstance(a, ComplexityVector) else tuple(a)
     ys = b.entries if isinstance(b, ComplexityVector) else tuple(b)
-    for x, y in zip(xs, ys):
-        if x != y:
-            return LESS if x < y else GREATER
-    if len(xs) != len(ys):
-        return LESS if len(xs) < len(ys) else GREATER
-    return EQUAL
+    return (xs > ys) - (xs < ys)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +578,7 @@ def is_minimal_reachable(splitting, budget=10000):
             exhausted = False
             break
         vec = _relative_entries(state)
-        if compare_complexity(vec, best) == LESS:
+        if vec < best:
             best, best_state, best_trace = vec, state, trace
         for move, successor in reversed(legal_rewrites(state)):
             successor_key = successor.canonical()
@@ -648,7 +644,7 @@ def random_descent(splitting, rng):
                 levels[:p] + (compress(levels[p], moves[k]),)
                 + levels[p + 1:])
         new_vec = _relative_entries(successor)
-        assert compare_complexity(new_vec, vec) == LESS, \
+        assert new_vec < vec, \
             "a rewrite failed to decrease complexity"
         current, vec = successor, new_vec
         steps += 1
@@ -686,14 +682,9 @@ def surface_from_json(data):
     Floats, booleans and strings are rejected rather than coerced, so
     ``-2.7`` never reads as -2 nor ``true`` as one puncture.
     """
-    return AbstractSurface(tuple(Component(_json_int(chi), _json_int(p))
+    return AbstractSurface(tuple(Component(json_int(chi, HstError),
+                                           json_int(p, HstError))
                                  for chi, p in data))
-
-
-def _json_int(x):
-    if type(x) is not int:      # bool is a subclass of int: reject it too
-        raise HstError(f"expected an integer, got {x!r}")
-    return x
 
 
 def splitting_to_json(splitting):

@@ -5,7 +5,8 @@ A computation whose cost grows with the size of its input checks the
 ceiling named for it and raises :class:`ResourceCeilingError` before it
 would pass it; the command line turns that into exit 3.  The
 environment variable ``NORMALHST_CEILING`` replaces every ceiling with
-one positive integer.
+one positive integer, written as a canonical numeral (see
+:func:`normalhst.record.numeral`).
 """
 
 import os
@@ -34,7 +35,9 @@ def ceiling(name):
     env = os.environ.get("NORMALHST_CEILING")
     if env is None:
         return DEFAULT_CEILINGS[name]
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
+    from .record import numeral
+    value = numeral(env)
+    if value is None or value < 1:
         raise CeilingSettingError(
             f"NORMALHST_CEILING must be a positive integer, got {env!r}")
-    return int(env)
+    return value

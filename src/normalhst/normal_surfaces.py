@@ -19,7 +19,7 @@ function of the vector.
 
 from . import model
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, setfield
+from .record import Record, json_int, setfield
 from .triangulation import ODD_LABELS, ParityUnionFind, compute_skeleton
 
 
@@ -148,19 +148,19 @@ class SurfaceVector(Record):
         so ``1.7`` or ``true`` never reads as 1.
         """
         try:
-            blocks = tuple((tuple(_json_int(x) for x in td["tri"]),
-                            tuple(_json_int(x) for x in td["quad"]),
-                            tuple(_json_int(x) for x in td["oct"]))
+            blocks = tuple((tuple(json_int(x) for x in td["tri"]),
+                            tuple(json_int(x) for x in td["quad"]),
+                            tuple(json_int(x) for x in td["oct"]))
                            for td in data["tets"])
             tube = None
             if data.get("tube") is not None:
                 td = data["tube"]
                 pa, pb = td["pieces"]
-                tube = TubeAnnotation(_json_int(td["tet"]),
-                                      (pa[0], _json_int(pa[1]),
-                                       _json_int(pa[2])),
-                                      (pb[0], _json_int(pb[1]),
-                                       _json_int(pb[2])))
+                tube = TubeAnnotation(json_int(td["tet"]),
+                                      (pa[0], json_int(pa[1]),
+                                       json_int(pa[2])),
+                                      (pb[0], json_int(pb[1]),
+                                       json_int(pb[2])))
         except (KeyError, TypeError, ValueError, IndexError,
                 AttributeError) as exc:
             raise SurfaceError(f"malformed surface vector JSON: {exc}")
@@ -168,12 +168,6 @@ class SurfaceVector(Record):
             if len(t) != 4 or len(q) != 3 or len(o) != 3:
                 raise SurfaceError("coordinate arrays must have lengths 4/3/3")
         return cls(blocks, tube)
-
-
-def _json_int(x):
-    if type(x) is not int:      # bool is a subclass of int: reject it too
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +287,19 @@ def _tube_structurally_valid(v):
     return out
 
 
-def infer_mode(v):
-    """The admissibility mode a vector's own pieces call for."""
-    if v.octagon_count() == 0 and v.tube is None:
-        return "normal"
-    return "almost_normal"
-
-
-def check_admissible(tri, v, mode="normal"):
+def check_admissible(tri, v):
     """Full admissibility report for a surface vector.
 
     Verifies nonnegativity, the matching equations (octagons contribute
-    two arcs to each face of their tetrahedron), the one-quad-type-per-
-    tetrahedron constraint, and the mode-specific rule: ``normal``
-    forbids octagons and tubes; ``almost_normal`` requires exactly one
-    octagon (in a quad-free tetrahedron) or exactly one tube.
+    two arcs to each face of their tetrahedron) and the one-quad-type-
+    per-tetrahedron constraint.  The mode comes from the vector's own
+    pieces: one with an octagon or a tube is checked as almost normal,
+    which requires exactly one octagon (in a quad-free tetrahedron) or
+    exactly one tube; any other is checked as normal.
     """
     _check_dimension(tri, v)
-    if mode not in ("normal", "almost_normal"):
-        raise ValueError(f"unknown mode {mode!r}")
+    octs = v.octagon_count()
+    mode = "normal" if octs == 0 and v.tube is None else "almost_normal"
     violations = []
 
     for t, block in enumerate(v.tets):
@@ -339,15 +327,7 @@ def check_admissible(tri, v, mode="normal"):
                     f"face ({t},{f}) arc type cutting vertex {w}: "
                     f"{lhs} != {rhs}"))
 
-    octs = v.octagon_count()
-    if mode == "normal":
-        if octs:
-            violations.append(Violation(
-                "mode", "normal surface may not contain octagons"))
-        if v.tube is not None:
-            violations.append(Violation(
-                "mode", "normal surface may not contain a tube"))
-    else:
+    if mode == "almost_normal":
         if octs + (1 if v.tube is not None else 0) != 1:
             violations.append(Violation(
                 "exceptional piece",
@@ -421,9 +401,9 @@ def euler_characteristic(tri, v, skeleton=None):
     sums arc counts over face orbits (each internal face once), and F
     counts pieces, a tube assembly (two disks plus the joining annulus)
     contributing 0 in place of its two disks.  The vector must be
-    admissible at its inferred mode, or :class:`SurfaceError` is raised.
+    admissible, or :class:`SurfaceError` is raised.
     """
-    report = check_admissible(tri, v, infer_mode(v))
+    report = check_admissible(tri, v)
     if not report.admissible:
         raise SurfaceError(
             "inadmissible vector: "
@@ -560,7 +540,7 @@ class ReconstructedSurface:
         self.skeleton = skeleton if skeleton is not None \
             else compute_skeleton(tri)
         if report is None:
-            report = check_admissible(tri, vector, infer_mode(vector))
+            report = check_admissible(tri, vector)
         if not report.admissible:
             raise SurfaceError(
                 "inadmissible vector: "
@@ -862,10 +842,9 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
     :class:`ResourceCeilingError` before building them, and the
     ``surface`` command exits 3.
 
-    ``report`` is v's :func:`check_admissible` report at its inferred
-    mode, for a caller that has it already; without it the vector is
-    checked here.  Either way an inadmissible vector raises
-    :class:`SurfaceError`.
+    ``report`` is v's :func:`check_admissible` report, for a caller
+    that has it already; without it the vector is checked here.  Either
+    way an inadmissible vector raises :class:`SurfaceError`.
     """
     return ReconstructedSurface(tri, v, skeleton, report)
 
@@ -895,11 +874,11 @@ INADMISSIBLE = "Inadmissible"
 
 def classify(tri, v):
     """Normal / AlmostNormalOctagon / AlmostNormalTube / Inadmissible."""
-    return classification(v, check_admissible(tri, v, infer_mode(v)))
+    return classification(v, check_admissible(tri, v))
 
 
 def classification(v, report):
-    """What :func:`classify` answers, given v's report at its inferred mode."""
+    """What :func:`classify` answers, given v's admissibility report."""
     if not report.admissible:
         return INADMISSIBLE
     if report.mode == "normal":

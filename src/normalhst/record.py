@@ -25,13 +25,25 @@ def numeral(text):
     A canonical numeral is ASCII digits with no sign, underscore or
     leading zero but for ``0`` itself, so ``str`` writes its value back
     unchanged.  A minus sign before a nonzero one reads as a negative
-    number, which every caller rejects as out of range.
+    number, which a caller that needs a nonnegative value rejects as
+    out of range.
     """
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit() \
             and (digits[0] != "0" or text == "0"):
         return int(text)
     return None
+
+
+def json_int(x, error=TypeError):
+    """x if it is a JSON integer, else ``error`` is raised.
+
+    Floats, strings and booleans (``bool`` is a subclass of ``int``)
+    are rejected rather than coerced.
+    """
+    if type(x) is not int:
+        raise error(f"expected an integer, got {x!r}")
+    return x
 
 
 class FrozenInstanceError(AttributeError):

@@ -97,7 +97,7 @@ def parse_presentation(text):
             raise PresentationError(
                 f"line {lineno}: expected 'B i' or 'D i', got {body!r}")
         pos = numeral(parts[1])
-        if pos is None:
+        if pos is None or pos < 0:
             raise PresentationError(
                 f"line {lineno}: bad position {parts[1]!r}")
         events.append(Event(parts[0], pos))

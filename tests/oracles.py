@@ -38,7 +38,7 @@ from normalhst import hst, model
 from normalhst.curve_patterns import Check348, LoopDecomposition, PatternError
 from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        SurfaceSummary, _crossing_direction,
-                                       check_admissible, infer_mode)
+                                       check_admissible)
 from normalhst.thin_position import (MorsePresentation, PresentationError,
                                      exchange_move, legal_exchanges, width)
 from normalhst.triangulation import (ODD_LABELS, ParityUnionFind, Skeleton,
@@ -499,7 +499,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
     stack a vertex of its piece's component; components are numbered
     by their first piece.
     """
-    report = check_admissible(tri, v, infer_mode(v))
+    report = check_admissible(tri, v)
     if not report.admissible:
         raise SurfaceError(
             "inadmissible vector: "

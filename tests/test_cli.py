@@ -113,14 +113,14 @@ def test_surface_vertex_link(files, capsys):
 
 
 def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
-    # --mode auto classifies and reconstructs from the one report it
-    # prints.  The counter sits in the home module, so it also sees the
-    # reconstruction's own check, were it to run again.
+    # surface infers the mode, and classifies and reconstructs from the
+    # one report it prints.  The counter sits in the home module, so it
+    # also sees the reconstruction's own check, were it to run again.
     calls = []
     real_check = normal_surfaces.check_admissible
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args)
         return real_check(*args)
 
     monkeypatch.setattr(normal_surfaces, "check_admissible", counted)
@@ -128,18 +128,9 @@ def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
     assert run(["surface", files["doubled"], files["link"],
                 "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["classification"] == "Normal" and calls == ["normal"]
-    assert payload["summary"]["components"] == 1
-
-    # An explicit mode other than the inferred one is checked, and the
-    # classification still judges at the inferred mode.
-    calls.clear()
-    assert run(["surface", files["doubled"], files["link"],
-                "--mode", "almost_normal", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
     assert payload["classification"] == "Normal"
-    assert not payload["admissible"]
-    assert calls == ["almost_normal", "normal"]
+    assert payload["mode"] == "normal" and len(calls) == 1
+    assert payload["summary"]["components"] == 1
 
 
 def test_surface_checks_each_distinct_block_once(tmp_path, capsys,
@@ -296,7 +287,8 @@ def test_hst_search_huge_punctures_exit_3(tmp_path, capsys):
         f"rewrites ceiling 10000"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "", "007",
+                                   "\u0663"])
 def test_bad_ceiling_setting_exit_2(files, capsys, monkeypatch, value):
     monkeypatch.setenv("NORMALHST_CEILING", value)
     assert run(["enumerate", files["single"]]) == 2
@@ -437,9 +429,10 @@ def test_width_exchange_search_forty_births(tmp_path, capsys):
     assert legal_exchanges(witness) == []
 
 
-@pytest.mark.parametrize("slot", ["+0", "0_0", "00", "-0", "\u0660"])
+@pytest.mark.parametrize("slot", ["+0", "0_0", "00", "-0", "\u0660",
+                                  "-1"])
 def test_width_non_canonical_slot_is_one_line(tmp_path, capsys, slot):
-    # int() read each of these as slot 0
+    # int() read each of these but -1 as slot 0
     path = tmp_path / "bad.txt"
     path.write_text(f"B 0\nB {slot}\nD 0\nD 0\n", encoding="utf-8")
     assert run(["width", path]) == 2
@@ -595,6 +588,26 @@ def test_bad_int_is_one_line(files, capsys):
                                  "--bound: invalid int value: 'abc'")
 
 
+# int() reads each of these as an integer: a sign, an underscore, a
+# leading zero, an Arabic-Indic digit.
+@pytest.mark.parametrize("text", ["+1", "1_0", "01", "\u0661"])
+@pytest.mark.parametrize("command", ["curves", "enumerate", "hst",
+                                     "selftest"])
+def test_non_canonical_integer_is_one_line(files, capsys, command, text):
+    argv, name = {
+        "curves": (["curves", text] + ["1"] * 11, "N"),
+        "enumerate": (["enumerate", files["single"], "--method", "brute",
+                       "--bound", text], "--bound"),
+        "hst": (["hst", files["split"], "--action", "search",
+                 "--budget", text], "--budget"),
+        "selftest": (["selftest", "--criteria", "1", "--seed", text],
+                     "--seed"),
+    }[command]
+    assert _rejected(argv, capsys) == (
+        f"error: normalhst {command}: argument {name}: "
+        f"invalid int value: {text!r}")
+
+
 def test_missing_positional_is_one_line(capsys):
     assert _rejected(["validate"], capsys) == (
         "error: normalhst validate: the following arguments are required: "
@@ -612,6 +625,7 @@ def test_missing_positional_is_one_line(capsys):
     ["curves", *"0" * 12, "--seed", "1"],
     ["selftest", "--format", "json"],
     ["width", "pres", "--action", "search", "--budget", "5"],
+    ["surface", "doubled", "link", "--mode", "normal"],
 ])
 def test_removed_flags_are_one_line(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]

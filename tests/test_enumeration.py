@@ -182,7 +182,8 @@ def test_octagon_augmentations_respect_admissibility():
     assert augs
     for v in augs:
         assert v.octagon_count() == 1
-        assert check_admissible(tri, v, "almost_normal").admissible
+        report = check_admissible(tri, v)
+        assert report.admissible and report.mode == "almost_normal"
     # closed triangulation with disjoint-tetrahedron gluings: no
     # single octagon can satisfy matching
     assert octagon_augmentations(doubled_tetrahedron(),

@@ -9,8 +9,8 @@ from normalhst import model
 from normalhst.enumeration import (brute_force_enumerate,
                                    enumerate_vertex_surfaces,
                                    octagon_augmentations)
-from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
-                               lens_l41, one_tet_sphere,
+from normalhst.library import (boundary_4_simplex, corpus,
+                               doubled_tetrahedron, lens_l41, one_tet_sphere,
                                pseudomanifold_two_tet, rp3_two_tet,
                                single_tetrahedron)
 from normalhst.limits import ResourceCeilingError
@@ -139,7 +139,7 @@ def test_negative_coordinate_flagged():
 def test_octagon_needs_quad_free_tetrahedron():
     tri = single_tetrahedron()
     vec = SurfaceVector.build(tri, {(0, "oct", 0): 1, (0, "quad", 1): 1})
-    report = check_admissible(tri, vec, "almost_normal")
+    report = check_admissible(tri, vec)
     assert not report.admissible
     assert any(v.code == "octagon" for v in report.violations)
 
@@ -192,9 +192,8 @@ def test_chi_rejects_inadmissible():
 
 
 def test_reconstruction_rejects_inadmissible():
-    # Without a report the vector is checked; a report handed in at the
-    # inferred mode is used as it is, and a report at the other mode can
-    # only reject, since each mode rules out the other's vectors.
+    # Without a report the vector is checked; a report handed in is
+    # used as it is.
     tri = single_tetrahedron()
     bad = SurfaceVector.build(tri, {(0, "quad", 0): 1, (0, "quad", 1): 1})
     with pytest.raises(SurfaceError, match="inadmissible"):
@@ -202,9 +201,6 @@ def test_reconstruction_rejects_inadmissible():
     with pytest.raises(SurfaceError, match="inadmissible"):
         reconstruct_surface(tri, bad, report=check_admissible(tri, bad))
     link = vertex_link(tri, 0)
-    with pytest.raises(SurfaceError, match="inadmissible"):
-        reconstruct_surface(tri, link, report=check_admissible(
-            tri, link, "almost_normal"))
     assert reconstruct_surface(
         tri, link, report=check_admissible(tri, link)).summary() == \
         reconstruct_surface(tri, link).summary()
@@ -448,7 +444,7 @@ def _tube_vectors(tri, vec):
                     continue
                 seen.add(pair)
                 tubed = SurfaceVector(vec.tets, TubeAnnotation(t, *pair))
-                if check_admissible(tri, tubed, "almost_normal").admissible:
+                if check_admissible(tri, tubed).admissible:
                     out.append(tubed)
     return out
 
@@ -683,7 +679,7 @@ def test_tube_nonadjacent_rejected():
                               tube=TubeAnnotation(0, ("tri", 0, 0),
                                                   ("tri", 0, 2)))
     assert classify(tri, vec) == INADMISSIBLE
-    report = check_admissible(tri, vec, "almost_normal")
+    report = check_admissible(tri, vec)
     assert any("adjacent" in v.message for v in report.violations)
 
 
@@ -692,8 +688,38 @@ def test_tube_missing_piece_rejected():
     vec = SurfaceVector.build(tri, {(0, "tri", 0): 1},
                               tube=TubeAnnotation(0, ("tri", 0, 0),
                                                   ("tri", 1, 0)))
-    report = check_admissible(tri, vec, "almost_normal")
+    report = check_admissible(tri, vec)
     assert any(v.code == "tube" for v in report.violations)
+
+
+def test_mode_follows_the_exceptional_pieces():
+    # Criterion 4's vectors, the generated tubes, and each of them with
+    # one more octagon or a non-adjacent tube: a vector is checked as
+    # almost normal exactly when it has an octagon or a tube.
+    vectors = []
+    for _, tri in corpus():
+        vecs = brute_force_enumerate(tri, 6)
+        vecs += octagon_augmentations(tri, brute_force_enumerate(tri, 4))
+        for vec in brute_force_enumerate(tri, 3):
+            vecs += _tube_vectors(tri, vec.scale(2))
+        for vec in vecs:
+            vectors.append((tri, vec))
+            tets = list(vec.tets)
+            tri_c, quad_c, oct_c = tets[-1]
+            tets[-1] = (tri_c, quad_c, (oct_c[0] + 1,) + oct_c[1:])
+            vectors.append((tri, SurfaceVector(tuple(tets), vec.tube)))
+            if vec.tube is None and tri_c[0] >= 3:
+                vectors.append((tri, SurfaceVector(vec.tets, TubeAnnotation(
+                    len(tets) - 1, ("tri", 0, 0), ("tri", 0, 2)))))
+    kinds = set()
+    for tri, vec in vectors:
+        report = check_admissible(tri, vec)
+        exceptional = vec.tube is not None or any(
+            any(oct_c) for _, _, oct_c in vec.tets)
+        assert (report.mode == "almost_normal") == exceptional
+        kinds.add((report.mode, report.admissible))
+    assert kinds == {("normal", True), ("almost_normal", True),
+                     ("almost_normal", False)}
 
 
 def test_tube_through_double_covers():
