@@ -79,6 +79,9 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise InputProblem(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputProblem(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                           f"{exc.start}")
 
 
 class InputProblem(Exception):
@@ -99,6 +102,8 @@ def _load_json(path):
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputProblem(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise InputProblem(f"{path}: invalid JSON: nested too deeply")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ def cmd_validate(args):
 
 
 def cmd_surface(args):
-    from .curve_patterns import CurvePattern, check_348
+    from .curve_patterns import check_348_surface
     from .normal_surfaces import (SurfaceError, SurfaceVector,
                                   check_admissible, classification,
                                   reconstruct_surface)
@@ -174,28 +179,17 @@ def cmd_surface(args):
             "edge_weights": list(summary.edge_weights),
             "sphere_components": list(summary.is_sphere_component),
         }
-        # The test depends on the block alone: run it once per distinct
-        # block.
-        results = {}
-        checks = []
-        octagons = 0
-        for t, block in enumerate(vector.tets):
-            result = results.get(block)
-            if result is None:
-                result = results[block] = check_348(
-                    CurvePattern.from_block(block))
-            octagons += result.octagons
-            checks.append({"tet": t, "passed": result.passed,
-                           "loops_of_length_8": result.octagons,
-                           "witness": list(result.witness)
-                           if result.witness else None})
-        per_tet_ok = all(c["passed"] for c in checks)
-        global_ok = octagons <= 1
-        payload["check_348"] = {"per_tetrahedron": checks,
-                                "octagon_loops_total": octagons,
-                                "single_octagon_globally": global_ok,
-                                "passed": per_tet_ok and global_ok}
-        ok = ok and per_tet_ok and global_ok
+        verdict = check_348_surface(vector.tets)
+        payload["check_348"] = {
+            "per_tetrahedron": [{"tet": t, "passed": r.passed,
+                                 "loops_of_length_8": r.octagons,
+                                 "witness": list(r.witness)
+                                 if r.witness else None}
+                                for t, r in enumerate(verdict.results)],
+            "octagon_loops_total": verdict.octagons,
+            "single_octagon_globally": verdict.octagons <= 1,
+            "passed": verdict.passed}
+        ok = verdict.passed
     emit(payload, args.format)
     return EXIT_OK if ok else EXIT_SEMANTIC
 
@@ -203,17 +197,14 @@ def cmd_surface(args):
 def cmd_enumerate(args):
     import hashlib
 
-    from .enumeration import (brute_force_enumerate,
-                              enumerate_vertex_surfaces,
-                              reduced_extreme_solutions)
+    from .enumeration import (brute_force_enumerate, cross_check,
+                              enumerate_vertex_surfaces)
+    if args.bound < 0:
+        raise InputProblem(f"--bound must be at least 0, got {args.bound}")
     tri = _load_triangulation(args.triangulation)
     digest = hashlib.sha256(tri.to_text().encode()).hexdigest()
     if args.cross_check:
-        rays = [v for v in enumerate_vertex_surfaces(tri)
-                if sum(v.normal_coordinates()) <= args.bound]
-        oracle = reduced_extreme_solutions(tri, args.bound)
-        left = sorted(v.normal_coordinates() for v in rays)
-        right = sorted(v.normal_coordinates() for v in oracle)
+        left, right = cross_check(tri, args.bound)
         match = left == right
         print(json.dumps({"triangulation": digest, "method": "cross-check",
                           "bound": args.bound}, sort_keys=True))

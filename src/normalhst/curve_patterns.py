@@ -408,7 +408,7 @@ def check_348(pattern):
     The witness names an offending loop: either a loop of some other
     length, or the second length-8 loop.  The one-octagon rule across a
     whole surface (at most one tetrahedron carrying the length-8 loop)
-    is enforced by the caller, which sees all tetrahedra.
+    is enforced by :func:`check_348_surface`, which sees all tetrahedra.
     """
     octagons = 0
     for word, m in _loop_copies(pattern):
@@ -423,3 +423,32 @@ def check_348(pattern):
             continue
         return Check348(False, witness=word, octagons=octagons)
     return Check348(True, octagons=octagons)
+
+
+class SurfaceCheck348(Record):
+    """The 3/4/8 test of a whole surface: one :class:`Check348` per
+    tetrahedron and the total of their length-8 loops."""
+    __slots__ = ("results", "octagons")
+
+    def __init__(self, results):
+        setfield(self, "results", results)
+        setfield(self, "octagons", sum(r.octagons for r in results))
+
+    @property
+    def passed(self):
+        """Every tetrahedron passes and the surface has at most one
+        length-8 loop."""
+        return self.octagons <= 1 and all(r.passed for r in self.results)
+
+
+def check_348_surface(blocks):
+    """:func:`check_348` of each tetrahedron's block of a surface vector.
+
+    The test depends on the block alone, so it runs once per distinct
+    block.
+    """
+    results = {}
+    for block in blocks:
+        if block not in results:
+            results[block] = check_348(CurvePattern.from_block(block))
+    return SurfaceCheck348(tuple(results[block] for block in blocks))

@@ -182,6 +182,9 @@ def brute_force_enumerate(tri, max_total_coordinate):
     are listed once per budget.  Deterministic output order
     (lexicographic).
     """
+    if max_total_coordinate < 0:
+        raise ValueError(f"weight bound must be at least 0, got "
+                         f"{max_total_coordinate}")
     if max_total_coordinate > ceiling("brute_force_weight"):
         raise ResourceCeilingError(
             f"brute force bound {max_total_coordinate} exceeds ceiling "
@@ -307,6 +310,22 @@ def reduced_extreme_solutions(tri, bound):
             out.append(_vector_from_flat(tri, flat))
     out.sort(key=lambda v: v.normal_coordinates())
     return out
+
+
+def cross_check(tri, bound):
+    """Double description against the brute-force oracle up to ``bound``.
+
+    Returns the sorted normal coordinates of the vertex surfaces of
+    weight at most ``bound`` and those of
+    :func:`reduced_extreme_solutions`; the two routes agree when the
+    lists are equal.
+    """
+    rays = sorted(v.normal_coordinates()
+                  for v in enumerate_vertex_surfaces(tri)
+                  if sum(v.normal_coordinates()) <= bound)
+    oracle = sorted(v.normal_coordinates()
+                    for v in reduced_extreme_solutions(tri, bound))
+    return rays, oracle
 
 
 # ---------------------------------------------------------------------------

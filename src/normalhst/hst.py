@@ -309,11 +309,21 @@ def _compose_after(d_move, e_move):
                 raise HstError(
                     "E move on the component split by D needs branch 0 or 1")
             shift = e_move.branch
-    cls = type(e_move)
-    kwargs = {"component": e_move.component + shift}
-    if isinstance(e_move, SeparatingCompression):
-        kwargs.update(chi1=e_move.chi1, punctures1=e_move.punctures1)
-    return cls(**kwargs)
+    return _readdressed(e_move, e_move.component + shift)
+
+
+def _readdressed(move, component, branch=0):
+    """A copy of ``move`` on ``component`` with ``branch``."""
+    if isinstance(move, SeparatingCompression):
+        return SeparatingCompression(component, move.chi1, move.punctures1,
+                                     branch)
+    return type(move)(component, branch)
+
+
+def _splits_under(d_move, e_move):
+    """Whether D cuts E's component in two, so E names a branch."""
+    return isinstance(d_move, SeparatingCompression) \
+        and e_move.component == d_move.component
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +337,8 @@ def untangle_step(splitting, p, move_d, move_e, eq_d, eq_e):
     the one above; both address components of level p.  ``eq_d`` and
     ``eq_e`` assert that the compressed surface is (parallel to) the
     neighbouring thin level; an equality claim whose surfaces do not
-    even agree as multisets is rejected.  The four cases:
+    even agree as multisets is rejected.  The four cases, written once
+    in :func:`_splice` on the surfaces of :func:`_untangle`:
 
     1. neither equal: level p becomes G_D, G_DE, G_E;
     2. G_D equal below: levels p-1, p become G_DE, G_E;
@@ -339,25 +350,28 @@ def untangle_step(splitting, p, move_d, move_e, eq_d, eq_e):
         raise HstError(f"level {p} is thin; untangling rewrites thick levels")
     if not (1 <= p < len(levels) - 1):
         raise HstError(f"thick level {p} needs thin neighbours on both sides")
-    g_p = levels[p]
-    g_d = compress(g_p, move_d)
-    g_e = compress(g_p, move_e)
-    g_de = compress(g_d, _compose_after(move_d, move_e))
-
+    g_d, g_e, g_de = _untangle(levels[p], move_d, move_e)
     if eq_d and not g_d.same_surface(levels[p - 1]):
         raise HstError("equality flag for the D side is inconsistent")
     if eq_e and not g_e.same_surface(levels[p + 1]):
         raise HstError("equality flag for the E side is inconsistent")
+    start, stop, replacement = _splice(p, eq_d, eq_e, g_d, g_e, g_de)
+    return AbstractSplitting(levels[:start] + replacement + levels[stop:])
 
-    if not eq_d and not eq_e:
-        new = levels[:p] + (g_d, g_de, g_e) + levels[p + 1:]
-    elif eq_d and not eq_e:
-        new = levels[:p - 1] + (g_de, g_e) + levels[p + 1:]
-    elif not eq_d and eq_e:
-        new = levels[:p] + (g_d, g_de) + levels[p + 2:]
-    else:
-        new = levels[:p - 1] + (g_de,) + levels[p + 2:]
-    return AbstractSplitting(new)
+
+def _untangle(g_p, move_d, move_e):
+    """G_D, G_E and G_DE of the thick surface ``g_p``, compressed in
+    that order, so an illegal pair raises :class:`HstError`."""
+    g_d = compress(g_p, move_d)
+    g_e = compress(g_p, move_e)
+    return g_d, g_e, compress(g_d, _compose_after(move_d, move_e))
+
+
+def _splice(p, eq_d, eq_e, g_d, g_e, g_de):
+    """The four cases of :func:`untangle_step` at thick level p, as
+    (start, stop, replacement) for ``levels[start:stop]``."""
+    return (p - 1 if eq_d else p, p + 2 if eq_e else p + 1,
+            ((g_de,) if eq_d else (g_d, g_de)) + (() if eq_e else (g_e,)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,33 +444,19 @@ def _move_count(pairs):
                for chi, p in pairs)
 
 
-def _untangle_candidates(splitting, p):
-    """All legal untangle steps at thick level p, with derived flags."""
-    g_p = splitting.levels[p]
-    below = splitting.levels[p - 1]
-    above = splitting.levels[p + 1]
+def _untangle_moves(g_p):
+    """Every legal untangle pair on the thick surface ``g_p``, as
+    (D, E, G_D, G_E, G_DE), in deterministic order: each D, each E, and
+    both branches of E where D splits E's component."""
     for d in g_p.moves:
-        g_d = compress(g_p, d)
-        for e_base in g_p.moves:
-            branches = (0, 1) if (isinstance(d, SeparatingCompression)
-                                  and e_base.component == d.component) else (0,)
-            for branch in branches:
-                e = _rebrand(e_base, branch)
+        for e in g_p.moves:
+            for branch in (0, 1) if _splits_under(d, e) else (0,):
+                e_branch = _readdressed(e, e.component, branch)
                 try:
-                    compress(g_d, _compose_after(d, e))
+                    surfaces = _untangle(g_p, d, e_branch)
                 except HstError:
                     continue
-                yield d, e, g_d.same_surface(below), \
-                    compress(g_p, e).same_surface(above)
-
-
-def _rebrand(move, branch):
-    if branch == move.branch:
-        return move
-    kwargs = {"component": move.component, "branch": branch}
-    if isinstance(move, SeparatingCompression):
-        kwargs.update(chi1=move.chi1, punctures1=move.punctures1)
-    return type(move)(**kwargs)
+                yield (d, e_branch) + surfaces
 
 
 # Level triples kept by _thick_level_rewrites.  A 10000-state search on
@@ -475,6 +475,8 @@ def _thick_level_rewrites(p, below, thick, above):
     (move, start, stop, replacement) tuples; a rewrite replaces
     ``levels[start:stop]`` by ``replacement``, which never holds a thin
     neighbour itself, so one triple serves every splitting that has it.
+    Untangle steps come from :func:`_untangle_moves`, which compresses
+    each move pair once, and from :func:`_splice`.
 
     A level with m moves has up to about m^2 untangle candidates, and m
     grows with the level's |chi| and punctures.  m is counted by
@@ -495,14 +497,10 @@ def _thick_level_rewrites(p, below, thick, above):
     out = [(("compress", p, move), p, p + 1, (compress(level, move),))
            for move in level.moves]
     if above is not None:
-        local = AbstractSplitting(
-            (AbstractSurface.from_pairs(below), level,
-             AbstractSurface.from_pairs(above)))
-        for d, e, eq_d, eq_e in _untangle_candidates(local, 1):
-            new = untangle_step(local, 1, d, e, eq_d, eq_e).levels
-            out.append((("untangle", p, d, e, eq_d, eq_e),
-                        p - 1 if eq_d else p, p + 2 if eq_e else p + 1,
-                        new[0 if eq_d else 1:len(new) - (0 if eq_e else 1)]))
+        for d, e, g_d, g_e, g_de in _untangle_moves(level):
+            eq_d, eq_e = g_d.multiset() == below, g_e.multiset() == above
+            out.append((("untangle", p, d, e, eq_d, eq_e),)
+                       + _splice(p, eq_d, eq_e, g_d, g_e, g_de))
     return tuple(out)
 
 
@@ -619,17 +617,17 @@ def random_descent(splitting, rng):
                     continue
                 d = rng.choice(moves)
                 e = rng.choice(moves)
-                if isinstance(d, SeparatingCompression) \
-                        and e.component == d.component:
-                    e = _rebrand(e, rng.randint(0, 1))
+                if _splits_under(d, e):
+                    e = _readdressed(e, e.component, rng.randint(0, 1))
                 try:
-                    g_d = compress(levels[p], d)
-                    compress(g_d, _compose_after(d, e))
+                    g_d, g_e, g_de = _untangle(levels[p], d, e)
                 except HstError:
                     continue
-                eq_d = g_d.same_surface(levels[p - 1])
-                eq_e = compress(levels[p], e).same_surface(levels[p + 1])
-                successor = untangle_step(current, p, d, e, eq_d, eq_e)
+                start, stop, replacement = _splice(
+                    p, g_d.same_surface(levels[p - 1]),
+                    g_e.same_surface(levels[p + 1]), g_d, g_e, g_de)
+                successor = AbstractSplitting(
+                    levels[:start] + replacement + levels[stop:])
                 break
         if successor is None:
             # The draw rng.choice(compressions) made over the list of

@@ -9,14 +9,14 @@ these, so there is a single source of truth for what passing means.
 import random
 
 from . import library
-from .curve_patterns import (CurvePattern, check_348,
+from .curve_patterns import (CurvePattern, check_348, check_348_surface,
                              enumerate_normal_loops, loop_pattern)
-from .enumeration import (brute_force_enumerate, enumerate_vertex_surfaces,
-                          octagon_augmentations, reduced_extreme_solutions)
+from .enumeration import (brute_force_enumerate, cross_check,
+                          octagon_augmentations)
 from .hst import (EMPTY_SURFACE, LESS, AbstractSplitting, AbstractSurface,
                   Component, c_surface, compare_complexity, component_moves,
                   compress, random_descent, random_splitting,
-                  splitting_complexity, _untangle_candidates,
+                  splitting_complexity, _untangle_moves,
                   untangle_step, RelativeCompression)
 from .normal_surfaces import (euler_characteristic, reconstruct_surface,
                               vertex_link)
@@ -68,13 +68,8 @@ def criterion_2():
         bases = brute_force_enumerate(tri, 4)
         for vec in octagon_augmentations(tri, bases):
             augmented += 1
-            octagons = 0
-            for block in vec.tets:
-                result = check_348(CurvePattern.from_block(block))
-                if not result.passed:
-                    ok = False
-                octagons += result.octagons
-            if octagons != 1:
+            verdict = check_348_surface(vec.tets)
+            if not verdict.passed or verdict.octagons != 1:
                 ok = False
     # Hand-built violations: a length-12 loop, and two octagons in one
     # tetrahedron.
@@ -94,11 +89,8 @@ def criterion_3():
     ok = True
     parts = []
     for name, tri in _corpus():
-        rays = [v.normal_coordinates() for v in enumerate_vertex_surfaces(tri)
-                if sum(v.normal_coordinates()) <= 6]
-        oracle = [v.normal_coordinates()
-                  for v in reduced_extreme_solutions(tri, 6)]
-        same = sorted(rays) == sorted(oracle)
+        rays, oracle = cross_check(tri, 6)
+        same = rays == oracle
         ok = ok and same
         parts.append(f"{name}:{len(rays)}{'=' if same else '!'}{len(oracle)}")
     return CriterionResult(3, "enumeration oracle agreement", ok,
@@ -157,10 +149,7 @@ def criterion_5(seed=20260810):
     for chi in range(-8, 2, 2):
         for punctures in range(7):
             g_p = AbstractSurface.of(Component(chi, punctures))
-            base = AbstractSplitting.of(EMPTY_SURFACE, g_p, EMPTY_SURFACE)
-            for d, e, _eq_d, _eq_e in _untangle_candidates(base, 1):
-                g_d = compress(g_p, d)
-                g_e = compress(g_p, e)
+            for d, e, g_d, g_e, _g_de in _untangle_moves(g_p):
                 for eq_d in (False, True):
                     for eq_e in (False, True):
                         below = g_d if eq_d else EMPTY_SURFACE

@@ -819,20 +819,50 @@ def exchange_minimum_by_search(pres, budget=100000, single_component=False):
     return best, best_pres, exhausted
 
 
+def _on_branch(move, branch):
+    if isinstance(move, hst.SeparatingCompression):
+        return hst.SeparatingCompression(move.component, move.chi1,
+                                         move.punctures1, branch)
+    return type(move)(move.component, branch)
+
+
 def rebuilt_rewrites(splitting):
     """Every single-move successor, each compression and untangle step
-    applied to the whole splitting, in the package's order."""
+    applied to the whole splitting, in the package's order.
+
+    Untangle pairs are found by trial: every D, every E, and E's branch 1
+    too where D is separating on E's component.  A pair is kept when the
+    public ``untangle_step`` accepts it, with flags that compare the
+    compressed level with its neighbours as multisets."""
     out = []
     levels = splitting.levels
     for p in range(1, len(levels), 2):
-        for move in hst.component_moves(levels[p]):
+        moves = hst.component_moves(levels[p])
+        for move in moves:
             new_level = hst.compress(levels[p], move)
             out.append((("compress", p, move), hst.AbstractSplitting(
                 levels[:p] + (new_level,) + levels[p + 1:])))
-        if p < len(levels) - 1:
-            for d, e, eq_d, eq_e in hst._untangle_candidates(splitting, p):
-                out.append((("untangle", p, d, e, eq_d, eq_e),
-                            hst.untangle_step(splitting, p, d, e, eq_d, eq_e)))
+        if p == len(levels) - 1:
+            continue
+        for d in moves:
+            eq_d = hst.compress(levels[p], d).multiset() \
+                == levels[p - 1].multiset()
+            for e in moves:
+                branches = [0]
+                if isinstance(d, hst.SeparatingCompression) \
+                        and d.component == e.component:
+                    branches.append(1)
+                for branch in branches:
+                    e_branch = _on_branch(e, branch)
+                    eq_e = hst.compress(levels[p], e_branch).multiset() \
+                        == levels[p + 1].multiset()
+                    try:
+                        step = hst.untangle_step(splitting, p, d, e_branch,
+                                                 eq_d, eq_e)
+                    except hst.HstError:
+                        continue
+                    out.append((("untangle", p, d, e_branch, eq_d, eq_e),
+                                step))
     return out
 
 

@@ -324,6 +324,38 @@ def test_budget_below_one_is_input_error(files, capsys, command, budget):
         f"error: --budget must be at least 1, got {budget}"]
 
 
+@pytest.mark.parametrize("argv", [["--method", "brute"],
+                                  ["--method", "vertex"], ["--cross-check"]])
+def test_bound_below_zero_is_input_error(files, capsys, argv):
+    assert run(["enumerate", files["single"], *argv, "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --bound must be at least 0, got -1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "bytes"], ["surface", "bytes", "link"],
+    ["surface", "doubled", "bytes"], ["enumerate", "bytes"],
+    ["width", "bytes"], ["hst", "bytes"],
+    ["surface", "doubled", "deep"], ["hst", "deep"],
+    ["hst", "deep", "--action", "search"]])
+def test_undecodable_or_deep_input_is_one_line(files, tmp_path, capsys,
+                                              argv):
+    files["bytes"] = tmp_path / "bytes.txt"
+    files["bytes"].write_bytes(b"B 0\n\xff\xfe\n")
+    files["deep"] = tmp_path / "deep.json"
+    files["deep"].write_text("[" * 100000)
+    messages = {"bytes": "not UTF-8 text: invalid start byte at byte 4",
+                "deep": "invalid JSON: nested too deeply"}
+    assert run([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(a for a in argv if a in messages)
+    assert captured.err.splitlines() == [
+        f"error: {files[bad]}: {messages[bad]}"]
+
+
 def test_hst_underlying(files, tmp_path, capsys):
     path = tmp_path / "spheres.json"
     path.write_text("[[], [[2, 2]], []]")

@@ -66,6 +66,12 @@ def test_brute_force_bound_zero():
     assert not any(vectors[0].coordinates())
 
 
+@pytest.mark.parametrize("bound", [-1, -7])
+def test_brute_force_rejects_negative_bound(bound):
+    with pytest.raises(ValueError, match="at least 0"):
+        brute_force_enumerate(single_tetrahedron(), bound)
+
+
 def test_brute_force_single_bound_one():
     assert len(brute_force_enumerate(single_tetrahedron(), 1)) == 8
 

@@ -471,6 +471,31 @@ def test_random_descent_terminates():
             splitting_complexity(splitting, True)) != GREATER
 
 
+def test_random_descent_steps_are_legal_rewrites(monkeypatch):
+    # random_descent reads the complexity of its start and of each
+    # successor once, so wrapping _relative_entries records its path.
+    path = []
+    original = hst._relative_entries
+
+    def recording(splitting):
+        path.append(splitting)
+        return original(splitting)
+
+    monkeypatch.setattr(hst, "_relative_entries", recording)
+    rng = random.Random(7)
+    total = 0
+    for _ in range(300):
+        path.clear()
+        steps, final = random_descent(random_splitting(rng), rng)
+        assert len(path) == steps + 1 and path[-1] is final
+        for before, after in zip(path, path[1:]):
+            key = after.canonical()
+            assert any(successor.canonical() == key
+                       for _move, successor in legal_rewrites(before))
+        total += steps
+    assert total == 6487
+
+
 def test_json_round_trip():
     splitting = AbstractSplitting.of(
         EMPTY_SURFACE, AbstractSurface.of(Component(-2, 3), TORUS),

@@ -16,7 +16,8 @@ import pytest
 
 import normalhst
 from normalhst.curve_patterns import (Check348, CurvePattern, LoopClass,
-                                      LoopDecomposition, PatternError)
+                                      LoopDecomposition, PatternError,
+                                      SurfaceCheck348)
 from normalhst.enumeration import SolutionCone
 from normalhst.hst import (EMPTY_SURFACE, AbstractSplitting, AbstractSurface,
                            ComplexityVector, Component, HstError,
@@ -72,6 +73,7 @@ SAMPLES = {
                 (3, (0, 1, 3), ((0, 1, 3),)), {}),
     Check348: ("(passed, witness=None, octagons=0)", (False,),
                {"witness": (0, 1, 2), "octagons": 2}),
+    SurfaceCheck348: ("(results)", ((Check348(True, octagons=1),),), {}),
     Component: ("(closed_chi, punctures=0)", (-2,), {"punctures": 3}),
     AbstractSurface: ("(components)", ((Component(0), Component(-2, 1)),),
                       {}),
@@ -117,7 +119,7 @@ def _package_records():
 
 
 def test_samples_cover_every_record_class():
-    assert len(CLASSES) == 29
+    assert len(CLASSES) == 30
     assert _package_records() == set(CLASSES)
 
 
