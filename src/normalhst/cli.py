@@ -24,7 +24,10 @@ EXIT_CEILING = 3
 
 
 def render_table(value, indent=0):
-    """Flatten a JSON payload into aligned text, one renderer for all."""
+    """Flatten a JSON payload into aligned text, one renderer for all.
+
+    Tuples render as lists, as ``json.dumps`` writes them.
+    """
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
@@ -35,7 +38,7 @@ def render_table(value, indent=0):
             else:
                 lines.append(f"{pad}{key}:")
                 lines.extend(render_table(item, indent + 1))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
             if _inlineable(item):
                 lines.append(f"{pad}- {_scalar(item)}")
@@ -51,7 +54,7 @@ def _inlineable(value):
     """Lists without dicts anywhere render on one line."""
     if isinstance(value, dict):
         return not value
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return all(_inlineable(x) for x in value)
     return True
 
@@ -61,7 +64,7 @@ def _scalar(value):
         return "yes" if value else "no"
     if value is None:
         return "-"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_scalar(x) for x in value) + "]"
     return str(value)
 
@@ -124,12 +127,10 @@ def cmd_validate(args):
                    "faces": skeleton.counts[2],
                    "alternating_sum":
                        skeleton.euler_alternating_sum(tri.tetrahedron_count)},
-        "vertex_orbits": [list(map(list, orbit))
-                          for orbit in skeleton.vertex_orbits],
-        "edge_orbits": [list(map(list, orbit))
-                        for orbit in skeleton.edge_orbits],
-        "face_orbits": [list(map(list, orbit))
-                        for orbit in skeleton.face_orbits],
+        # Tuples are written as arrays, by both formats.
+        "vertex_orbits": skeleton.vertex_orbits,
+        "edge_orbits": skeleton.edge_orbits,
+        "face_orbits": skeleton.face_orbits,
         "links": [{"vertex_orbit": link.vertex_orbit,
                    "chi": link.euler_characteristic,
                    "closed": link.closed,

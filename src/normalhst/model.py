@@ -260,6 +260,9 @@ def perm_on_edge(p, e):
 _INTERNED = {p: p for p in S4}
 INVERSE = {p: _INTERNED[perm_invert(p)] for p in S4}
 
+# SIGN[p] is the sign of p, for each p of S4.
+SIGN = {p: perm_sign(p) for p in S4}
+
 # EDGE_IMAGE[p][e] = (edge index of the image of e, flip), where flip is
 # 1 when p sends the lower endpoint of e to the higher endpoint of its image.
 EDGE_IMAGE = {p: tuple((perm_on_edge(p, e), int(p[u] > p[v]))

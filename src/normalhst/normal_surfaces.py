@@ -454,19 +454,20 @@ _CYCLES = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
 _ARC_SLOT = {(kind, typ, s[0], s[1]): s
              for kind, cycles in _CYCLES.items()
              for typ, cycle in enumerate(cycles) for s in cycle}
-# Per (kind, type): crossings of each of the six edges, and arcs on
-# each of the four faces.
-_EDGE_CROSSINGS = {(kind, typ): tuple(weight(typ, e) for e in range(6))
-                   for kind, weight in (("tri", model.tri_weight),
-                                        ("quad", model.quad_weight),
-                                        ("oct", model.oct_weight))
-                   for typ in range(len(_CYCLES[kind]))}
-_FACE_ARCS = {(kind, typ): tuple(sum(1 for s in cycle if s[0] == f)
-                                 for f in range(4))
-              for kind, cycles in _CYCLES.items()
-              for typ, cycle in enumerate(cycles)}
-# Index of each kind's first coordinate among a tetrahedron's ten.
+# The ten coordinate slots of a tetrahedron as (kind, type): triangles
+# 0..3, quads 4..6, octagons 7..9.  _SLOT is each kind's first slot.
+_KIND_TYPE = tuple((kind, typ) for kind in PIECE_KINDS
+                   for typ in range(len(_CYCLES[kind])))
 _SLOT = {"tri": 0, "quad": 4, "oct": 7}
+# Per slot: crossings of each of the six edges, and arcs on each of
+# the four faces.
+_WEIGHT = {"tri": model.tri_weight, "quad": model.quad_weight,
+           "oct": model.oct_weight}
+_EDGE_CROSSINGS = tuple(tuple(_WEIGHT[kind](typ, e) for e in range(6))
+                        for kind, typ in _KIND_TYPE)
+_FACE_ARCS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ] if s[0] == f)
+                         for f in range(4))
+                   for kind, typ in _KIND_TYPE)
 # Labels of the run union-find: bit 0 is the orientation parity, bit 1
 # says the copy index is reversed.  These masks select, from a class's
 # cycle span, the labels that flip orientation with the index kept and
@@ -475,21 +476,92 @@ _FLIP_KEPT = 1 << 0b01
 _REVERSING = 1 << 0b10 | 1 << 0b11
 
 
-def _parallel(kind_a, typ_a, f, v, g, kind_b, typ_b):
-    """Whether two glued arcs run the same way around their pieces.
+def _stack_slots(f, v):
+    """The pieces that meet arc (f, v), in stacking order away from v.
 
-    The arc of (kind_a, typ_a) of type (f, v) is glued by g to the arc
-    of (kind_b, typ_b) of type (g.face, g(v)); each piece's boundary
-    cycle enters its arc from one crossing.  The pieces' cycles run
-    with each other exactly when side A's entry crossing maps onto
-    side B's.
+    Each is (slot, forward), forward when its copies meet the face in
+    ascending order: the triangle at v, the quad of the arc, whose
+    copies ascend when v lies on the lower edge of its pair, then the
+    octagons of the two other types (see model.oct_arc_count).
     """
-    e_from, end = _ARC_SLOT[kind_a, typ_a, f, v][2]
-    perm = g.perm
+    q = model.ARC_QUAD[f][v]
+    return ((v, True), (4 + q, v in model.EDGES[min(model.PAIRS[q])]),
+            *((7 + o, True) for o in range(3) if o != q))
+
+
+# _STACK_SLOTS[f << 2 | v] = _stack_slots(f, v), empty for v == f.
+_STACK_SLOTS = tuple(_stack_slots(f, v) if v != f else ()
+                     for f in range(4) for v in range(4))
+
+
+def _stacks(mask):
+    """The stack table of a tetrahedron whose nonzero slots are the bits
+    of ``mask``.
+
+    Entry f << 2 | v lists the tetrahedron's blocks meeting arc (f, v)
+    in stacking order, as (rank, slot, forward): the block's position
+    among the tetrahedron's blocks, which are numbered in slot order,
+    its slot, and whether its copies meet the face in ascending order.
+    """
+    return tuple(tuple((bin(mask & ((1 << s) - 1)).count("1"), s, forward)
+                       for s, forward in slots if mask >> s & 1)
+                 for slots in _STACK_SLOTS)
+
+
+def _cell_weights(shape):
+    """Per slot, V - E + F of one piece and whether it has a boundary
+    arc, in a tetrahedron of the given shape.
+
+    ``shape`` has a bit 8 + e for each edge e that is its orbit's first
+    cell, 4 + f for each face f whose arcs are counted (a boundary face
+    or the first side of a glued pair), and f for each boundary face.
+    """
+    edges = [e for e in range(6) if shape >> 8 + e & 1]
+    counted = [f for f in range(4) if shape >> 4 + f & 1]
+    boundary = [f for f in range(4) if shape >> f & 1]
+    return (tuple(sum(crossings[e] for e in edges)
+                  - sum(arcs[f] for f in counted) + 1
+                  for crossings, arcs in zip(_EDGE_CROSSINGS, _FACE_ARCS)),
+            tuple(any(arcs[f] for f in boundary) for arcs in _FACE_ARCS))
+
+
+def _label(perm, f, v, slot_a, slot_b):
+    """The run union-find label of two glued arcs.
+
+    The arc of type (f, v) on the piece of ``slot_a`` is glued by perm
+    to the arc of type (perm[f], perm[v]) on the piece of ``slot_b``.
+    Bit 1 is set when one side's copies meet the face in ascending
+    order and the other's in descending order.  Bit 0 is set when the
+    pieces' boundary cycles run the same way: each cycle enters its arc
+    from one crossing, and they run with each other exactly when side
+    A's entry crossing maps onto side B's.
+    """
+    f2, v2 = perm[f], perm[v]
+    reversed_ = (dict(_STACK_SLOTS[f << 2 | v])[slot_a]
+                 != dict(_STACK_SLOTS[f2 << 2 | v2])[slot_b])
+    e_from, end = _ARC_SLOT[(*_KIND_TYPE[slot_a], f, v)][2]
     x, y = model.EDGES[e_from]
     mapped_from = (model.edge_index(perm[x], perm[y]),
                    None if end is None else perm[end])
-    return mapped_from == _ARC_SLOT[kind_b, typ_b, g.face, perm[v]][2]
+    return reversed_ << 1 | (
+        mapped_from == _ARC_SLOT[(*_KIND_TYPE[slot_b], f2, v2)][2])
+
+
+def _glued_faces(rows, tets):
+    """Each glued face pair with a side in ``tets``, once, as (t, f, g).
+
+    ``tets`` ascend, and ``rows`` are the gluings.  A pair comes from
+    its first side when both sides are in ``tets``, else from the side
+    that is.
+    """
+    member = bytearray(len(rows))
+    for t in tets:
+        member[t] = 1
+    for t in tets:
+        for f, g in enumerate(rows[t]):
+            if g is not None and (not member[g.tet] or t < g.tet
+                                  or t == g.tet and f < g.face):
+                yield t, f, g
 
 
 def _crossing_direction(kind, typ, e):
@@ -517,6 +589,17 @@ class ReconstructedSurface:
     vector every cut is k times a cut of the vector, so the run count
     does not grow with k.
 
+    The stacks are read from tables, not built per arc.  A
+    tetrahedron's blocks are numbered consecutively in slot order, so
+    the set of its nonzero slots picks a stack table (:func:`_stacks`)
+    that lists, for each arc type, the blocks meeting it by their rank.
+    The label of two glued blocks depends only on their slots, the arc
+    type and the gluing permutation, and each reconstruction computes
+    it once per distinct case (:func:`_label`), as it builds each
+    distinct stack table once.  Only face pairs of tetrahedra that hold
+    pieces are visited, and only those of tetrahedra holding a block
+    of two or more copies are searched for cuts.
+
     Runs are joined in a :class:`ParityUnionFind` whose label has bit 0
     for the orientation parity and bit 1 for a reversed copy index.  A
     class of runs of length L holds one component per copy offset,
@@ -528,7 +611,10 @@ class ReconstructedSurface:
     component's V - E + F (its entries in the edge stacks of the
     orbits' first edges, less its arcs on boundary faces and on the
     first side of each glued face pair, plus one face), so a
-    component's chi and closedness come from weights per block.  The
+    component's chi and closedness come from weights per block, read
+    from a table per tetrahedron shape (:func:`_cell_weights`): which of
+    its edges come first in their orbits and which of its faces are
+    counted or on the boundary.  The
     first piece of a class's components lies in its first run, at
     consecutive copies, so listing the classes in order of their first
     run numbers the components by their first piece.
@@ -547,19 +633,21 @@ class ReconstructedSurface:
                 + "; ".join(viol.message for viol in report.violations))
         self.edge_weights = self._edge_weights()
         limit = ceiling("surface_cells")
-        blocks = self._blocks()
-        # Block number of each of the ten coordinates of each
-        # tetrahedron, -1 where the coordinate is 0.
-        number = [-1] * (10 * tri.tetrahedron_count)
-        for b, (t, kind, typ, *_) in enumerate(blocks):
-            number[10 * t + _SLOT[kind] + typ] = b
+        held, many, stacks, first_block, count, weight, is_open = \
+            self._blocks()
         tube = vector.tube
-        # (block number, copy) of the tube's two pieces.
-        tube_ends = () if tube is None else tuple(
-            (number[10 * tube.tet + _SLOT[kind] + typ], copy)
-            for kind, typ, copy in tube.pieces())
-        cuts = self._cut(blocks, number, tube_ends, limit)
-        self._join_runs(blocks, number, cuts, tube_ends, limit)
+        # (block number, copy) of the tube's two pieces: a block's
+        # number is its tetrahedron's first plus its rank there.
+        tube_ends = ()
+        if tube is not None:
+            counts = sum(vector.tets[tube.tet], ())
+            tube_ends = tuple(
+                (first_block[tube.tet]
+                 + sum(map(bool, counts[:_SLOT[kind] + typ])), copy)
+                for kind, typ, copy in tube.pieces())
+        cuts = self._cut(many, stacks, first_block, count, tube_ends, limit)
+        self._join_runs(held, stacks, first_block, count, weight, is_open,
+                        cuts, tube_ends, limit)
 
     def _edge_weights(self):
         tets = self.vector.tets
@@ -574,84 +662,55 @@ class ReconstructedSurface:
         return tuple(weights)
 
     def _blocks(self):
-        """Nonzero blocks in piece order, with their cell weights.
+        """Nonzero blocks in piece order, and where they sit.
 
-        Entries are (t, kind, type, count, V - E + F per piece, whether
-        a piece has a boundary arc).
+        Returns the tetrahedra that hold pieces and those that hold a
+        block of two or more copies, both ascending; per tetrahedron its
+        stack table (see :func:`_stacks`) and its first block number;
+        and per block its count, V - E + F per piece and whether a piece
+        has a boundary arc.
         """
-        tri = self.tri
-        first_edges = [[] for _ in range(tri.tetrahedron_count)]
+        n = self.tri.tetrahedron_count
+        rows = self.tri.gluings
+        first_edges = [0] * n
         for orbit in self.skeleton.edge_orbits:
             t, e = orbit[0]
-            first_edges[t].append(e)
-        blocks = []
-        for t, counts in enumerate(self.vector.tets):
-            if not any(map(any, counts)):
+            first_edges[t] |= 1 << e
+        held, many = [], []
+        stacks, first_block = [_stacks(0)] * n, [0] * n
+        count, weight, is_open = [], [], []
+        # Each distinct stack table and shape is built once per call.
+        tables, shapes = {}, {}
+        for t, (tri_c, quad_c, oct_c) in enumerate(self.vector.tets):
+            counts = tri_c + quad_c + oct_c
+            if not any(counts):
                 continue
-            gluings = tri.gluings[t]
-            boundary = [f for f, g in enumerate(gluings) if g is None]
-            # Arcs on these faces are counted: boundary faces and the
-            # first side of each glued pair.
-            counted = [f for f, g in enumerate(gluings)
-                       if g is None or (t, f) < (g.tet, g.face)]
-            for kind, kind_counts in zip(PIECE_KINDS, counts):
-                for typ, count in enumerate(kind_counts):
-                    if not count:
-                        continue
-                    crossings = _EDGE_CROSSINGS[kind, typ].__getitem__
-                    arcs = _FACE_ARCS[kind, typ].__getitem__
-                    blocks.append((
-                        t, kind, typ, count,
-                        sum(map(crossings, first_edges[t]))
-                        - sum(map(arcs, counted)) + 1,
-                        any(map(arcs, boundary))))
-        return blocks
+            held.append(t)
+            first_block[t] = len(count)
+            shape = first_edges[t] << 8
+            for f, g in enumerate(rows[t]):
+                if g is None:
+                    shape |= 0b10001 << f
+                elif t < g.tet or t == g.tet and f < g.face:
+                    shape |= 0b10000 << f
+            if shape not in shapes:
+                shapes[shape] = _cell_weights(shape)
+            weights, opens = shapes[shape]
+            bits = 0
+            for s, c in enumerate(counts):
+                if c:
+                    bits |= 1 << s
+                    count.append(c)
+                    weight.append(weights[s])
+                    is_open.append(opens[s])
+            if bits not in tables:
+                tables[bits] = _stacks(bits)
+            stacks[t] = tables[bits]
+            if max(counts) > 1:
+                many.append(t)
+        return held, many, stacks, first_block, count, weight, is_open
 
-    def _pairings(self, number, visit):
-        """The arc stacks glued across each internal face and arc type.
-
-        Yields (f, v, gluing, side A, side B) for every face pair with a
-        tetrahedron in ``visit``.  A side lists (offset, block number,
-        count, forward) in stacking order away from v: triangles, the
-        quad, whose copies meet the face in ascending order when
-        ``forward``, then octagons.  Each pass builds the stacks afresh,
-        so they are never all held at once.
-        """
-        tets = self.vector.tets
-
-        def side(t, f, v):
-            tri_c, quad_c, oct_c = tets[t]
-            base = 10 * t
-            q = model.ARC_QUAD[f][v]
-            out = []
-            offset = 0
-            if tri_c[v]:
-                out.append((0, number[base + v], tri_c[v], True))
-                offset = tri_c[v]
-            if quad_c[q]:
-                out.append((offset, number[base + 4 + q], quad_c[q],
-                            v in model.EDGES[min(model.PAIRS[q])]))
-                offset += quad_c[q]
-            for qq in range(3):
-                # model.oct_arc_count: every octagon type but q
-                if oct_c[qq] and qq != q:
-                    out.append((offset, number[base + 7 + qq], oct_c[qq],
-                                True))
-                    offset += oct_c[qq]
-            return out, offset
-
-        for t, f, g in self.tri.face_pairs():
-            if t not in visit and g.tet not in visit:
-                continue
-            for v in model.FACE_VERTICES[f]:
-                side_a, length = side(t, f, v)
-                side_b, length_b = side(g.tet, g.face, g.image_of_vertex(v))
-                assert length == length_b, \
-                    "matching violated during reconstruction"
-                if length:
-                    yield f, v, g, side_a, side_b
-
-    def _cut(self, blocks, number, tube_ends, limit):
+    def _cut(self, many, stacks, first_block, count, tube_ends, limit):
         """Sorted inner cut points of every block that has any.
 
         Returns {block number: cuts}; a block of one copy is never cut.
@@ -660,14 +719,24 @@ class ReconstructedSurface:
         """
         cuts = {}
         pending = []
-        runs = len(blocks)
+        runs = len(count)
+
+        def side(t, arc):
+            # (offset, block number, count, forward) in stacking order
+            out = []
+            offset = 0
+            for rank, _, forward in stacks[t][arc]:
+                b = first_block[t] + rank
+                out.append((offset, b, count[b], forward))
+                offset += count[b]
+            return out
 
         def cut(side, position):
             nonlocal runs
-            for offset, b, count, forward in side:
-                if offset < position < offset + count:
+            for offset, b, size, forward in side:
+                if offset < position < offset + size:
                     x = position - offset if forward \
-                        else offset + count - position
+                        else offset + size - position
                     here = cuts.setdefault(b, set())
                     if x not in here:
                         runs += 1
@@ -684,70 +753,107 @@ class ReconstructedSurface:
         # the side facing it.  A face pair between blocks of one copy
         # each can neither make a cut nor carry one.
         seen_in = {}
-        many = {t for t, _, _, count, *_ in blocks if count > 1}
-        for *_, side_a, side_b in self._pairings(number, many):
-            for here, there in ((side_a, side_b), (side_b, side_a)):
-                for offset, b, count, forward in here:
-                    if count > 1:
-                        seen_in.setdefault(b, []).append(
-                            (offset, forward, there))
-                for offset, *_ in here[1:]:
-                    cut(there, offset)
+        for t, f, g in _glued_faces(self.tri.gluings, many):
+            for v in model.FACE_VERTICES[f]:
+                side_a = side(t, f << 2 | v)
+                side_b = side(g.tet, g.face << 2 | g.perm[v])
+                for here, there in ((side_a, side_b), (side_b, side_a)):
+                    for offset, b, size, forward in here:
+                        if size > 1:
+                            seen_in.setdefault(b, []).append(
+                                (offset, forward, there))
+                    for offset, *_ in here[1:]:
+                        cut(there, offset)
         for b, copy in tube_ends:
-            side = [(0, b, blocks[b][3], True)]
-            cut(side, copy)
-            cut(side, copy + 1)
+            whole = [(0, b, count[b], True)]
+            cut(whole, copy)
+            cut(whole, copy + 1)
         while pending:
             b, x = pending.pop()
-            count = blocks[b][3]
+            size = count[b]
             for offset, forward, there in seen_in.get(b, ()):
-                cut(there, offset + (x if forward else count - x))
+                cut(there, offset + (x if forward else size - x))
         return {b: sorted(here) for b, here in cuts.items()}
 
-    def _join_runs(self, blocks, number, cuts, tube_ends, limit):
-        # Runs are numbered in piece order; each block's runs, in
-        # ascending copy order, are a range of run numbers.
-        block_runs = []
+    def _join_runs(self, held, stacks, first_block, count, weight, is_open,
+                   cuts, tube_ends, limit):
+        # Runs are numbered in piece order; block b's runs, in ascending
+        # copy order, are first_run[b] .. first_run[b + 1] - 1.
+        first_run = []
         run_length = []
-        run_block = []
-        for b, block in enumerate(blocks):
-            first = len(run_length)
-            points = [0, *cuts.get(b, ()), block[3]]
-            for lo, hi in zip(points, points[1:]):
+        for b, size in enumerate(count):
+            first_run.append(len(run_length))
+            lo = 0
+            for hi in cuts.get(b, ()):
                 run_length.append(hi - lo)
-                run_block.append(b)
-            block_runs.append(range(first, len(run_length)))
+                lo = hi
+            run_length.append(size - lo)
+        first_run.append(len(run_length))
         self.run_count = len(run_length)
         sheets = ParityUnionFind(self.run_count)
+        union = sheets.union
 
-        used = {block[0] for block in blocks}
-        for f, v, g, side_a, side_b in self._pairings(number, used):
-            # The runs of the two sides line up.  Walk both sides block
-            # by block; done_a and done_b count the runs of the current
-            # two blocks already paired.
-            i = j = done_a = done_b = 0
-            while i < len(side_a):
-                _, ba, _, fa = side_a[i]
-                _, bb, _, fb = side_b[j]
-                runs_a = block_runs[ba] if fa else block_runs[ba][::-1]
-                runs_b = block_runs[bb] if fb else block_runs[bb][::-1]
-                step = min(len(runs_a) - done_a, len(runs_b) - done_b)
-                label = (fa != fb) << 1 | _parallel(
-                    blocks[ba][1], blocks[ba][2], f, v, g,
-                    blocks[bb][1], blocks[bb][2])
-                for ra, rb in zip(runs_a[done_a:done_a + step],
-                                  runs_b[done_b:done_b + step]):
-                    assert run_length[ra] == run_length[rb], \
-                        "matching violated during reconstruction"
-                    sheets.union(ra, rb, label)
-                done_a += step
-                done_b += step
-                if done_a == len(runs_a):
-                    i += 1
-                    done_a = 0
-                if done_b == len(runs_b):
-                    j += 1
-                    done_b = 0
+        # Per gluing permutation, the label of each case met so far.
+        labels_by_perm = {}
+        for t, f, g in _glued_faces(self.tri.gluings, held):
+            u, perm = g.tet, g.perm
+            labels = labels_by_perm.get(perm)
+            if labels is None:
+                labels = labels_by_perm[perm] = {}
+            stacks_a, stacks_b = stacks[t], stacks[u]
+            base_a, base_b = first_block[t], first_block[u]
+            f2 = g.face << 2
+            for v in model.FACE_VERTICES[f]:
+                arc = f << 2 | v
+                side_a = stacks_a[arc]
+                side_b = stacks_b[f2 | perm[v]]
+                # The runs of the two sides line up.  Walk both sides
+                # block by block; done_a and done_b count the runs of
+                # the current two blocks already paired.
+                i = j = done_a = done_b = 0
+                end_a, end_b = len(side_a), len(side_b)
+                while i < end_a and j < end_b:
+                    rank_a, slot_a, forward_a = side_a[i]
+                    rank_b, slot_b, forward_b = side_b[j]
+                    key = arc * 100 + slot_a * 10 + slot_b
+                    label = labels.get(key)
+                    if label is None:
+                        label = labels[key] = _label(perm, f, v,
+                                                     slot_a, slot_b)
+                    b = base_a + rank_a
+                    lo_a, runs_a = first_run[b], first_run[b + 1]
+                    runs_a -= lo_a
+                    b = base_b + rank_b
+                    lo_b, runs_b = first_run[b], first_run[b + 1]
+                    runs_b -= lo_b
+                    step = runs_a - done_a
+                    if runs_b - done_b < step:
+                        step = runs_b - done_b
+                    if forward_a:
+                        ra, da = lo_a + done_a, 1
+                    else:
+                        ra, da = lo_a + runs_a - 1 - done_a, -1
+                    if forward_b:
+                        rb, db = lo_b + done_b, 1
+                    else:
+                        rb, db = lo_b + runs_b - 1 - done_b, -1
+                    for _ in range(step):
+                        assert run_length[ra] == run_length[rb], \
+                            "matching violated during reconstruction"
+                        union(ra, rb, label)
+                        ra += da
+                        rb += db
+                    done_a += step
+                    done_b += step
+                    if done_a == runs_a:
+                        i += 1
+                        done_a = 0
+                    if done_b == runs_b:
+                        j += 1
+                        done_b = 0
+                # Both sides end together: their lengths match.
+                assert i == end_a and j == end_b, \
+                    "matching violated during reconstruction"
 
         # Tube: join its two singleton runs; consecutive parallel sheets
         # get opposite boundary orientations when their crossings of
@@ -756,9 +862,10 @@ class ReconstructedSurface:
         if tube_ends:
             e_shared = _tube_shared_edge(self.vector)
             (tube_run, da), (rb, db) = [
-                (block_runs[b][[0, *cuts.get(b, ())].index(copy)],
-                 _crossing_direction(blocks[b][1], blocks[b][2], e_shared))
-                for b, copy in tube_ends]
+                (first_run[b] + [0, *cuts.get(b, ())].index(copy),
+                 _crossing_direction(kind, typ, e_shared))
+                for (b, copy), (kind, typ, _) in zip(
+                    tube_ends, self.vector.tube.pieces())]
             sheets.union(tube_run, rb, da == db)
 
         # Classes in order of their first run, with chi and closedness
@@ -766,11 +873,12 @@ class ReconstructedSurface:
         labels, roots = sheets.classes()
         chi = [0] * len(roots)
         closed = [True] * len(roots)
-        for r, c in enumerate(labels):
-            block = blocks[run_block[r]]
-            chi[c] += block[4]
-            if block[5]:
-                closed[c] = False
+        for b, block_weight in enumerate(weight):
+            for r in range(first_run[b], first_run[b + 1]):
+                c = labels[r]
+                chi[c] += block_weight
+                if is_open[b]:
+                    closed[c] = False
         if tube_run is not None:
             chi[labels[tube_run]] -= 2
         spans = [sheets.span[root] for root in roots]
@@ -837,7 +945,11 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
     O(n + R log R + C) for n tetrahedra, R runs and C components
     (near linear: the run union-find adds an inverse-Ackermann
     factor).  R is at most the number of pieces and does not grow with
-    k for k times a vector; C is what the summary lists.  When R, or R
+    k for k times a vector; C is what the summary lists.  The n term
+    is one pass over the tetrahedra and the edge orbits; faces are
+    visited only around tetrahedra that hold pieces, and each glued arc
+    type there costs a few table lookups and one union per pair of
+    runs.  When R, or R
     plus C, would pass the ``surface_cells`` ceiling, it raises
     :class:`ResourceCeilingError` before building them, and the
     ``surface`` command exits 3.

@@ -39,10 +39,15 @@ def json_int(x, error=TypeError):
     """x if it is a JSON integer, else ``error`` is raised.
 
     Floats, strings and booleans (``bool`` is a subclass of ``int``)
-    are rejected rather than coerced.
+    are rejected rather than coerced.  The message quotes x's repr up
+    to 60 characters, and marks a longer one cut with ``...``, so a long
+    string or a deeply nested list still makes one short line.
     """
     if type(x) is not int:
-        raise error(f"expected an integer, got {x!r}")
+        text = repr(x)
+        if len(text) > 60:
+            text = text[:60] + "..."
+        raise error(f"expected an integer, got {text}")
     return x
 
 

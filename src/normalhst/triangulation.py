@@ -143,13 +143,33 @@ class Triangulation:
         Two tetrahedra glued along a face are coherently oriented exactly
         when the gluing permutation is odd, so the triangulation is
         orientable iff tetrahedra can be signed with o(t)*o(t') = -sign(p)
-        across every gluing: an even gluing asks for opposite signs, and
-        no class of the parity union-find may hold an odd cycle.
+        across every gluing: an even gluing asks for opposite signs.  A
+        walk over the rows signs each class of glued tetrahedra from its
+        first member, reading each gluing's sign from ``model.SIGN``, and
+        fails at the first gluing whose two signs disagree.  The cost is
+        linear in the tetrahedron count.
         """
-        signs = ParityUnionFind(self.tetrahedron_count)
-        for t, _, g in self.face_pairs():
-            signs.union(t, g.tet, model.perm_sign(g.perm) == 1)
-        return not any(span & ODD_LABELS for span in signs.span)
+        rows = self.gluings
+        sign_of = model.SIGN
+        signs = [0] * self.tetrahedron_count
+        for start in range(self.tetrahedron_count):
+            if signs[start]:
+                continue
+            signs[start] = 1
+            queue = [start]
+            for t in queue:
+                flip = -signs[t]
+                for g in rows[t]:
+                    if g is None:
+                        continue
+                    want = flip * sign_of[g.perm]
+                    have = signs[g.tet]
+                    if not have:
+                        signs[g.tet] = want
+                        queue.append(g.tet)
+                    elif have != want:
+                        return False
+        return True
 
     def to_text(self):
         """Serialize in the plain-text file format."""
@@ -329,8 +349,16 @@ class ParityUnionFind:
         return x
 
     def union(self, x, y, label=0):
-        rx, ry = self.find(x), self.find(y)
-        differ = self.parity[x] ^ self.parity[y] ^ label
+        # An element whose parent is a root needs no find: its parity
+        # is already relative to that root.
+        parent = self.parent
+        rx, ry = parent[x], parent[y]
+        if parent[rx] != rx:
+            rx = self.find(x)
+        if parent[ry] != ry:
+            ry = self.find(y)
+        parity = self.parity
+        differ = parity[x] ^ parity[y] ^ label
         span = self.span
         if rx == ry:
             if differ:
@@ -339,8 +367,8 @@ class ParityUnionFind:
         size = self.size
         if size[rx] < size[ry]:
             rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.parity[ry] = differ
+        parent[ry] = rx
+        parity[ry] = differ
         size[rx] += size[ry]
         if span[ry] != 1:
             span[rx] = _span_sum(span[rx], span[ry])

@@ -11,6 +11,7 @@ import pytest
 
 from normalhst import cli, library, normal_surfaces
 from normalhst.normal_surfaces import SurfaceVector, vertex_link
+from normalhst.record import json_int
 from normalhst.thin_position import MorsePresentation, legal_exchanges, width
 
 
@@ -354,6 +355,42 @@ def test_undecodable_or_deep_input_is_one_line(files, tmp_path, capsys,
     bad = next(a for a in argv if a in messages)
     assert captured.err.splitlines() == [
         f"error: {files[bad]}: {messages[bad]}"]
+
+
+@pytest.mark.parametrize("command", ["surface", "hst"])
+def test_deep_coordinate_is_one_short_line(files, tmp_path, command):
+    # The offending value is quoted cut at 60 characters.  A child
+    # process parses the 985 levels that a test's deeper stack could
+    # not, and a relative path keeps the directory's name out of the
+    # line.
+    deep = "[" * 985 + "]" * 985
+    if command == "surface":
+        text = files["link"].read_text().replace(
+            '"tri": [1,', f'"tri": [{deep},', 1)
+        argv = ["surface", str(files["doubled"]), "deep.json"]
+    else:
+        text = f"[[], [[{deep}, 0]], []]"
+        argv = ["hst", "deep.json"]
+    (tmp_path / "deep.json").write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "normalhst.cli"] + argv,
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0].endswith("expected an integer, got " + "[" * 60 + "...")
+
+
+def test_short_non_integer_message_is_unchanged():
+    with pytest.raises(TypeError) as caught:
+        json_int("3")
+    assert str(caught.value) == "expected an integer, got '3'"
+    with pytest.raises(TypeError) as caught:
+        json_int([[1.5, 2]] * 12)
+    assert str(caught.value) == "expected an integer, got " \
+        + repr([[1.5, 2]] * 12)[:60] + "..."
 
 
 def test_hst_underlying(files, tmp_path, capsys):

@@ -12,7 +12,7 @@ from normalhst.enumeration import (brute_force_enumerate,
 from normalhst.library import (boundary_4_simplex, corpus,
                                doubled_tetrahedron, lens_l41, one_tet_sphere,
                                pseudomanifold_two_tet, rp3_two_tet,
-                               single_tetrahedron)
+                               single_tetrahedron, stellar_subdivision)
 from normalhst.limits import ResourceCeilingError
 from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        ALMOST_NORMAL_TUBE, INADMISSIBLE,
@@ -611,6 +611,56 @@ def test_runs_match_oracle_on_link_quad_sums():
                 for b in range(5):
                     _assert_matches_oracle(
                         tri, link.scale(a).add(quad.scale(b)), sk)
+
+
+CLOSED_MANIFOLDS = (doubled_tetrahedron, boundary_4_simplex, one_tet_sphere,
+                    lens_l41, rp3_two_tet)
+
+
+def _link_sum(tri, sk):
+    links = [vertex_link(tri, i, sk) for i in range(len(sk.vertex_orbits))]
+    total = links[0]
+    for link in links[1:]:
+        total = total.add(link)
+    return total, links
+
+
+def test_runs_match_oracle_on_stellar_links():
+    # Seeded 1-4 moves on the closed manifolds, up to about 300
+    # tetrahedra: the sum of all vertex links and up to four single
+    # links, each once, twice and three times.
+    for build in CLOSED_MANIFOLDS:
+        for moves in (1, 7, 40, 99):
+            tri = stellar_subdivision(build(), moves, moves)
+            sk = compute_skeleton(tri)
+            total, links = _link_sum(tri, sk)
+            picked = random.Random(moves).sample(links, min(4, len(links)))
+            for vec in (total, *picked):
+                for k in (1, 2, 3):
+                    summary = _assert_matches_oracle(tri, vec.scale(k),
+                                                     sk).summary()
+                    assert all(summary.is_sphere_component)
+
+
+def test_runs_match_oracle_on_stellar_link_quad_sums():
+    # Every quad-carrying vertex surface of one 1-4 move on each closed
+    # manifold, plus the sum of all links or one link, in several
+    # multiples: the quads' blocks meet the links' triangles in stacks
+    # of more than one block.
+    found = 0
+    for build in CLOSED_MANIFOLDS:
+        tri = stellar_subdivision(build(), 1, 1)
+        sk = compute_skeleton(tri)
+        total, links = _link_sum(tri, sk)
+        for quad in enumerate_vertex_surfaces(tri):
+            if not any(any(q) for _, q, _ in quad.tets):
+                continue
+            found += 1
+            for link in (total, links[found % len(links)]):
+                for a, b in ((1, 1), (2, 1), (1, 3)):
+                    _assert_matches_oracle(
+                        tri, link.scale(a).add(quad.scale(b)), sk)
+    assert found >= 5
 
 
 def test_run_count_does_not_grow_with_scale():

@@ -279,6 +279,16 @@ def test_skeleton_matches_oracles_with_boundary_and_stellar_moves():
     assert paths > 1000
 
 
+def test_orientability_matches_propagation_with_boundary_and_stellar_moves():
+    # The sign walk against the propagation oracle, on pairings with
+    # unglued faces and on stellar moves, up to about 300 tetrahedra
+    answers = set()
+    for tri in itertools.chain(_bounded_pairings(), _stellar_subdivisions()):
+        answers.add(tri.orientable())
+        assert tri.orientable() == orientable_by_propagation(tri)
+    assert answers == {True, False}
+
+
 def test_stellar_moves_keep_the_manifold():
     for build in LIBRARY:
         tri = build()
