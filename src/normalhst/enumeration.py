@@ -42,17 +42,6 @@ class SolutionCone(Record):
         setfield(self, "rays", rays)
 
 
-def _two_quads_in_one_tet(support, quads):
-    """Whether ``support`` holds two quad columns of one tetrahedron.
-
-    ``quads`` masks every quad column (7t+4..7t+6).  Two quad bits of
-    one tetrahedron lie 1 or 2 apart; quad bits of different tetrahedra
-    lie at least 5 apart, so the shifts never pair across tetrahedra.
-    """
-    q = support & quads
-    return bool(q & ((q >> 1) | (q >> 2)))
-
-
 def extreme_rays(system):
     """Quad-admissible extreme rays of {x >= 0, rows(x) = 0}.
 
@@ -61,10 +50,11 @@ def extreme_rays(system):
     B. Burton, "Optimizing the double description method for normal
     surface enumeration", Math. Comp. 79 (2010).  A pos x neg pair
     combines to a ray whose support is the union of theirs, so a pair
-    whose union holds two quads of one tetrahedron is skipped before
-    the adjacency test.  The test itself stays exact over the kept
-    rays: any ray whose zero set contains the pair's common zeros has
-    support inside the union, hence is admissible and kept.
+    whose union holds two quads of one tetrahedron, by the shift test
+    on ``system.quads`` (see :class:`MatchingSystem`), is skipped
+    before the adjacency test.  The test itself stays exact over the
+    kept rays: any ray whose zero set contains the pair's common zeros
+    has support inside the union, hence is admissible and kept.
 
     Zero sets are int bitmasks over the columns, and the adjacency test
     reads them transposed: one bitmask per column, with bit k set when
@@ -80,7 +70,7 @@ def extreme_rays(system):
     n = system.columns
     max_rays = ceiling("rays")
     full = (1 << n) - 1
-    quads = sum(0b111 << (7 * t + 4) for t in range(n // 7))
+    quads = system.quads
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     zero_sets = [full ^ (1 << j) for j in range(n)]
     order = sorted(range(len(system.rows)),
@@ -97,7 +87,8 @@ def extreme_rays(system):
         for i in pos:
             for j in neg:
                 common = zero_sets[i] & zero_sets[j]
-                if _two_quads_in_one_tet(full ^ common, quads):
+                q = quads & ~common
+                if q & (q >> 1 | q >> 2):
                     continue
                 # Rays i and j are zero on all of common, so they stay.
                 pair = 1 << i | 1 << j
@@ -134,42 +125,33 @@ def solution_cone(tri):
                         rays=tuple(sorted(extreme_rays(system))))
 
 
-def _vector_from_flat(tri, flat):
-    blocks = []
-    for t in range(tri.tetrahedron_count):
-        seg = flat[7 * t: 7 * t + 7]
-        blocks.append((tuple(seg[:4]), tuple(seg[4:7]), (0, 0, 0)))
-    return SurfaceVector(tuple(blocks))
-
-
 def enumerate_vertex_surfaces(tri):
     """Quad-admissible extreme rays of the matching cone, sorted.
 
     Output order is lexicographic on the flat coordinate tuples, so
     repeated runs produce identical results.
     """
-    return [_vector_from_flat(tri, ray)
+    return [SurfaceVector.from_normal_coordinates(ray)
             for ray in solution_cone(tri).rays]
 
 
 def _local_blocks(budget):
-    """All (tri, quad) blocks for one tetrahedron with weight <= budget.
-
-    At most one quad type is nonzero, per the quad constraint.
-    """
+    """(block, weight) for every block of one tetrahedron of weight <=
+    budget: no octagon, and one nonzero quad type at most."""
     blocks = []
     for a0 in range(budget + 1):
         for a1 in range(budget + 1 - a0):
             for a2 in range(budget + 1 - a0 - a1):
                 for a3 in range(budget + 1 - a0 - a1 - a2):
                     tri_c = (a0, a1, a2, a3)
-                    rest = budget - a0 - a1 - a2 - a3
-                    blocks.append((tri_c, (0, 0, 0)))
+                    weight = a0 + a1 + a2 + a3
+                    blocks.append(((tri_c, (0, 0, 0), (0, 0, 0)), weight))
                     for q in range(3):
-                        for k in range(1, rest + 1):
+                        for k in range(1, budget - weight + 1):
                             quad_c = tuple(k if i == q else 0
                                            for i in range(3))
-                            blocks.append((tri_c, quad_c))
+                            blocks.append(((tri_c, quad_c, (0, 0, 0)),
+                                           weight + k))
     return blocks
 
 
@@ -199,24 +181,21 @@ def brute_force_enumerate(tri, max_total_coordinate):
     from . import model
     results = []
     assigned = [None] * n
-    # Budget -> the (block, weight) pairs of _local_blocks(budget).
+    # Budget -> _local_blocks(budget).
     local = {}
 
     def extend(t, remaining):
         if t == n:
-            results.append(tuple(assigned))
+            results.append(SurfaceVector(tuple(assigned)))
             return
         blocks = local.get(remaining)
         if blocks is None:
-            blocks = local[remaining] = [
-                (block, sum(block[0]) + sum(block[1]))
-                for block in _local_blocks(remaining)]
+            blocks = local[remaining] = _local_blocks(remaining)
         for block, weight in blocks:
             assigned[t] = block
             ok = True
             for (ta, fa), (tb, fb), g in eq_by_stage[t]:
-                ba = assigned[ta] + ((0, 0, 0),)
-                bb = assigned[tb] + ((0, 0, 0),)
+                ba, bb = assigned[ta], assigned[tb]
                 for w in model.FACE_VERTICES[fa]:
                     if model.arc_count(ba, fa, w) != \
                             model.arc_count(bb, fb, g.image_of_vertex(w)):
@@ -229,10 +208,8 @@ def brute_force_enumerate(tri, max_total_coordinate):
         assigned[t] = None
 
     extend(0, max_total_coordinate)
-    vectors = [SurfaceVector(tuple((b[0], b[1], (0, 0, 0)) for b in blocks))
-               for blocks in results]
-    vectors.sort(key=lambda v: v.normal_coordinates())
-    return vectors
+    results.sort(key=lambda v: v.normal_coordinates())
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +284,7 @@ def reduced_extreme_solutions(tri, bound):
             continue
         seen.add(flat)
         if is_extreme_ray(system, flat):
-            out.append(_vector_from_flat(tri, flat))
+            out.append(SurfaceVector.from_normal_coordinates(flat))
     out.sort(key=lambda v: v.normal_coordinates())
     return out
 

@@ -17,10 +17,12 @@ identified face matches these orders, which makes reconstruction a pure
 function of the vector.
 """
 
+from functools import cache
+
 from . import model
 from .limits import ResourceCeilingError, ceiling
 from .record import Record, json_int, setfield
-from .triangulation import ODD_LABELS, ParityUnionFind, compute_skeleton
+from .triangulation import compute_skeleton
 
 
 class SurfaceError(ValueError):
@@ -103,6 +105,12 @@ class SurfaceVector(Record):
             out.extend(quad_c)
         return tuple(out)
 
+    @classmethod
+    def from_normal_coordinates(cls, flat):
+        """The inverse of :meth:`normal_coordinates`: octagons are zero."""
+        return cls(tuple((tuple(flat[i:i + 4]), tuple(flat[i + 4:i + 7]),
+                          (0, 0, 0)) for i in range(0, len(flat), 7)))
+
     def total_weight(self):
         return sum(self.coordinates())
 
@@ -178,22 +186,24 @@ class MatchingSystem(Record):
     """The integer linear system cut out by the internal face gluings.
 
     One equation per glued face pair and normal arc type, over the
-    triangle/quad coordinates (7 per tetrahedron, tet-major).  Each row
-    is sparse: its (column, coefficient) pairs in ascending column
-    order, with no zero coefficient, so at most four.  Row labels record
-    ((t, f), (t', f'), v): the arc type (f, v) matched with
-    (f', perm(v)).
-    """
-    __slots__ = ("columns", "rows", "row_labels")
+    triangle/quad coordinates: column 7t + s is slot s (triangles 0..3,
+    quads 4..6) of tetrahedron t.  Each row is sparse: its (column,
+    coefficient) pairs in ascending column order, with no zero
+    coefficient, so at most four.  Row labels record ((t, f), (t', f'),
+    v): the arc type (f, v) matched with (f', perm(v)).
 
-    def __init__(self, columns, rows, row_labels):
+    ``quads`` masks the quad columns, of which a support may hold at
+    most one per tetrahedron.  A support's quads q hold two of one
+    tetrahedron exactly when q & (q >> 1 | q >> 2): bits of one
+    tetrahedron lie 1 or 2 apart, and of different ones at least 5.
+    """
+    __slots__ = ("columns", "rows", "row_labels", "quads")
+
+    def __init__(self, columns, rows, row_labels, quads):
         setfield(self, "columns", columns)
         setfield(self, "rows", rows)
         setfield(self, "row_labels", row_labels)
-
-
-def _column(t, kind, index):
-    return 7 * t + (index if kind == "tri" else 4 + index)
+        setfield(self, "quads", quads)
 
 
 def matching_system(tri):
@@ -201,8 +211,9 @@ def matching_system(tri):
 
     For each internal face and each of its three arc types, the arc
     count induced from one side equals the count from the other; each
-    arc type on a face is met by exactly one triangle type and one quad
-    type per side.  Boundary faces contribute no equations.
+    arc type (f, v) on a face is met by exactly one triangle type, v,
+    and one quad type, model.ARC_QUAD[f][v], per side.  Boundary faces
+    contribute no equations.
 
     Face pairs come with t <= t', so the four columns ascend unless the
     face is glued to another face of its own tetrahedron.  Such a row
@@ -212,22 +223,21 @@ def matching_system(tri):
     rows = []
     labels = []
     for t, f, g in tri.face_pairs():
+        u, f2 = g.tet, g.face
         for v in model.FACE_VERTICES[f]:
             v2 = g.image_of_vertex(v)
-            row = ((_column(t, "tri", v), 1),
-                   (_column(t, "quad", model.quad_type_for_arc(f, v)), 1),
-                   (_column(g.tet, "tri", v2), -1),
-                   (_column(g.tet, "quad",
-                            model.quad_type_for_arc(g.face, v2)), -1))
-            if g.tet == t:
+            row = ((7 * t + v, 1), (7 * t + 4 + model.ARC_QUAD[f][v], 1),
+                   (7 * u + v2, -1), (7 * u + 4 + model.ARC_QUAD[f2][v2], -1))
+            if u == t:
                 merged = {}
                 for column, sign in row:
                     merged[column] = merged.get(column, 0) + sign
                 row = tuple(sorted((c, x) for c, x in merged.items() if x))
             rows.append(row)
-            labels.append(((t, f), (g.tet, g.face), v))
-    return MatchingSystem(7 * tri.tetrahedron_count, tuple(rows),
-                          tuple(labels))
+            labels.append(((t, f), (u, f2), v))
+    n = tri.tetrahedron_count
+    return MatchingSystem(7 * n, tuple(rows), tuple(labels),
+                          sum(0b111 << 7 * t + 4 for t in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +325,17 @@ def check_admissible(tri, v):
                 "quad constraint",
                 f"tetrahedron {t} has more than one nonzero quad type"))
 
-    # Matching, octagon arcs included.
+    # Matching, octagon arcs included; arcs[t][f << 2 | w] counts arc
+    # type (f, w) in tetrahedron t, read once per distinct block.
+    arcs = list(map(cache(lambda block: tuple(
+        model.arc_count(block, f, w) if w != f else None
+        for f in range(4) for w in range(4))), v.tets))
     for t, f, g in tri.face_pairs():
+        arcs_a, arcs_b = arcs[t], arcs[g.tet]
+        f2 = g.face << 2
         for w in model.FACE_VERTICES[f]:
-            lhs = model.arc_count(v.tets[t], f, w)
-            rhs = model.arc_count(v.tets[g.tet], g.face,
-                                  g.image_of_vertex(w))
+            lhs = arcs_a[f << 2 | w]
+            rhs = arcs_b[f2 | g.image_of_vertex(w)]
             if lhs != rhs:
                 violations.append(Violation(
                     "matching",
@@ -468,6 +483,109 @@ _EDGE_CROSSINGS = tuple(tuple(_WEIGHT[kind](typ, e) for e in range(6))
 _FACE_ARCS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ] if s[0] == f)
                          for f in range(4))
                    for kind, typ in _KIND_TYPE)
+
+
+def _span_sum(a, b):
+    """The subgroup {x ^ y} spanned by two subgroups of 2-bit labels.
+
+    Subgroups are bitmasks over the labels 0..3.  When one subgroup
+    holds the other the sum is the larger; otherwise both have order 2
+    and differ, and together they span all four labels.
+    """
+    union = a | b
+    return union if union in (a, b) else 0b1111
+
+
+# Span bitmask bits of the labels with bit 0 set (labels 1 and 3).
+ODD_LABELS = 0b1010
+
+
+class ParityUnionFind:
+    """Union-find over the integers 0..size-1 with a label per element.
+
+    A label is a 2-bit vector under XOR: bit 0 is a parity, and bit 1
+    a second relation.
+    ``union(x, y, label)`` puts x and y in one class and records that
+    their labels differ by ``label`` (a bool reads as 0 or 1).  Each
+    element keeps its label relative to its parent; after ``find(x)``
+    the parent is the root and ``parity[x]`` is relative to it.  A
+    relation that closes a cycle adds the XOR of the labels around it
+    to the class's cycle span, the subgroup of labels that cycles
+    generate.  ``span[root]`` holds it as a bitmask with bit s set when
+    label s is in it, so 1 is the trivial span; spans are summed on
+    union and never shrink.  A class holds an odd cycle, whose parities
+    cannot all hold, when its span has a label with bit 0 set.  Finding
+    is iterative with full path compression and union is by size, so
+    no chain recurses and the cost is near linear in the operations.
+    """
+
+    __slots__ = ("parent", "parity", "size", "span")
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.size = [1] * size
+        self.span = [1] * size
+
+    def find(self, x):
+        parent = self.parent
+        root = parent[x]
+        if parent[root] == root:
+            return root
+        parity = self.parity
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        above = 0
+        for y in reversed(path):
+            above ^= parity[y]
+            parity[y] = above
+            parent[y] = x
+        return x
+
+    def union(self, x, y, label=0):
+        # An element whose parent is a root needs no find: its parity
+        # is already relative to that root.
+        parent = self.parent
+        rx, ry = parent[x], parent[y]
+        if parent[rx] != rx:
+            rx = self.find(x)
+        if parent[ry] != ry:
+            ry = self.find(y)
+        parity = self.parity
+        differ = parity[x] ^ parity[y] ^ label
+        span = self.span
+        if rx == ry:
+            if differ:
+                span[rx] = _span_sum(span[rx], 1 | 1 << differ)
+            return
+        size = self.size
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        parity[ry] = differ
+        size[rx] += size[ry]
+        if span[ry] != 1:
+            span[rx] = _span_sum(span[rx], span[ry])
+
+    def classes(self):
+        """Class number of every element, and the root of every class.
+
+        Classes are numbered in order of their smallest member.
+        """
+        number = [-1] * len(self.parent)
+        labels = []
+        roots = []
+        for x in range(len(self.parent)):
+            root = self.find(x)
+            if number[root] < 0:
+                number[root] = len(roots)
+                roots.append(root)
+            labels.append(number[root])
+        return labels, roots
+
+
 # Labels of the run union-find: bit 0 is the orientation parity, bit 1
 # says the copy index is reversed.  These masks select, from a class's
 # cycle span, the labels that flip orientation with the index kept and
@@ -650,13 +768,15 @@ class ReconstructedSurface:
                         cuts, tube_ends, limit)
 
     def _edge_weights(self):
-        tets = self.vector.tets
+        # Six weights per tetrahedron, computed once per distinct block.
+        tets = list(map(cache(lambda block: tuple(
+            model.edge_weight(block, e) for e in range(6))), self.vector.tets))
         weights = []
         for orbit in self.skeleton.edge_orbits:
             t0, e0 = orbit[0]
-            weight = model.edge_weight(tets[t0], e0)
+            weight = tets[t0][e0]
             for (t, e) in orbit[1:]:
-                assert model.edge_weight(tets[t], e) == weight, \
+                assert tets[t][e] == weight, \
                     "edge weights disagree across an orbit"
             weights.append(weight)
         return tuple(weights)

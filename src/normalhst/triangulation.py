@@ -289,107 +289,6 @@ def parse_triangulation(text):
 # Skeleton: orbits of model cells under the gluing identifications.
 # ---------------------------------------------------------------------------
 
-def _span_sum(a, b):
-    """The subgroup {x ^ y} spanned by two subgroups of 2-bit labels.
-
-    Subgroups are bitmasks over the labels 0..3.  When one subgroup
-    holds the other the sum is the larger; otherwise both have order 2
-    and differ, and together they span all four labels.
-    """
-    union = a | b
-    return union if union in (a, b) else 0b1111
-
-
-# Span bitmask bits of the labels with bit 0 set (labels 1 and 3).
-ODD_LABELS = 0b1010
-
-
-class ParityUnionFind:
-    """Union-find over the integers 0..size-1 with a label per element.
-
-    A label is a 2-bit vector under XOR; bit 0 is the parity that most
-    callers use alone, and bit 1 is free for a second relation.
-    ``union(x, y, label)`` puts x and y in one class and records that
-    their labels differ by ``label`` (a bool reads as 0 or 1).  Each
-    element keeps its label relative to its parent; after ``find(x)``
-    the parent is the root and ``parity[x]`` is relative to it.  A
-    relation that closes a cycle adds the XOR of the labels around it
-    to the class's cycle span, the subgroup of labels that cycles
-    generate.  ``span[root]`` holds it as a bitmask with bit s set when
-    label s is in it, so 1 is the trivial span; spans are summed on
-    union and never shrink.  A class holds an odd cycle, whose parities
-    cannot all hold, when its span has a label with bit 0 set.  Finding
-    is iterative with full path compression and union is by size, so
-    no chain recurses and the cost is near linear in the operations.
-    """
-
-    __slots__ = ("parent", "parity", "size", "span")
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.parity = [0] * size
-        self.size = [1] * size
-        self.span = [1] * size
-
-    def find(self, x):
-        parent = self.parent
-        root = parent[x]
-        if parent[root] == root:
-            return root
-        parity = self.parity
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        above = 0
-        for y in reversed(path):
-            above ^= parity[y]
-            parity[y] = above
-            parent[y] = x
-        return x
-
-    def union(self, x, y, label=0):
-        # An element whose parent is a root needs no find: its parity
-        # is already relative to that root.
-        parent = self.parent
-        rx, ry = parent[x], parent[y]
-        if parent[rx] != rx:
-            rx = self.find(x)
-        if parent[ry] != ry:
-            ry = self.find(y)
-        parity = self.parity
-        differ = parity[x] ^ parity[y] ^ label
-        span = self.span
-        if rx == ry:
-            if differ:
-                span[rx] = _span_sum(span[rx], 1 | 1 << differ)
-            return
-        size = self.size
-        if size[rx] < size[ry]:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        parity[ry] = differ
-        size[rx] += size[ry]
-        if span[ry] != 1:
-            span[rx] = _span_sum(span[rx], span[ry])
-
-    def classes(self):
-        """Class number of every element, and the root of every class.
-
-        Classes are numbered in order of their smallest member.
-        """
-        number = [-1] * len(self.parent)
-        labels = []
-        roots = []
-        for x in range(len(self.parent)):
-            root = self.find(x)
-            if number[root] < 0:
-                number[root] = len(roots)
-                roots.append(root)
-            labels.append(number[root])
-        return labels, roots
-
-
 class Skeleton(Record):
     """Cell orbits of a triangulation.
 

@@ -21,9 +21,10 @@ package walks each orbit with one direction parity, orientability by
 propagating signs tetrahedron by tetrahedron, the HST minimum
 search rebuilding every rewrite and canonical key of every state it
 pops, where the package caches each thick level's rewrites, and
-surface reconstruction with one union-find element, one gluing and one
-edge-stack entry per piece, where the package joins runs of parallel
-copies, tube adjacency read off explicit edge stacks, where the
+surface reconstruction with two union-find elements (its sides in the
+orientation double cover), one gluing and one edge-stack entry per
+piece, where the package joins runs of parallel copies in a union-find
+with parities, tube adjacency read off explicit edge stacks, where the
 package computes each piece's stack position, the legal exchanges
 found by attempting every move, where the package tests the slots, and
 the least width reachable by exchanges found by searching every
@@ -41,8 +42,7 @@ from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
                                        check_admissible)
 from normalhst.thin_position import (MorsePresentation, PresentationError,
                                      exchange_move, legal_exchanges, width)
-from normalhst.triangulation import (ODD_LABELS, ParityUnionFind, Skeleton,
-                                     compute_skeleton)
+from normalhst.triangulation import Skeleton, compute_skeleton
 
 
 class UnionFind:
@@ -494,10 +494,12 @@ def face_arcs(block, f, v):
 def explicit_reconstruction(tri, v, skeleton=None):
     """The summary of a vector built piece by piece.
 
-    Every piece is a union-find element, every glued arc a union with
-    its orientation parity, and every entry of an orbit's first edge
-    stack a vertex of its piece's component; components are numbered
-    by their first piece.
+    Every piece has two sides, its elements of the orientation double
+    cover, and every glued arc joins the sides of its two pieces that
+    its orientation parity pairs; a component is nonorientable when
+    both sides of a piece fall in one class.  Every entry of an orbit's
+    first edge stack is a vertex of its piece's component; components
+    are numbered by their first piece.
     """
     report = check_admissible(tri, v)
     if not report.admissible:
@@ -516,7 +518,11 @@ def explicit_reconstruction(tri, v, skeleton=None):
                 for i in range(count):
                     index[(t, kind, typ, i)] = len(pieces)
                     pieces.append((t, kind, typ, i))
-    sheets = ParityUnionFind(len(pieces))
+    cover = UnionFind()
+
+    def join(a, b, parity):
+        for side in (0, 1):
+            cover.union((a, side), (b, side ^ parity))
 
     boundary_arcs = []
     for t, f in boundary_faces(tri):
@@ -538,7 +544,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
                 mapped_from = (image_of_edge(g, e_from),
                                None if end is None
                                else g.image_of_vertex(end))
-                sheets.union(ia, index[(g.tet,) + pb], mapped_from == sb[2])
+                join(ia, index[(g.tet,) + pb], mapped_from == sb[2])
                 glued_arcs.append(ia)
 
     tube_piece = None
@@ -547,12 +553,22 @@ def explicit_reconstruction(tri, v, skeleton=None):
         e_shared = tube_shared_edge(v)
         (ka, ta, ca), (kb, tb, cb) = v.tube.pieces()
         tube_piece = index[(t, ka, ta, ca)]
-        sheets.union(tube_piece, index[(t, kb, tb, cb)],
-                     _crossing_direction(ka, ta, e_shared)
-                     == _crossing_direction(kb, tb, e_shared))
+        join(tube_piece, index[(t, kb, tb, cb)],
+             _crossing_direction(ka, ta, e_shared)
+             == _crossing_direction(kb, tb, e_shared))
 
-    labels, roots = sheets.classes()
-    ncomp = len(roots)
+    # A component is the pair of classes holding its pieces' two sides.
+    number = {}
+    labels = []
+    orientable = []
+    for p in range(len(pieces)):
+        sides = frozenset((cover.find((p, 0)), cover.find((p, 1))))
+        if sides not in number:
+            number[sides] = len(number)
+            orientable.append(len(sides) == 2)
+        labels.append(number[sides])
+    ncomp = len(number)
+    orientable = tuple(orientable)
     count = [0] * ncomp
     closed = [True] * ncomp
     for c in labels:
@@ -572,7 +588,6 @@ def explicit_reconstruction(tri, v, skeleton=None):
         count[labels[ia]] -= 1
         closed[labels[ia]] = False
 
-    orientable = tuple(not sheets.span[r] & ODD_LABELS for r in roots)
     return SurfaceSummary(
         euler_characteristic=sum(count),
         component_count=ncomp,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -16,7 +17,8 @@ from normalhst.library import (boundary_4_simplex, corpus,
 from normalhst.limits import ResourceCeilingError
 from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        ALMOST_NORMAL_TUBE, INADMISSIBLE,
-                                       NORMAL, SurfaceError, SurfaceVector,
+                                       NORMAL, ODD_LABELS, ParityUnionFind,
+                                       SurfaceError, SurfaceVector,
                                        TubeAnnotation, _stack_position,
                                        _tube_shared_edge, check_admissible,
                                        classify, euler_characteristic,
@@ -24,9 +26,9 @@ from normalhst.normal_surfaces import (ALMOST_NORMAL_OCTAGON,
                                        vertex_link)
 from normalhst.triangulation import compute_skeleton
 
-from oracles import (bareiss_rank, dense_rows, edge_stack, evaluate,
-                     explicit_reconstruction, surface_cells,
-                     tube_shared_edge)
+from oracles import (UnionFind, bareiss_rank, dense_rows, edge_stack,
+                     evaluate, explicit_reconstruction, quad_admissible,
+                     surface_cells, tube_shared_edge)
 from pairings import random_closed_pairing
 
 LIBRARY = (single_tetrahedron, doubled_tetrahedron, boundary_4_simplex,
@@ -80,6 +82,14 @@ def test_sparse_rows_match_arc_counts(tri):
                 - model.arc_count(blocks[t2], f2, g.image_of_vertex(v))
             assert coefficients.get(c, 0) == want
         assert 0 not in coefficients.values()
+    # The shift test on the quad mask agrees with the oracle's 7-slices.
+    rng = random.Random(n)
+    for _ in range(200):
+        density = rng.random()
+        flat = [rng.randint(1, 3) if rng.random() < density else 0
+                for _ in range(7 * n)]
+        q = system.quads & sum(1 << c for c, x in enumerate(flat) if x)
+        assert (not q & (q >> 1 | q >> 2)) == quad_admissible(flat)
 
 
 def test_doubled_kernel_rank_via_bareiss():
@@ -92,10 +102,13 @@ def test_doubled_kernel_rank_via_bareiss():
 
 
 def test_matching_solutions_satisfy_system():
-    tri = doubled_tetrahedron()
-    system = matching_system(tri)
-    for vec in brute_force_enumerate(tri, 4):
-        assert all(x == 0 for x in evaluate(system, vec.normal_coordinates()))
+    # Their flat coordinates also convert back to the same vector.
+    for _, tri in corpus():
+        system = matching_system(tri)
+        for vec in brute_force_enumerate(tri, 4):
+            flat = vec.normal_coordinates()
+            assert all(x == 0 for x in evaluate(system, flat))
+            assert SurfaceVector.from_normal_coordinates(flat) == vec
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +432,70 @@ def test_octagon_arc_incidence_cross_check():
             assert total == 2
         dec = decompose_pattern(CurvePattern.from_block(block))
         assert dec.lengths == (8,)
+
+
+# ---------------------------------------------------------------------------
+# Parity union-find
+# ---------------------------------------------------------------------------
+
+def _brute_force_colourings(size, relations):
+    """Every parity assignment satisfying all (x, y, odd) relations."""
+    return [bits for bits in itertools.product((0, 1), repeat=size)
+            if all(bits[x] ^ bits[y] == odd for x, y, odd in relations)]
+
+
+def _bit(label, functional):
+    """The parity of the label's bits selected by ``functional``."""
+    return bin(label & functional).count("1") % 2
+
+
+def test_parity_union_find_against_brute_force():
+    # 2-bit labels: each of the three nonzero functionals (bit 0, bit 1,
+    # their XOR) turns the relations into a parity problem, and a class
+    # has a 2-colouring for it exactly when no label of its cycle span
+    # reads odd.  The three answers pin the span down.
+    rng = random.Random(20261018)
+    for _ in range(400):
+        size = rng.randint(1, 9)
+        relations = [(rng.randrange(size), rng.randrange(size),
+                      rng.randint(0, 3))
+                     for _ in range(rng.randint(0, 2 * size))]
+        uf = ParityUnionFind(size)
+        for x, y, label in relations:
+            uf.union(x, y, label)
+
+        classes = UnionFind()
+        for x in range(size):
+            classes.add(x)
+        for x, y, _ in relations:
+            classes.union(x, y)
+        expected = sorted(sorted(o) for o in classes.orbits())
+        labels, roots = uf.classes()
+        assert [[x for x in range(size) if labels[x] == c]
+                for c in range(len(roots))] == expected
+        assert all(uf.find(x) == roots[labels[x]] for x in range(size))
+
+        for orbit in expected:
+            root = uf.find(orbit[0])
+            span = uf.span[root]
+            assert span & 1
+            for functional in (1, 2, 3):
+                inside = [(x, y, _bit(label, functional))
+                          for x, y, label in relations if x in orbit]
+                colourings = _brute_force_colourings(size, inside)
+                assert any(span >> label & 1 and _bit(label, functional)
+                           for label in range(4)) == (not colourings)
+                if functional == 1:
+                    assert bool(span & ODD_LABELS) == (not colourings)
+                for bits in colourings:
+                    for x in orbit:
+                        uf.find(x)
+                        assert _bit(uf.parity[x], functional) == \
+                            bits[x] ^ bits[root]
+        odd = [(x, y, label & 1) for x, y, label in relations]
+        assert any(uf.span[uf.find(x)] & ODD_LABELS
+                   for x in range(size)) == \
+            (not _brute_force_colourings(size, odd))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from normalhst.triangulation import (Gluing, ManifoldReport, Skeleton,
 TORUS_SURFACE = AbstractSurface((Component(0),))
 SPLITTING = AbstractSplitting((EMPTY_SURFACE, TORUS_SURFACE, EMPTY_SURFACE))
 PRESENTATION = MorsePresentation((Event("B", 0), Event("D", 0)))
-SYSTEM = MatchingSystem(7, (), ())
+SYSTEM = MatchingSystem(7, (), (), 0b1110000)
 
 # class -> (constructor signature, positional arguments, keyword arguments)
 SAMPLES = {
@@ -56,8 +56,9 @@ SAMPLES = {
                     ((((1, 0, 0, 0), (0, 0, 0), (0, 0, 0)),),),
                     {"tube": TubeAnnotation(0, ("tri", 0, 0),
                                             ("tri", 1, 0))}),
-    MatchingSystem: ("(columns, rows, row_labels)",
-                     (14, (((0, 1), (7, -1)),), (((0, 0), (1, 0), 1),)), {}),
+    MatchingSystem: ("(columns, rows, row_labels, quads)",
+                     (14, (((0, 1), (7, -1)),), (((0, 0), (1, 0), 1),),
+                      0b11100000001110000), {}),
     Violation: ("(code, message)", ("matching", "1 != 2"), {}),
     AdmissibilityReport: ("(mode, violations)", ("normal", ()), {}),
     SurfaceSummary: ("(euler_characteristic, component_count, "

@@ -8,8 +8,7 @@ from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
                                lens_l41, one_tet_sphere,
                                pseudomanifold_two_tet, rp3_two_tet,
                                single_tetrahedron, stellar_subdivision)
-from normalhst.triangulation import (ODD_LABELS, ParityUnionFind,
-                                     ParseError, Triangulation,
+from normalhst.triangulation import (ParseError, Triangulation,
                                      TriangulationError, compute_skeleton,
                                      parse_triangulation, validate_manifold)
 
@@ -303,8 +302,8 @@ def test_stellar_moves_keep_the_manifold():
             assert len(report.links) == vertices + moves
 
 
-def test_skeleton_uses_no_union_find(monkeypatch):
-    monkeypatch.setattr(triangulation, "ParityUnionFind", None)
+def test_skeleton_uses_no_union_find():
+    assert not hasattr(triangulation, "ParityUnionFind")
     for tri in (lens_l41(), single_tetrahedron(), random_pairing(9, 3, 6)):
         assert compute_skeleton(tri) == explicit_skeleton(tri)
 
@@ -390,63 +389,3 @@ def test_accepted_tokens_are_written_back_unchanged():
             accepted += 1
             assert parsed.to_text().split() == mutated.split()
     assert accepted > 50
-
-
-def _brute_force_colourings(size, relations):
-    """Every parity assignment satisfying all (x, y, odd) relations."""
-    return [bits for bits in itertools.product((0, 1), repeat=size)
-            if all(bits[x] ^ bits[y] == odd for x, y, odd in relations)]
-
-
-def _bit(label, functional):
-    """The parity of the label's bits selected by ``functional``."""
-    return bin(label & functional).count("1") % 2
-
-
-def test_parity_union_find_against_brute_force():
-    # 2-bit labels: each of the three nonzero functionals (bit 0, bit 1,
-    # their XOR) turns the relations into a parity problem, and a class
-    # has a 2-colouring for it exactly when no label of its cycle span
-    # reads odd.  The three answers pin the span down.
-    rng = random.Random(20261018)
-    for _ in range(400):
-        size = rng.randint(1, 9)
-        relations = [(rng.randrange(size), rng.randrange(size),
-                      rng.randint(0, 3))
-                     for _ in range(rng.randint(0, 2 * size))]
-        uf = ParityUnionFind(size)
-        for x, y, label in relations:
-            uf.union(x, y, label)
-
-        classes = UnionFind()
-        for x in range(size):
-            classes.add(x)
-        for x, y, _ in relations:
-            classes.union(x, y)
-        expected = sorted(sorted(o) for o in classes.orbits())
-        labels, roots = uf.classes()
-        assert [[x for x in range(size) if labels[x] == c]
-                for c in range(len(roots))] == expected
-        assert all(uf.find(x) == roots[labels[x]] for x in range(size))
-
-        for orbit in expected:
-            root = uf.find(orbit[0])
-            span = uf.span[root]
-            assert span & 1
-            for functional in (1, 2, 3):
-                inside = [(x, y, _bit(label, functional))
-                          for x, y, label in relations if x in orbit]
-                colourings = _brute_force_colourings(size, inside)
-                assert any(span >> label & 1 and _bit(label, functional)
-                           for label in range(4)) == (not colourings)
-                if functional == 1:
-                    assert bool(span & ODD_LABELS) == (not colourings)
-                for bits in colourings:
-                    for x in orbit:
-                        uf.find(x)
-                        assert _bit(uf.parity[x], functional) == \
-                            bits[x] ^ bits[root]
-        odd = [(x, y, label & 1) for x, y, label in relations]
-        assert any(uf.span[uf.find(x)] & ODD_LABELS
-                   for x in range(size)) == \
-            (not _brute_force_colourings(size, odd))
