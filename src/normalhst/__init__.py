@@ -26,9 +26,9 @@ _HOMES = {
     **dict.fromkeys(
         ("ResourceCeilingError", "CeilingSettingError", "limits"), "limits"),
     **dict.fromkeys(
-        ("SolutionCone", "solution_cone", "enumerate_vertex_surfaces",
-         "brute_force_enumerate", "reduced_extreme_solutions",
-         "find_connected_chi2", "octagon_augmentations", "enumeration"),
+        ("enumerate_vertex_surfaces", "brute_force_enumerate",
+         "reduced_extreme_solutions", "find_connected_chi2",
+         "octagon_augmentations", "enumeration"),
         "enumeration"),
     **dict.fromkeys(
         ("CurvePattern", "LoopDecomposition", "LoopClass", "PatternError",

@@ -21,7 +21,6 @@ from math import gcd
 from .limits import ResourceCeilingError, ceiling
 from .normal_surfaces import (SurfaceVector, check_admissible,
                               matching_system, reconstruct_surface)
-from .record import Record, setfield
 
 
 def _reduce(vec):
@@ -31,15 +30,6 @@ def _reduce(vec):
     if g in (0, 1):
         return tuple(vec)
     return tuple(x // g for x in vec)
-
-
-class SolutionCone(Record):
-    """Quad-admissible extreme rays of the matching cone."""
-    __slots__ = ("system", "rays")
-
-    def __init__(self, system, rays):
-        setfield(self, "system", system)
-        setfield(self, "rays", rays)
 
 
 def extreme_rays(system):
@@ -119,12 +109,6 @@ def _columns_of(zero_sets, n):
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def solution_cone(tri):
-    system = matching_system(tri)
-    return SolutionCone(system=system,
-                        rays=tuple(sorted(extreme_rays(system))))
-
-
 def enumerate_vertex_surfaces(tri):
     """Quad-admissible extreme rays of the matching cone, sorted.
 
@@ -132,7 +116,7 @@ def enumerate_vertex_surfaces(tri):
     repeated runs produce identical results.
     """
     return [SurfaceVector.from_normal_coordinates(ray)
-            for ray in solution_cone(tri).rays]
+            for ray in sorted(extreme_rays(matching_system(tri)))]
 
 
 def _local_blocks(budget):

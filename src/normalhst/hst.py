@@ -422,8 +422,6 @@ def component_moves(surface):
         if chi <= 0:
             moves.append(NonseparatingCompression(i))
         for chi1 in range(chi + 2, 1, 2):
-            if chi1 > 0:
-                continue
             for p1 in range(p + 1):
                 moves.append(SeparatingCompression(i, chi1, p1))
         if p >= 2 and comp.punctured_chi <= 0:
@@ -437,9 +435,10 @@ def _move_count(pairs):
 
     Per component: one nonseparating move when chi <= 0, p + 1 puncture
     splits for each of the -chi/2 values chi1 of a separating move, and
-    one relative move when p >= 2 and chi - p <= 0.
+    one relative move when p >= 2 and chi - p <= 0.  The count is
+    arithmetic, so a huge chi costs no more than a small one.
     """
-    return sum((chi <= 0) + len(range(chi + 2, 1, 2)) * (p + 1)
+    return sum((chi <= 0) + max(0, -chi // 2) * (p + 1)
                + (p >= 2 and chi - p <= 0)
                for chi, p in pairs)
 
@@ -447,16 +446,23 @@ def _move_count(pairs):
 def _untangle_moves(g_p):
     """Every legal untangle pair on the thick surface ``g_p``, as
     (D, E, G_D, G_E, G_DE), in deterministic order: each D, each E, and
-    both branches of E where D splits E's component."""
-    for d in g_p.moves:
-        for e in g_p.moves:
+    both branches of E where D splits E's component.
+
+    Each move is compressed once, and each pair only for G_DE: every
+    move in ``g_p.moves`` is legal on ``g_p``, so only G_DE can raise.
+    G_E does not depend on E's branch, which only addresses G_DE.
+    """
+    moves = g_p.moves
+    compressed = [compress(g_p, move) for move in moves]
+    for d, g_d in zip(moves, compressed):
+        for e, g_e in zip(moves, compressed):
             for branch in (0, 1) if _splits_under(d, e) else (0,):
                 e_branch = _readdressed(e, e.component, branch)
                 try:
-                    surfaces = _untangle(g_p, d, e_branch)
+                    g_de = compress(g_d, _compose_after(d, e_branch))
                 except HstError:
                     continue
-                yield (d, e_branch) + surfaces
+                yield d, e_branch, g_d, g_e, g_de
 
 
 # Level triples kept by _thick_level_rewrites.  A 10000-state search on
@@ -476,7 +482,8 @@ def _thick_level_rewrites(p, below, thick, above):
     ``levels[start:stop]`` by ``replacement``, which never holds a thin
     neighbour itself, so one triple serves every splitting that has it.
     Untangle steps come from :func:`_untangle_moves`, which compresses
-    each move pair once, and from :func:`_splice`.
+    each move once and each move pair once more, and from
+    :func:`_splice`.
 
     A level with m moves has up to about m^2 untangle candidates, and m
     grows with the level's |chi| and punctures.  m is counted by
@@ -594,9 +601,10 @@ def random_descent(splitting, rng):
 
     Draws single compressions directly and, on half of the steps,
     first attempts untangle steps with randomly paired moves (full
-    enumeration of move pairs is avoided, so long runs stay cheap).  Returns (moves applied, final splitting);
-    asserts strict lexicographic descent at every step, so
-    nontermination would surface as an error.
+    enumeration of move pairs is avoided, so long runs stay cheap).
+    Returns (moves applied, final splitting); asserts strict
+    lexicographic descent at every step, so nontermination would
+    surface as an error.
     """
     steps = 0
     current = splitting

@@ -76,17 +76,10 @@ def arc_endpoints(f, v):
     return edge_index(v, x), edge_index(v, y)
 
 
-def quad_type_for_arc(f, v):
-    """The quad type whose pieces induce an arc of type (f, v).
-
-    A quad of pair type q meets face f in the arc cutting off vertex v
-    exactly when the edge {f, v} belongs to pair q; for each arc type
-    there is exactly one such quad type.
-    """
-    return ARC_QUAD[f][v]
-
-
-# ARC_QUAD[f][v] = quad_type_for_arc(f, v) for v != f.
+# ARC_QUAD[f][v], for v != f, is the quad type whose pieces induce an
+# arc of type (f, v).  A quad of pair type q meets face f in the arc
+# cutting off vertex v exactly when the edge {f, v} belongs to pair q;
+# for each arc type there is exactly one such quad type.
 ARC_QUAD = tuple(tuple(PAIR_OF_EDGE[edge_index(f, v)] if v != f else None
                        for v in VERTICES) for f in FACES)
 
@@ -196,11 +189,8 @@ def _triangle_cycle(v):
 
 
 def _quad_cycle(q):
-    arcs = []
-    for f in FACES:
-        for v in FACE_VERTICES[f]:
-            if quad_type_for_arc(f, v) == q:
-                arcs.append((f, v))
+    arcs = [(f, v) for f in FACES for v in FACE_VERTICES[f]
+            if ARC_QUAD[f][v] == q]
     cross = {(f, v, e): (e, None) for (f, v) in arcs
              for e in arc_endpoints(f, v)}
     return _close_cycle(arcs, cross)

@@ -41,10 +41,6 @@ class CriterionResult(Record):
         return f"criterion {self.number} [{status}] {self.title}: {self.detail}"
 
 
-def _corpus():
-    return library.corpus()
-
-
 def criterion_1():
     """Curve length law on the tetrahedron boundary."""
     classes = enumerate_normal_loops(20)
@@ -64,7 +60,7 @@ def criterion_2():
     """348 condition on octagon augmentations, violations rejected."""
     ok = True
     augmented = 0
-    for name, tri in _corpus():
+    for name, tri in library.corpus():
         bases = brute_force_enumerate(tri, 4)
         for vec in octagon_augmentations(tri, bases):
             augmented += 1
@@ -88,7 +84,7 @@ def criterion_3():
     """Double description agrees with the brute-force oracle at bound 6."""
     ok = True
     parts = []
-    for name, tri in _corpus():
+    for name, tri in library.corpus():
         rays, oracle = cross_check(tri, 6)
         same = rays == oracle
         ok = ok and same
@@ -101,7 +97,7 @@ def criterion_4():
     """Euler characteristic two-path agreement; vertex links are spheres."""
     ok = True
     checked = 0
-    for name, tri in _corpus():
+    for name, tri in library.corpus():
         skeleton = compute_skeleton(tri)
         vectors = brute_force_enumerate(tri, 6)
         vectors += octagon_augmentations(tri, brute_force_enumerate(tri, 4))

@@ -300,18 +300,14 @@ class Skeleton(Record):
     vertex link detects.
     """
     __slots__ = ("vertex_orbits", "edge_orbits", "face_orbits",
-                 "vertex_boundary", "edge_boundary", "face_boundary",
-                 "edge_reversed")
+                 "vertex_boundary", "edge_reversed")
 
     def __init__(self, vertex_orbits, edge_orbits, face_orbits,
-                 vertex_boundary, edge_boundary, face_boundary,
-                 edge_reversed):
+                 vertex_boundary, edge_reversed):
         setfield(self, "vertex_orbits", vertex_orbits)
         setfield(self, "edge_orbits", edge_orbits)
         setfield(self, "face_orbits", face_orbits)
         setfield(self, "vertex_boundary", vertex_boundary)
-        setfield(self, "edge_boundary", edge_boundary)
-        setfield(self, "face_boundary", face_boundary)
         setfield(self, "edge_reversed", edge_reversed)
 
     @property
@@ -376,7 +372,7 @@ def compute_skeleton(tri):
         vertex_boundary.append(boundary)
 
     seen = bytearray(6 * n)
-    edge_orbits, edge_boundary, edge_reversed = [], [], []
+    edge_orbits, edge_reversed = [], []
     for start in range(6 * n):
         if seen[start]:
             continue
@@ -405,26 +401,21 @@ def compute_skeleton(tri):
                 break
         orbit.sort()
         edge_orbits.append(tuple([divmod(c, 6) for c in orbit]))
-        edge_boundary.append(boundary)
         edge_reversed.append(reverse)
 
-    face_orbits, face_boundary = [], []
+    face_orbits = []
     for t, row in enumerate(rows):
         for f, g in enumerate(row):
             if g is None:
                 face_orbits.append(((t, f),))
-                face_boundary.append(True)
             elif t < g.tet or (t == g.tet and f < g.face):
                 face_orbits.append(((t, f), (g.tet, g.face)))
-                face_boundary.append(False)
 
     return Skeleton(
         vertex_orbits=tuple(vertex_orbits),
         edge_orbits=tuple(edge_orbits),
         face_orbits=tuple(face_orbits),
         vertex_boundary=tuple(vertex_boundary),
-        edge_boundary=tuple(edge_boundary),
-        face_boundary=tuple(face_boundary),
         edge_reversed=tuple(edge_reversed),
     )
 
@@ -434,14 +425,12 @@ def compute_skeleton(tri):
 # ---------------------------------------------------------------------------
 
 class VertexLinkReport(Record):
-    __slots__ = ("vertex_orbit", "euler_characteristic", "closed",
-                 "connected")
+    __slots__ = ("vertex_orbit", "euler_characteristic", "closed")
 
-    def __init__(self, vertex_orbit, euler_characteristic, closed, connected):
+    def __init__(self, vertex_orbit, euler_characteristic, closed):
         setfield(self, "vertex_orbit", vertex_orbit)
         setfield(self, "euler_characteristic", euler_characteristic)
         setfield(self, "closed", closed)
-        setfield(self, "connected", connected)
 
     @property
     def is_sphere(self):
@@ -503,18 +492,15 @@ def validate_manifold(tri, skeleton=None):
         if not reverse:
             ends[orbit_of[4 * t + w]] += 1
 
-    links = []
-    for i, orbit in enumerate(skeleton.vertex_orbits):
-        chi = ends[i] - sides[i] + len(orbit)
-        closed = not skeleton.vertex_boundary[i]
-        # The corner triangles of an orbit are connected through the same
-        # gluings that define the orbit, so each link is connected.
-        links.append(VertexLinkReport(
-            vertex_orbit=i, euler_characteristic=chi,
-            closed=closed, connected=True))
+    # The corner triangles of an orbit are connected through the same
+    # gluings that define the orbit, so each link is connected, and its
+    # chi and boundary tell a sphere or a disk.
+    links = tuple(VertexLinkReport(i, ends[i] - sides[i] + len(orbit),
+                                   not skeleton.vertex_boundary[i])
+                  for i, orbit in enumerate(skeleton.vertex_orbits))
 
     reversed_edges = tuple(i for i, r in enumerate(skeleton.edge_reversed) if r)
     ok = all(link.passes for link in links) and not reversed_edges
-    return ManifoldReport(is_manifold=ok, links=tuple(links),
+    return ManifoldReport(is_manifold=ok, links=links,
                           orientable=tri.orientable(),
                           reversed_edges=reversed_edges)

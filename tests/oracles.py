@@ -37,8 +37,7 @@ import math
 
 from normalhst import hst, model
 from normalhst.curve_patterns import Check348, LoopDecomposition, PatternError
-from normalhst.normal_surfaces import (_ARC_SLOT, SurfaceError,
-                                       SurfaceSummary, _crossing_direction,
+from normalhst.normal_surfaces import (SurfaceError, SurfaceSummary,
                                        check_admissible)
 from normalhst.thin_position import (MorsePresentation, PresentationError,
                                      exchange_move, legal_exchanges, width)
@@ -177,10 +176,6 @@ def explicit_skeleton(tri):
         vertex_boundary=tuple(any(boundary(t, f) for (t, v) in o
                                   for f in range(4) if f != v)
                               for o in vertex_orbits),
-        edge_boundary=tuple(any(boundary(t, f) for (t, e) in o
-                                for f in model.FACES_OF_EDGE[e])
-                            for o in edge_orbits),
-        face_boundary=tuple(len(o) == 1 for o in face_orbits),
         edge_reversed=tuple(directed.find(o[0] + (0,))
                             == directed.find(o[0] + (1,))
                             for o in edge_orbits),
@@ -259,7 +254,8 @@ def _arc_rank_positions(vector, t, f, v):
     """
     tri_c, quad_c, oct_c = vector.tets[t]
     arcs = [("tri", v, i) for i in range(tri_c[v])]
-    q = model.quad_type_for_arc(f, v)
+    # the quad type meeting face f in an arc around v pairs edge {f, v}
+    q = model.PAIR_OF_EDGE[model.edge_index(f, v)]
     if quad_c[q]:
         hi = max(model.PAIRS[q])
         copies = range(quad_c[q])
@@ -478,7 +474,8 @@ def face_arcs(block, f, v):
     """Pieces carrying an arc of type (f, v), ordered away from vertex v."""
     tri_c, quad_c, oct_c = block
     arcs = [("tri", v, i) for i in range(tri_c[v])]
-    q = model.quad_type_for_arc(f, v)
+    # the quad type meeting face f in an arc around v pairs edge {f, v}
+    q = model.PAIR_OF_EDGE[model.edge_index(f, v)]
     if quad_c[q]:
         lo = min(model.PAIRS[q])
         copies = range(quad_c[q])
@@ -489,6 +486,25 @@ def face_arcs(block, f, v):
         if oct_c[qq] and model.oct_arc_count(qq, f, v):
             arcs.extend(("oct", qq, i) for i in range(oct_c[qq]))
     return arcs
+
+
+# Each arc's slot (face, cut vertex, crossing in, crossing out) on its
+# piece's boundary cycle, read straight from the model's cycles.
+_PIECE_CYCLES = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
+                 "oct": model.OCT_CYCLES}
+_CYCLE_SLOT = {(kind, typ) + slot[:2]: slot
+               for kind, cycles in _PIECE_CYCLES.items()
+               for typ, cycle in enumerate(cycles) for slot in cycle}
+
+
+def _crossing_faces(kind, typ, e):
+    """(face in, face out) of a triangle or quad at its crossing of edge
+    e: the face of the arc its cycle leaves through the crossing, then
+    the face of the arc it enters from there."""
+    cycle = _PIECE_CYCLES[kind][typ]
+    (face_in,) = [slot[0] for slot in cycle if slot[3][0] == e]
+    (face_out,) = [slot[0] for slot in cycle if slot[2][0] == e]
+    return face_in, face_out
 
 
 def explicit_reconstruction(tri, v, skeleton=None):
@@ -538,8 +554,8 @@ def explicit_reconstruction(tri, v, skeleton=None):
             assert len(side_a) == len(side_b)
             for pa, pb in zip(side_a, side_b):
                 ia = index[(t,) + pa]
-                sa = _ARC_SLOT[pa[0], pa[1], f, w]
-                sb = _ARC_SLOT[pb[0], pb[1], g.face, w2]
+                sa = _CYCLE_SLOT[pa[0], pa[1], f, w]
+                sb = _CYCLE_SLOT[pb[0], pb[1], g.face, w2]
                 e_from, end = sa[2]
                 mapped_from = (image_of_edge(g, e_from),
                                None if end is None
@@ -554,8 +570,8 @@ def explicit_reconstruction(tri, v, skeleton=None):
         (ka, ta, ca), (kb, tb, cb) = v.tube.pieces()
         tube_piece = index[(t, ka, ta, ca)]
         join(tube_piece, index[(t, kb, tb, cb)],
-             _crossing_direction(ka, ta, e_shared)
-             == _crossing_direction(kb, tb, e_shared))
+             _crossing_faces(ka, ta, e_shared)
+             == _crossing_faces(kb, tb, e_shared))
 
     # A component is the pair of classes holding its pieces' two sides.
     number = {}

@@ -288,6 +288,20 @@ def test_hst_search_huge_punctures_exit_3(tmp_path, capsys):
         f"rewrites ceiling 10000"]
 
 
+def test_hst_search_huge_chi_exit_3(tmp_path, capsys):
+    # -chi/2 separating moves are counted arithmetically, so a chi past
+    # the C integer range is no different from a small one
+    path = tmp_path / "huge_chi.json"
+    path.write_text(f"[[], [[{-2 * 10 ** 20}, 0]], []]")
+    assert run(["hst", path, "--action", "search", "--budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"resource ceiling: thick level 1 has {10 ** 20 + 1} compressions, "
+        f"so {(10 ** 20 + 1) ** 2} move pairs to untangle, over the "
+        f"rewrites ceiling 10000"]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "", "007",
                                    "\u0663"])
 def test_bad_ceiling_setting_exit_2(files, capsys, monkeypatch, value):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -403,6 +404,35 @@ def test_legal_rewrites_match_rebuilding_oracle():
                 rebuilt_rewrites(successor)
     assert flags == {(False, False), (True, False), (False, True),
                      (True, True)}
+
+
+def _untangle_pairs_one_by_one(g_p):
+    """Every legal untangle pair, each compressed by ``hst._untangle``."""
+    for d in g_p.moves:
+        for e in g_p.moves:
+            for branch in (0, 1) if hst._splits_under(d, e) else (0,):
+                e_branch = hst._readdressed(e, e.component, branch)
+                try:
+                    surfaces = hst._untangle(g_p, d, e_branch)
+                except HstError:
+                    continue
+                yield (d, e_branch) + surfaces
+
+
+def test_untangle_moves_match_pair_by_pair_untangle():
+    # surfaces of one component, and of two whose closed chi adds to
+    # at least -8 and whose punctures add to at most 4
+    components = [(chi, p) for chi in range(-8, 1, 2) for p in range(5)]
+    surfaces = [(c,) for c in components] + [
+        (a, b) for a, b in itertools.combinations_with_replacement(
+            components, 2) if a[0] + b[0] >= -8 and a[1] + b[1] <= 4]
+    total = 0
+    for pairs in surfaces:
+        g_p = AbstractSurface.from_pairs(pairs)
+        got = list(hst._untangle_moves(g_p))
+        assert got == list(_untangle_pairs_one_by_one(g_p))
+        total += len(got)
+    assert total == 9615
 
 
 @pytest.mark.parametrize("budget", [1, 7, 100, 10000])

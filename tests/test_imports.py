@@ -26,7 +26,7 @@ ALL = [
     "MorsePresentation", "NORMAL", "NonseparatingCompression", "ParseError",
     "PatternError", "PresentationError", "RelativeCompression",
     "ResourceCeilingError", "SPHERE", "SeparatingCompression", "Skeleton",
-    "SolutionCone", "SurfaceError", "SurfaceSummary", "SurfaceVector", "TORUS",
+    "SurfaceError", "SurfaceSummary", "SurfaceVector", "TORUS",
     "Triangulation", "TriangulationError", "TubeAnnotation", "WidthProfile",
     "brute_force_enumerate", "c_surface", "check_348", "check_admissible",
     "classify", "compare_complexity", "compress", "compute_skeleton",
@@ -36,7 +36,7 @@ ALL = [
     "hst", "induced_splitting", "is_minimal_reachable", "library", "limits",
     "loop_pattern", "matching_system", "model", "normal_surfaces",
     "octagon_augmentations", "parse_presentation", "parse_triangulation",
-    "reconstruct_surface", "reduced_extreme_solutions", "solution_cone",
+    "reconstruct_surface", "reduced_extreme_solutions",
     "splitting_complexity", "thin_position", "thin_position_search",
     "triangulation", "underlying_splitting", "untangle_step",
     "validate_manifold", "vertex_link", "width",

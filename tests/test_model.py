@@ -27,7 +27,7 @@ def test_arc_types_partition_by_quad():
     # each arc type is induced by exactly one triangle and one quad type
     for (f, v) in model.ARC_TYPES:
         quads = [q for q in range(3)
-                 if model.quad_type_for_arc(f, v) == q]
+                 if model.ARC_QUAD[f][v] == q]
         assert len(quads) == 1
 
 
@@ -38,7 +38,7 @@ def test_octagon_counts_equal_sum_of_other_quads():
         others = [p for p in range(3) if p != q]
         for (f, v) in model.ARC_TYPES:
             quad_sum = sum(1 for p in others
-                           if model.quad_type_for_arc(f, v) == p)
+                           if model.ARC_QUAD[f][v] == p)
             assert model.oct_arc_count(q, f, v) == quad_sum
 
 
@@ -51,7 +51,7 @@ def test_arc_count_closed_form():
                  tuple(rng.randrange(4) for _ in range(3)),
                  tuple(rng.randrange(4) for _ in range(3)))
         for (f, v) in model.ARC_TYPES:
-            expected = (block[0][v] + block[1][model.quad_type_for_arc(f, v)]
+            expected = (block[0][v] + block[1][model.ARC_QUAD[f][v]]
                         + sum(block[2][q] * model.oct_arc_count(q, f, v)
                               for q in range(3)))
             assert model.arc_count(block, f, v) == expected

@@ -560,6 +560,27 @@ def test_runs_match_oracle_on_tubes():
     assert count > 1000
 
 
+def test_tubes_within_one_component_match_oracle():
+    # A tube whose two pieces already lie in one component closes a
+    # cycle through the tube, so the tube's orientation rule decides
+    # orientability.  Such a tube keeps the component count.
+    count = 0
+    for build in (rp3_two_tet, one_tet_sphere, lens_l41):
+        tri = build()
+        sk = compute_skeleton(tri)
+        for vec in brute_force_enumerate(tri, 2 * tri.tetrahedron_count):
+            if any(sum(tri_c) + sum(quad_c) > 2
+                   for tri_c, quad_c, _ in vec.tets):
+                continue
+            components = explicit_reconstruction(tri, vec, sk).component_count
+            for tubed in _tube_vectors(tri, vec):
+                if explicit_reconstruction(tri, tubed, sk).component_count \
+                        == components:
+                    _assert_matches_oracle(tri, tubed, sk)
+                    count += 1
+    assert count > 10
+
+
 def _tube_pieces(block):
     """Every triangle and quad copy of a block, as a tube addresses it."""
     return [(kind, typ, copy)
