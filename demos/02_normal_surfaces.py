@@ -22,7 +22,7 @@ skeleton = compute_skeleton(tri)
 print("Vertex links of the doubled tetrahedron (a 3-sphere):")
 for i in range(len(skeleton.vertex_orbits)):
     link = vertex_link(tri, i, skeleton)
-    summary = reconstruct_surface(tri, link, skeleton).summary()
+    summary = reconstruct_surface(tri, link, skeleton)
     print(f"  orbit {i}: chi {euler_characteristic(tri, link, skeleton)} "
           f"(components {summary.component_count}, "
           f"orientable {summary.orientable}, "
@@ -40,7 +40,7 @@ print()
 print("A non-orientable normal surface: the Klein bottle in L(4,1):")
 lens = library.lens_l41()
 klein = SurfaceVector.build(lens, {(0, "quad", 1): 1})
-summary = reconstruct_surface(lens, klein).summary()
+summary = reconstruct_surface(lens, klein)
 print(f"  chi {summary.euler_characteristic}, closed "
       f"{summary.component_closed[0]}, orientable {summary.orientable}")
 

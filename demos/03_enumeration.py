@@ -43,6 +43,6 @@ for name, build in (("lens-l41", library.lens_l41),
     augs = octagon_augmentations(tri, brute_force_enumerate(tri, 4))
     print(f"  {name}: {len(augs)} octagon surfaces")
     for vec in augs[:2]:
-        summary = reconstruct_surface(tri, vec).summary()
+        summary = reconstruct_surface(tri, vec)
         print(f"    chi {summary.euler_characteristic}, "
               f"components {summary.component_count}")

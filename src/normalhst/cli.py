@@ -103,7 +103,8 @@ def _load_triangulation(path):
 def _load_json(path):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the conversion limit
         raise InputProblem(f"{path}: invalid JSON: {exc}")
     except RecursionError:
         raise InputProblem(f"{path}: invalid JSON: nested too deeply")
@@ -151,7 +152,7 @@ def cmd_validate(args):
 def cmd_surface(args):
     from .curve_patterns import check_348_surface
     from .normal_surfaces import (SurfaceError, SurfaceVector,
-                                  check_admissible, classification,
+                                  check_admissible, classify,
                                   reconstruct_surface)
     tri = _load_triangulation(args.triangulation)
     try:
@@ -163,14 +164,14 @@ def cmd_surface(args):
             f"{args.vector}: vector sized for {len(vector.tets)} tetrahedra, "
             f"triangulation has {tri.tetrahedron_count}")
     report = check_admissible(tri, vector)
-    payload = {"classification": classification(vector, report),
+    payload = {"classification": classify(tri, vector, report),
                "mode": report.mode,
                "admissible": report.admissible,
                "violations": [{"code": v.code, "message": v.message}
                               for v in report.violations]}
     ok = report.admissible
     if ok:
-        summary = reconstruct_surface(tri, vector, report=report).summary()
+        summary = reconstruct_surface(tri, vector, report=report)
         payload["summary"] = {
             "euler_characteristic": summary.euler_characteristic,
             "components": summary.component_count,
@@ -458,6 +459,14 @@ def main(argv=None):
         return EXIT_INPUT
     except ResourceCeilingError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
+        return EXIT_CEILING
+    except ValueError as exc:
+        # str() refuses an integer past Python's digit limit, as the
+        # square of a long input can be; long inputs exit 2 where read.
+        if "integer string conversion" not in str(exc):
+            raise
+        print("resource ceiling: the result holds an integer past Python's "
+              "integer string conversion limit", file=sys.stderr)
         return EXIT_CEILING
 
 

@@ -310,7 +310,7 @@ def find_connected_chi2(tri, search="vertex", bound=None):
         raise ValueError(f"unknown search {search!r}")
     out = []
     for v in candidates:
-        summary = reconstruct_surface(tri, v).summary()
+        summary = reconstruct_surface(tri, v)
         if summary.component_count == 1 and summary.euler_characteristic == 2:
             out.append(v)
     return out

@@ -181,9 +181,6 @@ class AbstractSplitting(Record):
     def thick_indices(self):
         return tuple(range(1, len(self.levels), 2))
 
-    def thin_indices(self):
-        return tuple(range(0, len(self.levels), 2))
-
     @property
     def is_degenerate(self):
         """No thick level at all (a product or a collapsed splitting)."""

@@ -93,21 +93,6 @@ def oct_arc_count(q, f, v):
     return 0 if ARC_QUAD[f][v] == q else 1
 
 
-def tri_weight(v, e):
-    """Crossings of edge e by one triangle of type v."""
-    return 1 if v in EDGES[e] else 0
-
-
-def quad_weight(q, e):
-    """Crossings of edge e by one quad of type q."""
-    return 0 if PAIR_OF_EDGE[e] == q else 1
-
-
-def oct_weight(q, e):
-    """Crossings of edge e by one octagon of type q."""
-    return 2 if PAIR_OF_EDGE[e] == q else 1
-
-
 def arc_count(block, f, v):
     """Arcs of type (f, v) induced on face f by a (tri, quad, oct) block.
 
@@ -125,8 +110,8 @@ def edge_weight(block, e):
     """Crossings of edge e by all pieces of a (tri, quad, oct) block.
 
     The triangles at both ends cross it once, every quad but those of
-    its own pair once (:func:`quad_weight`), and every octagon once,
-    those of its own pair twice (:func:`oct_weight`).
+    its own pair once, and every octagon once, those of its own pair
+    twice.
     """
     tri, quad, oct_ = block
     u, v = EDGES[e]

@@ -409,6 +409,14 @@ def _tube_shared_edge(v):
 # Euler characteristic, counting route
 # ---------------------------------------------------------------------------
 
+def _require_admissible(report):
+    """Raise :class:`SurfaceError` unless the report is admissible."""
+    if not report.admissible:
+        raise SurfaceError(
+            "inadmissible vector: "
+            + "; ".join(viol.message for viol in report.violations))
+
+
 def euler_characteristic(tri, v, skeleton=None):
     """Euler characteristic via cell counts.
 
@@ -418,11 +426,7 @@ def euler_characteristic(tri, v, skeleton=None):
     contributing 0 in place of its two disks.  The vector must be
     admissible, or :class:`SurfaceError` is raised.
     """
-    report = check_admissible(tri, v)
-    if not report.admissible:
-        raise SurfaceError(
-            "inadmissible vector: "
-            + "; ".join(viol.message for viol in report.violations))
+    _require_admissible(check_admissible(tri, v))
     if skeleton is None:
         skeleton = compute_skeleton(tri)
     vertices = 0
@@ -445,21 +449,40 @@ def euler_characteristic(tri, v, skeleton=None):
 # ---------------------------------------------------------------------------
 
 class SurfaceSummary(Record):
-    __slots__ = ("euler_characteristic", "component_count", "component_chis",
-                 "component_closed", "component_orientable", "orientable",
-                 "edge_weights", "is_sphere_component")
+    """What :func:`reconstruct_surface` reads off a vector: per component,
+    numbered by its first piece, its chi, closedness and orientability;
+    the weight of each edge orbit; and R, the runs it joined.  The
+    totals are computed from these, so they cannot disagree with them.
+    """
+    __slots__ = ("component_chis", "component_closed", "component_orientable",
+                 "edge_weights", "run_count")
 
-    def __init__(self, euler_characteristic, component_count, component_chis,
-                 component_closed, component_orientable, orientable,
-                 edge_weights, is_sphere_component):
-        setfield(self, "euler_characteristic", euler_characteristic)
-        setfield(self, "component_count", component_count)
+    def __init__(self, component_chis, component_closed, component_orientable,
+                 edge_weights, run_count):
         setfield(self, "component_chis", component_chis)
         setfield(self, "component_closed", component_closed)
         setfield(self, "component_orientable", component_orientable)
-        setfield(self, "orientable", orientable)
         setfield(self, "edge_weights", edge_weights)
-        setfield(self, "is_sphere_component", is_sphere_component)
+        setfield(self, "run_count", run_count)
+
+    @property
+    def euler_characteristic(self):
+        return sum(self.component_chis)
+
+    @property
+    def component_count(self):
+        return len(self.component_chis)
+
+    @property
+    def orientable(self):
+        """Whether every component is orientable; None with none."""
+        return all(self.component_orientable) if self.component_chis \
+            else None
+
+    @property
+    def is_sphere_component(self):
+        return tuple(chi == 2 and closed for chi, closed
+                     in zip(self.component_chis, self.component_closed))
 
 
 # Boundary cycles by piece kind, and the directed arc slot of each
@@ -474,11 +497,11 @@ _ARC_SLOT = {(kind, typ, s[0], s[1]): s
 _KIND_TYPE = tuple((kind, typ) for kind in PIECE_KINDS
                    for typ in range(len(_CYCLES[kind])))
 _SLOT = {"tri": 0, "quad": 4, "oct": 7}
-# Per slot: crossings of each of the six edges, and arcs on each of
-# the four faces.
-_WEIGHT = {"tri": model.tri_weight, "quad": model.quad_weight,
-           "oct": model.oct_weight}
-_EDGE_CROSSINGS = tuple(tuple(_WEIGHT[kind](typ, e) for e in range(6))
+# Per slot, read off the piece's cycle: crossings of each of the six
+# edges (one per slot whose outgoing crossing lies on the edge), and
+# arcs on each of the four faces.
+_EDGE_CROSSINGS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ]
+                                  if s[3][0] == e) for e in range(6))
                         for kind, typ in _KIND_TYPE)
 _FACE_ARCS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ] if s[0] == f)
                          for f in range(4))
@@ -691,21 +714,289 @@ def _crossing_direction(kind, typ, e):
     raise AssertionError((kind, typ, e))
 
 
-class ReconstructedSurface:
-    """Components, their invariants and the edge weights of a vector.
+def _edge_weights(tets, skeleton):
+    # Six weights per tetrahedron, computed once per distinct block.
+    tets = list(map(cache(lambda block: tuple(
+        model.edge_weight(block, e) for e in range(6))), tets))
+    weights = []
+    for orbit in skeleton.edge_orbits:
+        t0, e0 = orbit[0]
+        weight = tets[t0][e0]
+        for (t, e) in orbit[1:]:
+            assert tets[t][e] == weight, \
+                "edge weights disagree across an orbit"
+        weights.append(weight)
+    return tuple(weights)
 
-    Parallel copies are handled in runs.  A block is the set of copies
-    of one (tetrahedron, kind, type); its copies are stacked in order,
-    and a face gluing pairs the arcs on its two sides in order.  So each
-    arc type of an internal face pairs an interval of copies of one
-    block with an interval of another, by a translation or a reflection
-    of the copy index, and with one orientation parity for the whole
-    interval.  Every block is cut at the ends of these intervals and at
-    the tube's two pieces, and each cut is pushed through the pairings
-    until none adds a new one.  The blocks then fall into runs, and
-    every pairing maps whole runs onto whole runs.  For k times a
-    vector every cut is k times a cut of the vector, so the run count
-    does not grow with k.
+
+def _blocks(rows, tets, skeleton):
+    """Nonzero blocks in piece order, and where they sit.
+
+    Returns the tetrahedra that hold pieces and those that hold a
+    block of two or more copies, both ascending; per tetrahedron its
+    stack table (see :func:`_stacks`) and its first block number;
+    and per block its count, V - E + F per piece and whether a piece
+    has a boundary arc.
+    """
+    n = len(rows)
+    first_edges = [0] * n
+    for orbit in skeleton.edge_orbits:
+        t, e = orbit[0]
+        first_edges[t] |= 1 << e
+    held, many = [], []
+    stacks, first_block = [_stacks(0)] * n, [0] * n
+    count, weight, is_open = [], [], []
+    # Each distinct stack table and shape is built once per call.
+    tables, shapes = {}, {}
+    for t, (tri_c, quad_c, oct_c) in enumerate(tets):
+        counts = tri_c + quad_c + oct_c
+        if not any(counts):
+            continue
+        held.append(t)
+        first_block[t] = len(count)
+        shape = first_edges[t] << 8
+        for f, g in enumerate(rows[t]):
+            if g is None:
+                shape |= 0b10001 << f
+            elif t < g.tet or t == g.tet and f < g.face:
+                shape |= 0b10000 << f
+        if shape not in shapes:
+            shapes[shape] = _cell_weights(shape)
+        weights, opens = shapes[shape]
+        bits = 0
+        for s, c in enumerate(counts):
+            if c:
+                bits |= 1 << s
+                count.append(c)
+                weight.append(weights[s])
+                is_open.append(opens[s])
+        if bits not in tables:
+            tables[bits] = _stacks(bits)
+        stacks[t] = tables[bits]
+        if max(counts) > 1:
+            many.append(t)
+    return held, many, stacks, first_block, count, weight, is_open
+
+
+def _cut(rows, many, stacks, first_block, count, tube_ends, limit):
+    """Sorted inner cut points of every block that has any.
+
+    Returns {block number: cuts}; a block of one copy is never cut.
+    Raises :class:`ResourceCeilingError` once the runs would pass
+    ``limit``.
+    """
+    cuts = {}
+    pending = []
+    runs = len(count)
+
+    def side(t, arc):
+        # (offset, block number, count, forward) in stacking order
+        out = []
+        offset = 0
+        for rank, _, forward in stacks[t][arc]:
+            b = first_block[t] + rank
+            out.append((offset, b, count[b], forward))
+            offset += count[b]
+        return out
+
+    def cut(side, position):
+        nonlocal runs
+        for offset, b, size, forward in side:
+            if offset < position < offset + size:
+                x = position - offset if forward \
+                    else offset + size - position
+                here = cuts.setdefault(b, set())
+                if x not in here:
+                    runs += 1
+                    if runs > limit:
+                        raise ResourceCeilingError(
+                            f"surface reconstruction cuts more than "
+                            f"{limit} runs, over the surface_cells "
+                            f"ceiling")
+                    here.add(x)
+                    pending.append((b, x))
+                return
+
+    # Where each block of two or more copies sits in a pairing, and
+    # the side facing it.  A face pair between blocks of one copy
+    # each can neither make a cut nor carry one.
+    seen_in = {}
+    for t, f, g in _glued_faces(rows, many):
+        for v in model.FACE_VERTICES[f]:
+            side_a = side(t, f << 2 | v)
+            side_b = side(g.tet, g.face << 2 | g.perm[v])
+            for here, there in ((side_a, side_b), (side_b, side_a)):
+                for offset, b, size, forward in here:
+                    if size > 1:
+                        seen_in.setdefault(b, []).append(
+                            (offset, forward, there))
+                for offset, *_ in here[1:]:
+                    cut(there, offset)
+    for b, copy in tube_ends:
+        whole = [(0, b, count[b], True)]
+        cut(whole, copy)
+        cut(whole, copy + 1)
+    while pending:
+        b, x = pending.pop()
+        size = count[b]
+        for offset, forward, there in seen_in.get(b, ()):
+            cut(there, offset + (x if forward else size - x))
+    return {b: sorted(here) for b, here in cuts.items()}
+
+
+def _join_runs(rows, vector, held, stacks, first_block, count, weight,
+               is_open, cuts, tube_ends, limit):
+    """Per component its chi, closedness and orientability, and R."""
+    # Runs are numbered in piece order; block b's runs, in ascending
+    # copy order, are first_run[b] .. first_run[b + 1] - 1.
+    first_run = []
+    run_length = []
+    for b, size in enumerate(count):
+        first_run.append(len(run_length))
+        lo = 0
+        for hi in cuts.get(b, ()):
+            run_length.append(hi - lo)
+            lo = hi
+        run_length.append(size - lo)
+    first_run.append(len(run_length))
+    run_count = len(run_length)
+    sheets = ParityUnionFind(run_count)
+    union = sheets.union
+
+    # Per gluing permutation, the label of each case met so far.
+    labels_by_perm = {}
+    for t, f, g in _glued_faces(rows, held):
+        u, perm = g.tet, g.perm
+        labels = labels_by_perm.get(perm)
+        if labels is None:
+            labels = labels_by_perm[perm] = {}
+        stacks_a, stacks_b = stacks[t], stacks[u]
+        base_a, base_b = first_block[t], first_block[u]
+        f2 = g.face << 2
+        for v in model.FACE_VERTICES[f]:
+            arc = f << 2 | v
+            side_a = stacks_a[arc]
+            side_b = stacks_b[f2 | perm[v]]
+            # The runs of the two sides line up.  Walk both sides
+            # block by block; done_a and done_b count the runs of
+            # the current two blocks already paired.
+            i = j = done_a = done_b = 0
+            end_a, end_b = len(side_a), len(side_b)
+            while i < end_a and j < end_b:
+                rank_a, slot_a, forward_a = side_a[i]
+                rank_b, slot_b, forward_b = side_b[j]
+                key = arc * 100 + slot_a * 10 + slot_b
+                label = labels.get(key)
+                if label is None:
+                    label = labels[key] = _label(perm, f, v,
+                                                 slot_a, slot_b)
+                b = base_a + rank_a
+                lo_a, runs_a = first_run[b], first_run[b + 1]
+                runs_a -= lo_a
+                b = base_b + rank_b
+                lo_b, runs_b = first_run[b], first_run[b + 1]
+                runs_b -= lo_b
+                step = runs_a - done_a
+                if runs_b - done_b < step:
+                    step = runs_b - done_b
+                if forward_a:
+                    ra, da = lo_a + done_a, 1
+                else:
+                    ra, da = lo_a + runs_a - 1 - done_a, -1
+                if forward_b:
+                    rb, db = lo_b + done_b, 1
+                else:
+                    rb, db = lo_b + runs_b - 1 - done_b, -1
+                for _ in range(step):
+                    assert run_length[ra] == run_length[rb], \
+                        "matching violated during reconstruction"
+                    union(ra, rb, label)
+                    ra += da
+                    rb += db
+                done_a += step
+                done_b += step
+                if done_a == runs_a:
+                    i += 1
+                    done_a = 0
+                if done_b == runs_b:
+                    j += 1
+                    done_b = 0
+            # Both sides end together: their lengths match.
+            assert i == end_a and j == end_b, \
+                "matching violated during reconstruction"
+
+    # Tube: join its two singleton runs; consecutive parallel sheets
+    # get opposite boundary orientations when their crossings of
+    # the shared edge run in the same face-to-face direction.
+    tube_run = None
+    if tube_ends:
+        e_shared = _tube_shared_edge(vector)
+        (tube_run, da), (rb, db) = [
+            (first_run[b] + [0, *cuts.get(b, ())].index(copy),
+             _crossing_direction(kind, typ, e_shared))
+            for (b, copy), (kind, typ, _) in zip(
+                tube_ends, vector.tube.pieces())]
+        sheets.union(tube_run, rb, da == db)
+
+    # Classes in order of their first run, with chi and closedness
+    # per component of the class.
+    labels, roots = sheets.classes()
+    chi = [0] * len(roots)
+    closed = [True] * len(roots)
+    for b, block_weight in enumerate(weight):
+        for r in range(first_run[b], first_run[b + 1]):
+            c = labels[r]
+            chi[c] += block_weight
+            if is_open[b]:
+                closed[c] = False
+    if tube_run is not None:
+        chi[labels[tube_run]] -= 2
+    spans = [sheets.span[root] for root in roots]
+    components = sum(run_length[root] if not span & _REVERSING
+                     else (run_length[root] + 1) // 2
+                     for root, span in zip(roots, spans))
+    if run_count + components > limit:
+        raise ResourceCeilingError(
+            f"surface reconstruction needs {run_count} runs and "
+            f"{components} components, over the surface_cells ceiling "
+            f"{limit}")
+
+    chis, closeds, orientables = [], [], []
+    for root, span, c_chi, c_closed in zip(roots, spans, chi, closed):
+        length = run_length[root]
+        orientable = not span & _FLIP_KEPT
+        if span & _REVERSING:
+            doubles = length // 2
+            chis += [2 * c_chi] * doubles
+            closeds += [c_closed] * doubles
+            orientables += [orientable] * doubles
+            if length % 2:
+                chis.append(c_chi)
+                closeds.append(c_closed)
+                orientables.append(not span & ODD_LABELS)
+        else:
+            chis += [c_chi] * length
+            closeds += [c_closed] * length
+            orientables += [orientable] * length
+    return tuple(chis), tuple(closeds), tuple(orientables), run_count
+
+
+def reconstruct_surface(tri, v, skeleton=None, report=None):
+    """Components, orientability and edge weights of an admissible vector.
+
+    Returns the :class:`SurfaceSummary`, components numbered by their
+    first piece.  Parallel copies are handled in runs.  A block is the
+    set of copies of one (tetrahedron, kind, type); its copies are
+    stacked in order, and a face gluing pairs the arcs on its two sides
+    in order.  So each arc type of an internal face pairs an interval
+    of copies of one block with an interval of another, by a
+    translation or a reflection of the copy index, and with one
+    orientation parity for the whole interval.  Every block is cut at
+    the ends of these intervals and at the tube's two pieces, and each
+    cut is pushed through the pairings until none adds a new one.  The
+    blocks then fall into runs, and every pairing maps whole runs onto
+    whole runs.  For k times a vector every cut is k times a cut of the
+    vector, so the run count does not grow with k.
 
     The stacks are read from tables, not built per arc.  A
     tetrahedron's blocks are numbered consecutively in slot order, so
@@ -732,353 +1023,49 @@ class ReconstructedSurface:
     component's chi and closedness come from weights per block, read
     from a table per tetrahedron shape (:func:`_cell_weights`): which of
     its edges come first in their orbits and which of its faces are
-    counted or on the boundary.  The
-    first piece of a class's components lies in its first run, at
-    consecutive copies, so listing the classes in order of their first
-    run numbers the components by their first piece.
-    """
+    counted or on the boundary.  The first piece of a class's
+    components lies in its first run, at consecutive copies, so listing
+    the classes in order of their first run numbers the components by
+    their first piece.
 
-    def __init__(self, tri, vector, skeleton=None, report=None):
-        self.tri = tri
-        self.vector = vector
-        self.skeleton = skeleton if skeleton is not None \
-            else compute_skeleton(tri)
-        if report is None:
-            report = check_admissible(tri, vector)
-        if not report.admissible:
-            raise SurfaceError(
-                "inadmissible vector: "
-                + "; ".join(viol.message for viol in report.violations))
-        self.edge_weights = self._edge_weights()
-        limit = ceiling("surface_cells")
-        held, many, stacks, first_block, count, weight, is_open = \
-            self._blocks()
-        tube = vector.tube
-        # (block number, copy) of the tube's two pieces: a block's
-        # number is its tetrahedron's first plus its rank there.
-        tube_ends = ()
-        if tube is not None:
-            counts = sum(vector.tets[tube.tet], ())
-            tube_ends = tuple(
-                (first_block[tube.tet]
-                 + sum(map(bool, counts[:_SLOT[kind] + typ])), copy)
-                for kind, typ, copy in tube.pieces())
-        cuts = self._cut(many, stacks, first_block, count, tube_ends, limit)
-        self._join_runs(held, stacks, first_block, count, weight, is_open,
-                        cuts, tube_ends, limit)
-
-    def _edge_weights(self):
-        # Six weights per tetrahedron, computed once per distinct block.
-        tets = list(map(cache(lambda block: tuple(
-            model.edge_weight(block, e) for e in range(6))), self.vector.tets))
-        weights = []
-        for orbit in self.skeleton.edge_orbits:
-            t0, e0 = orbit[0]
-            weight = tets[t0][e0]
-            for (t, e) in orbit[1:]:
-                assert tets[t][e] == weight, \
-                    "edge weights disagree across an orbit"
-            weights.append(weight)
-        return tuple(weights)
-
-    def _blocks(self):
-        """Nonzero blocks in piece order, and where they sit.
-
-        Returns the tetrahedra that hold pieces and those that hold a
-        block of two or more copies, both ascending; per tetrahedron its
-        stack table (see :func:`_stacks`) and its first block number;
-        and per block its count, V - E + F per piece and whether a piece
-        has a boundary arc.
-        """
-        n = self.tri.tetrahedron_count
-        rows = self.tri.gluings
-        first_edges = [0] * n
-        for orbit in self.skeleton.edge_orbits:
-            t, e = orbit[0]
-            first_edges[t] |= 1 << e
-        held, many = [], []
-        stacks, first_block = [_stacks(0)] * n, [0] * n
-        count, weight, is_open = [], [], []
-        # Each distinct stack table and shape is built once per call.
-        tables, shapes = {}, {}
-        for t, (tri_c, quad_c, oct_c) in enumerate(self.vector.tets):
-            counts = tri_c + quad_c + oct_c
-            if not any(counts):
-                continue
-            held.append(t)
-            first_block[t] = len(count)
-            shape = first_edges[t] << 8
-            for f, g in enumerate(rows[t]):
-                if g is None:
-                    shape |= 0b10001 << f
-                elif t < g.tet or t == g.tet and f < g.face:
-                    shape |= 0b10000 << f
-            if shape not in shapes:
-                shapes[shape] = _cell_weights(shape)
-            weights, opens = shapes[shape]
-            bits = 0
-            for s, c in enumerate(counts):
-                if c:
-                    bits |= 1 << s
-                    count.append(c)
-                    weight.append(weights[s])
-                    is_open.append(opens[s])
-            if bits not in tables:
-                tables[bits] = _stacks(bits)
-            stacks[t] = tables[bits]
-            if max(counts) > 1:
-                many.append(t)
-        return held, many, stacks, first_block, count, weight, is_open
-
-    def _cut(self, many, stacks, first_block, count, tube_ends, limit):
-        """Sorted inner cut points of every block that has any.
-
-        Returns {block number: cuts}; a block of one copy is never cut.
-        Raises :class:`ResourceCeilingError` once the runs would pass
-        ``limit``.
-        """
-        cuts = {}
-        pending = []
-        runs = len(count)
-
-        def side(t, arc):
-            # (offset, block number, count, forward) in stacking order
-            out = []
-            offset = 0
-            for rank, _, forward in stacks[t][arc]:
-                b = first_block[t] + rank
-                out.append((offset, b, count[b], forward))
-                offset += count[b]
-            return out
-
-        def cut(side, position):
-            nonlocal runs
-            for offset, b, size, forward in side:
-                if offset < position < offset + size:
-                    x = position - offset if forward \
-                        else offset + size - position
-                    here = cuts.setdefault(b, set())
-                    if x not in here:
-                        runs += 1
-                        if runs > limit:
-                            raise ResourceCeilingError(
-                                f"surface reconstruction cuts more than "
-                                f"{limit} runs, over the surface_cells "
-                                f"ceiling")
-                        here.add(x)
-                        pending.append((b, x))
-                    return
-
-        # Where each block of two or more copies sits in a pairing, and
-        # the side facing it.  A face pair between blocks of one copy
-        # each can neither make a cut nor carry one.
-        seen_in = {}
-        for t, f, g in _glued_faces(self.tri.gluings, many):
-            for v in model.FACE_VERTICES[f]:
-                side_a = side(t, f << 2 | v)
-                side_b = side(g.tet, g.face << 2 | g.perm[v])
-                for here, there in ((side_a, side_b), (side_b, side_a)):
-                    for offset, b, size, forward in here:
-                        if size > 1:
-                            seen_in.setdefault(b, []).append(
-                                (offset, forward, there))
-                    for offset, *_ in here[1:]:
-                        cut(there, offset)
-        for b, copy in tube_ends:
-            whole = [(0, b, count[b], True)]
-            cut(whole, copy)
-            cut(whole, copy + 1)
-        while pending:
-            b, x = pending.pop()
-            size = count[b]
-            for offset, forward, there in seen_in.get(b, ()):
-                cut(there, offset + (x if forward else size - x))
-        return {b: sorted(here) for b, here in cuts.items()}
-
-    def _join_runs(self, held, stacks, first_block, count, weight, is_open,
-                   cuts, tube_ends, limit):
-        # Runs are numbered in piece order; block b's runs, in ascending
-        # copy order, are first_run[b] .. first_run[b + 1] - 1.
-        first_run = []
-        run_length = []
-        for b, size in enumerate(count):
-            first_run.append(len(run_length))
-            lo = 0
-            for hi in cuts.get(b, ()):
-                run_length.append(hi - lo)
-                lo = hi
-            run_length.append(size - lo)
-        first_run.append(len(run_length))
-        self.run_count = len(run_length)
-        sheets = ParityUnionFind(self.run_count)
-        union = sheets.union
-
-        # Per gluing permutation, the label of each case met so far.
-        labels_by_perm = {}
-        for t, f, g in _glued_faces(self.tri.gluings, held):
-            u, perm = g.tet, g.perm
-            labels = labels_by_perm.get(perm)
-            if labels is None:
-                labels = labels_by_perm[perm] = {}
-            stacks_a, stacks_b = stacks[t], stacks[u]
-            base_a, base_b = first_block[t], first_block[u]
-            f2 = g.face << 2
-            for v in model.FACE_VERTICES[f]:
-                arc = f << 2 | v
-                side_a = stacks_a[arc]
-                side_b = stacks_b[f2 | perm[v]]
-                # The runs of the two sides line up.  Walk both sides
-                # block by block; done_a and done_b count the runs of
-                # the current two blocks already paired.
-                i = j = done_a = done_b = 0
-                end_a, end_b = len(side_a), len(side_b)
-                while i < end_a and j < end_b:
-                    rank_a, slot_a, forward_a = side_a[i]
-                    rank_b, slot_b, forward_b = side_b[j]
-                    key = arc * 100 + slot_a * 10 + slot_b
-                    label = labels.get(key)
-                    if label is None:
-                        label = labels[key] = _label(perm, f, v,
-                                                     slot_a, slot_b)
-                    b = base_a + rank_a
-                    lo_a, runs_a = first_run[b], first_run[b + 1]
-                    runs_a -= lo_a
-                    b = base_b + rank_b
-                    lo_b, runs_b = first_run[b], first_run[b + 1]
-                    runs_b -= lo_b
-                    step = runs_a - done_a
-                    if runs_b - done_b < step:
-                        step = runs_b - done_b
-                    if forward_a:
-                        ra, da = lo_a + done_a, 1
-                    else:
-                        ra, da = lo_a + runs_a - 1 - done_a, -1
-                    if forward_b:
-                        rb, db = lo_b + done_b, 1
-                    else:
-                        rb, db = lo_b + runs_b - 1 - done_b, -1
-                    for _ in range(step):
-                        assert run_length[ra] == run_length[rb], \
-                            "matching violated during reconstruction"
-                        union(ra, rb, label)
-                        ra += da
-                        rb += db
-                    done_a += step
-                    done_b += step
-                    if done_a == runs_a:
-                        i += 1
-                        done_a = 0
-                    if done_b == runs_b:
-                        j += 1
-                        done_b = 0
-                # Both sides end together: their lengths match.
-                assert i == end_a and j == end_b, \
-                    "matching violated during reconstruction"
-
-        # Tube: join its two singleton runs; consecutive parallel sheets
-        # get opposite boundary orientations when their crossings of
-        # the shared edge run in the same face-to-face direction.
-        tube_run = None
-        if tube_ends:
-            e_shared = _tube_shared_edge(self.vector)
-            (tube_run, da), (rb, db) = [
-                (first_run[b] + [0, *cuts.get(b, ())].index(copy),
-                 _crossing_direction(kind, typ, e_shared))
-                for (b, copy), (kind, typ, _) in zip(
-                    tube_ends, self.vector.tube.pieces())]
-            sheets.union(tube_run, rb, da == db)
-
-        # Classes in order of their first run, with chi and closedness
-        # per component of the class.
-        labels, roots = sheets.classes()
-        chi = [0] * len(roots)
-        closed = [True] * len(roots)
-        for b, block_weight in enumerate(weight):
-            for r in range(first_run[b], first_run[b + 1]):
-                c = labels[r]
-                chi[c] += block_weight
-                if is_open[b]:
-                    closed[c] = False
-        if tube_run is not None:
-            chi[labels[tube_run]] -= 2
-        spans = [sheets.span[root] for root in roots]
-        count = sum(run_length[root] if not span & _REVERSING
-                    else (run_length[root] + 1) // 2
-                    for root, span in zip(roots, spans))
-        if self.run_count + count > limit:
-            raise ResourceCeilingError(
-                f"surface reconstruction needs {self.run_count} runs and "
-                f"{count} components, over the surface_cells ceiling "
-                f"{limit}")
-
-        chis, closeds, orientables = [], [], []
-        for root, span, c_chi, c_closed in zip(roots, spans, chi, closed):
-            length = run_length[root]
-            orientable = not span & _FLIP_KEPT
-            if span & _REVERSING:
-                doubles = length // 2
-                chis += [2 * c_chi] * doubles
-                closeds += [c_closed] * doubles
-                orientables += [orientable] * doubles
-                if length % 2:
-                    chis.append(c_chi)
-                    closeds.append(c_closed)
-                    orientables.append(not span & ODD_LABELS)
-            else:
-                chis += [c_chi] * length
-                closeds += [c_closed] * length
-                orientables += [orientable] * length
-        self.component_count = count
-        self.component_chis = tuple(chis)
-        self.component_closed = tuple(closeds)
-        self.component_orientable = tuple(orientables)
-
-    def summary(self):
-        total_chi = sum(self.component_chis)
-        if self.component_count == 0:
-            orientable = None
-        else:
-            orientable = all(self.component_orientable)
-        spheres = tuple(chi == 2 and cl
-                        for chi, cl in zip(self.component_chis,
-                                           self.component_closed))
-        return SurfaceSummary(
-            euler_characteristic=total_chi,
-            component_count=self.component_count,
-            component_chis=self.component_chis,
-            component_closed=self.component_closed,
-            component_orientable=self.component_orientable,
-            orientable=orientable,
-            edge_weights=self.edge_weights,
-            is_sphere_component=spheres,
-        )
-
-
-def reconstruct_surface(tri, v, skeleton=None, report=None):
-    """Components, orientability and edge weights of an admissible vector.
-
-    Returns the :class:`ReconstructedSurface`, whose ``summary()``
-    carries components, per-component Euler characteristics and
-    closedness, orientability and edge weights, with components
-    numbered by their first piece.  Parallel copies are handled in runs
-    (see :class:`ReconstructedSurface`), so the cost is
-    O(n + R log R + C) for n tetrahedra, R runs and C components
-    (near linear: the run union-find adds an inverse-Ackermann
-    factor).  R is at most the number of pieces and does not grow with
-    k for k times a vector; C is what the summary lists.  The n term
-    is one pass over the tetrahedra and the edge orbits; faces are
-    visited only around tetrahedra that hold pieces, and each glued arc
-    type there costs a few table lookups and one union per pair of
-    runs.  When R, or R
-    plus C, would pass the ``surface_cells`` ceiling, it raises
-    :class:`ResourceCeilingError` before building them, and the
-    ``surface`` command exits 3.
+    The cost is O(n + R log R + C) for n tetrahedra, R runs and C
+    components (near linear: the run union-find adds an
+    inverse-Ackermann factor).  R is at most the number of pieces and
+    does not grow with k for k times a vector; C is what the summary
+    lists.  The n term is one pass over the tetrahedra and the edge
+    orbits; faces are visited only around tetrahedra that hold pieces,
+    and each glued arc type there costs a few table lookups and one
+    union per pair of runs.  When R, or R plus C, would pass the
+    ``surface_cells`` ceiling, it raises :class:`ResourceCeilingError`
+    before building them, and the ``surface`` command exits 3.
 
     ``report`` is v's :func:`check_admissible` report, for a caller
     that has it already; without it the vector is checked here.  Either
     way an inadmissible vector raises :class:`SurfaceError`.
     """
-    return ReconstructedSurface(tri, v, skeleton, report)
+    if skeleton is None:
+        skeleton = compute_skeleton(tri)
+    _require_admissible(check_admissible(tri, v) if report is None
+                        else report)
+    edge_weights = _edge_weights(v.tets, skeleton)
+    limit = ceiling("surface_cells")
+    rows = tri.gluings
+    held, many, stacks, first_block, count, weight, is_open = \
+        _blocks(rows, v.tets, skeleton)
+    # (block number, copy) of the tube's two pieces: a block's number
+    # is its tetrahedron's first plus its rank there.
+    tube_ends = ()
+    if v.tube is not None:
+        counts = sum(v.tets[v.tube.tet], ())
+        tube_ends = tuple(
+            (first_block[v.tube.tet]
+             + sum(map(bool, counts[:_SLOT[kind] + typ])), copy)
+            for kind, typ, copy in v.tube.pieces())
+    cuts = _cut(rows, many, stacks, first_block, count, tube_ends, limit)
+    chis, closeds, orientables, run_count = _join_runs(
+        rows, v, held, stacks, first_block, count, weight, is_open, cuts,
+        tube_ends, limit)
+    return SurfaceSummary(chis, closeds, orientables, edge_weights, run_count)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,13 +1091,13 @@ ALMOST_NORMAL_TUBE = "AlmostNormalTube"
 INADMISSIBLE = "Inadmissible"
 
 
-def classify(tri, v):
-    """Normal / AlmostNormalOctagon / AlmostNormalTube / Inadmissible."""
-    return classification(v, check_admissible(tri, v))
+def classify(tri, v, report=None):
+    """Normal / AlmostNormalOctagon / AlmostNormalTube / Inadmissible.
 
-
-def classification(v, report):
-    """What :func:`classify` answers, given v's admissibility report."""
+    ``report`` is v's :func:`check_admissible` report, if the caller has
+    it."""
+    if report is None:
+        report = check_admissible(tri, v)
     if not report.admissible:
         return INADMISSIBLE
     if report.mode == "normal":

@@ -26,12 +26,16 @@ def numeral(text):
     leading zero but for ``0`` itself, so ``str`` writes its value back
     unchanged.  A minus sign before a nonzero one reads as a negative
     number, which a caller that needs a nonnegative value rejects as
-    out of range.
+    out of range.  A numeral longer than Python's integer conversion
+    limit (4300 digits by default) also reads as None.
     """
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit() \
             and (digits[0] != "0" or text == "0"):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            pass
     return None
 
 

@@ -105,14 +105,14 @@ def criterion_4():
             if vec.total_weight() > 6:
                 continue
             chi = euler_characteristic(tri, vec, skeleton)
-            summary = reconstruct_surface(tri, vec, skeleton).summary()
+            summary = reconstruct_surface(tri, vec, skeleton)
             if chi != sum(summary.component_chis):
                 ok = False
             checked += 1
         if tri.is_closed() and validate_manifold(tri, skeleton).is_manifold:
             for i in range(len(skeleton.vertex_orbits)):
                 link = vertex_link(tri, i, skeleton)
-                summary = reconstruct_surface(tri, link, skeleton).summary()
+                summary = reconstruct_surface(tri, link, skeleton)
                 if summary.component_count != 1 or \
                         summary.euler_characteristic != 2:
                     ok = False

@@ -604,16 +604,10 @@ def explicit_reconstruction(tri, v, skeleton=None):
         count[labels[ia]] -= 1
         closed[labels[ia]] = False
 
-    return SurfaceSummary(
-        euler_characteristic=sum(count),
-        component_count=ncomp,
-        component_chis=tuple(count),
-        component_closed=tuple(closed),
-        component_orientable=orientable,
-        orientable=all(orientable) if ncomp else None,
-        edge_weights=tuple(weights),
-        is_sphere_component=tuple(chi == 2 and cl
-                                  for chi, cl in zip(count, closed)))
+    return SurfaceSummary(component_chis=tuple(count),
+                          component_closed=tuple(closed),
+                          component_orientable=orientable,
+                          edge_weights=tuple(weights), run_count=None)
 
 
 def dense_rows(system):

@@ -6,8 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from normalhst import cli, library, normal_surfaces
 from normalhst.normal_surfaces import SurfaceVector, vertex_link
@@ -99,6 +104,112 @@ def test_non_canonical_numeral_is_one_line(tmp_path, capsys, text, message):
     assert captured.err == f"error: {path}: {message}\n"
 
 
+# Past the 4300 digits that int() converts by default.
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("case", ["count", "token", "position", "ceiling",
+                                  "coordinate"])
+def test_over_long_numeral_is_one_line(files, tmp_path, capsys, monkeypatch,
+                                       case):
+    path = tmp_path / "input"
+    text, argv, message = {
+        "count": (f"{LONG}\n- - - -\n", ["validate", path],
+                  f"{path}: line 1: expected tetrahedron count, "
+                  f"got '{LONG}'"),
+        "token": (DOUBLED_TEXT.replace("1:0:123", f"{LONG}:0:123", 1),
+                  ["enumerate", path],
+                  f"{path}: line 2, column 1: malformed gluing token "
+                  f"'{LONG}:0:123'"),
+        "position": (f"B {LONG}\n", ["width", path],
+                     f"{path}: line 1: bad position '{LONG}'"),
+        "ceiling": (None, ["curves"] + ["1"] * 12,
+                    f"NORMALHST_CEILING must be a positive integer, "
+                    f"got '{LONG}'"),
+        "coordinate": (files["link"].read_text().replace(
+                           '"tri": [1,', f'"tri": [{LONG},', 1),
+                       ["surface", files["doubled"], path],
+                       f"{path}: invalid JSON: "),
+    }[case]
+    if text is None:
+        monkeypatch.setenv("NORMALHST_CEILING", LONG)
+    else:
+        path.write_text(text)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert case == "coordinate" or line == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hst", "split"], ["hst", "split", "--action", "search"]])
+def test_over_long_result_is_exit_3(files, tmp_path, capsys, argv):
+    # chi of 3000 digits, whose complexity (2 - chi)^2 has 6000
+    files["split"].write_text(f"[[], [[-{'8' * 3000}, 0]], []]")
+    assert run([files.get(a, a) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "resource ceiling: the result holds an integer past Python's "
+        "integer string conversion limit"]
+
+
+# Numerals of 1 to 6000 digits, some with a sign or leading zeros.
+numerals = st.builds(
+    lambda sign, zeros, length, digits: sign + "0" * zeros + "".join(
+        random.Random(digits).choices("0123456789", k=length)),
+    st.sampled_from(["", "-", "+"]), st.integers(0, 2),
+    st.integers(1, 6000), st.integers(0, 2 ** 32))
+
+
+def _numeral_entry_points(n, work):
+    """(argv, environment) of each command reading the numeral n."""
+    link = json.dumps(vertex_link(library.doubled_tetrahedron(), 0)
+                      .to_json_dict())
+    inputs = {
+        "doubled.tri": DOUBLED_TEXT,
+        "single.tri": library.single_tetrahedron().to_text(),
+        "count.tri": f"{n}\n- - - -\n",
+        "token.tri": DOUBLED_TEXT.replace("1:0:123", f"{n}:0:123", 1),
+        "pres.txt": f"B {n}\nD 0\n",
+        "vector.json": link.replace('"tri": [1,', f'"tri": [{n},', 1),
+        "split.json": f"[[], [[{n}, 0]], []]",
+    }
+    for name, text in inputs.items():
+        (work / name).write_text(text)
+    path = {name: str(work / name) for name in inputs}
+    return [
+        (["validate", path["count.tri"]], {}),
+        (["validate", path["token.tri"]], {}),
+        (["width", path["pres.txt"]], {}),
+        (["surface", path["doubled.tri"], path["vector.json"]], {}),
+        (["hst", path["split.json"]], {}),
+        (["curves"] + ["1"] * 12, {"NORMALHST_CEILING": n}),
+        (["enumerate", path["single.tri"], "--bound", n], {}),
+    ]
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(numerals)
+def test_numeral_entry_points_never_trace(tmp_path_factory, n):
+    work = tmp_path_factory.mktemp("numeral")
+    for argv, env in _numeral_entry_points(n, work):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.dict(os.environ, env):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:       # the parser refused an option
+                code = exc.code
+        assert code in (0, 1, 2, 3), argv[0]
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1, argv[0]
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert run(["validate", tmp_path / "nope.tri"]) == 2
 
@@ -125,7 +236,6 @@ def test_surface_auto_mode_checks_once(files, capsys, monkeypatch):
         return real_check(*args)
 
     monkeypatch.setattr(normal_surfaces, "check_admissible", counted)
-    monkeypatch.setattr(normal_surfaces, "classify", None)
     assert run(["surface", files["doubled"], files["link"],
                 "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

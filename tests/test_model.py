@@ -57,12 +57,18 @@ def test_arc_count_closed_form():
             assert model.arc_count(block, f, v) == expected
 
 
-def test_boundary_lengths():
-    for v in model.VERTICES:
-        assert sum(model.tri_weight(v, e) for e in range(6)) == 3
-    for q in range(3):
-        assert sum(model.quad_weight(q, e) for e in range(6)) == 4
-        assert sum(model.oct_weight(q, e) for e in range(6)) == 8
+def test_edge_weight_counts_cycle_crossings():
+    # the closed form of edge_weight against the boundary cycles: one
+    # piece crosses edge e once per cycle slot leaving across e
+    for kind, cycles in enumerate((model.TRI_CYCLES, model.QUAD_CYCLES,
+                                   model.OCT_CYCLES)):
+        for typ, cycle in enumerate(cycles):
+            block = [[0] * 4, [0] * 3, [0] * 3]
+            block[kind][typ] = 1
+            block = tuple(map(tuple, block))
+            for e in range(6):
+                assert model.edge_weight(block, e) == \
+                    sum(1 for slot in cycle if slot[3][0] == e)
 
 
 def test_cycles_visit_every_arc_once():

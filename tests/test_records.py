@@ -58,12 +58,9 @@ SAMPLES = {
                       0b11100000001110000), {}),
     Violation: ("(code, message)", ("matching", "1 != 2"), {}),
     AdmissibilityReport: ("(mode, violations)", ("normal", ()), {}),
-    SurfaceSummary: ("(euler_characteristic, component_count, "
-                     "component_chis, component_closed, "
-                     "component_orientable, orientable, edge_weights, "
-                     "is_sphere_component)",
-                     (2, 1, (2,), (True,), (True,), True, (1, 1), (True,)),
-                     {}),
+    SurfaceSummary: ("(component_chis, component_closed, "
+                     "component_orientable, edge_weights, run_count)",
+                     ((2,), (True,), (True,), (1, 1), 1), {}),
     CurvePattern: ("(counts)", ((1,) * 12,), {}),
     LoopDecomposition: ("(loops, lengths)", (((0, 1, 2),), (3,)), {}),
     LoopClass: ("(length, representative, members)",
