@@ -103,9 +103,13 @@ def _load_triangulation(path):
 def _load_json(path):
     try:
         return json.loads(_read(path))
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past the conversion limit
+    except json.JSONDecodeError as exc:
         raise InputProblem(f"{path}: invalid JSON: {exc}")
+    except ValueError:
+        # int() refused a numeral past the conversion limit
+        raise InputProblem(
+            f"{path}: invalid JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits")
     except RecursionError:
         raise InputProblem(f"{path}: invalid JSON: nested too deeply")
 
@@ -201,8 +205,10 @@ def cmd_enumerate(args):
 
     from .enumeration import (brute_force_enumerate, cross_check,
                               enumerate_vertex_surfaces)
+    from .record import quoted
     if args.bound < 0:
-        raise InputProblem(f"--bound must be at least 0, got {args.bound}")
+        raise InputProblem(
+            f"--bound must be at least 0, got {quoted(args.bound)}")
     tri = _load_triangulation(args.triangulation)
     digest = hashlib.sha256(tri.to_text().encode()).hexdigest()
     if args.cross_check:
@@ -232,8 +238,10 @@ def cmd_hst(args):
     from .hst import (HstError, is_minimal_reachable, splitting_complexity,
                       splitting_from_json, splitting_to_json, trace_to_json,
                       underlying_splitting)
+    from .record import quoted
     if args.budget < 1:
-        raise InputProblem(f"--budget must be at least 1, got {args.budget}")
+        raise InputProblem(
+            f"--budget must be at least 1, got {quoted(args.budget)}")
     try:
         splitting = splitting_from_json(_load_json(args.splitting))
     except (HstError, TypeError, ValueError) as exc:
@@ -329,6 +337,7 @@ def cmd_curves(args):
 
 def cmd_selftest(args):
     from . import selftest
+    from .record import quoted
     numbers = None
     if args.criteria is not None:
         known = {str(n): n for n in selftest.CRITERIA}
@@ -336,7 +345,7 @@ def cmd_selftest(args):
         unknown = [x for x in parts if x not in known]
         if unknown:
             raise InputProblem(
-                f"--criteria: unknown criterion {unknown[0]!r}, "
+                f"--criteria: unknown criterion {quoted(unknown[0])}, "
                 f"choose from {', '.join(sorted(known))}")
         numbers = sorted(known[x] for x in parts)
     results = selftest.run(numbers, seed=args.seed)
@@ -355,16 +364,17 @@ def _common(parser):
 
 
 def _integer(text):
-    """The type of every integer argument: a canonical decimal numeral."""
-    from .record import numeral
+    """The type of every integer argument: a canonical decimal numeral.
+
+    The message is argparse's own for a failed ``int``, with the text
+    quoted by :func:`.record.quoted`.
+    """
+    from .record import numeral, quoted
     value = numeral(text)
     if value is None:
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {quoted(text)}")
     return value
-
-
-# argparse names the type in its message: "invalid int value: 'abc'".
-_integer.__name__ = "int"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,10 +15,10 @@ weak-reduction step strictly decrease these complexities, which is what
 makes every rewrite search terminate.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, json_int, setfield
+from .record import Record, derived, json_int, quoted, setfield
 
 
 class HstError(ValueError):
@@ -33,7 +33,7 @@ class Component(Record):
         if closed_chi % 2 or closed_chi > 2:
             raise HstError(
                 f"closed Euler characteristic must be even and <= 2, "
-                f"got {closed_chi}")
+                f"got {quoted(closed_chi)}")
         if punctures < 0:
             raise HstError("puncture count must be nonnegative")
         setfield(self, "closed_chi", closed_chi)
@@ -61,7 +61,7 @@ class AbstractSurface(Record):
 
     Components are kept in list order so that moves can name them by
     index; multiset equality is what the splitting calculus compares.
-    The cached properties live in the instance ``__dict__``.
+    The derived values live in the instance ``__dict__``.
     """
     __slots__ = ("components", "__dict__")
 
@@ -82,30 +82,35 @@ class AbstractSurface(Record):
         return not self.components
 
     def multiset(self):
-        return self._multiset
+        return tuple(sorted(self.pairs))
 
-    @cached_property
-    def _multiset(self):
-        return tuple(sorted((c.closed_chi, c.punctures)
-                            for c in self.components))
-
-    @cached_property
+    @derived
     def pairs(self):
         """The components as (closed_chi, punctures) pairs, in order."""
-        return tuple((c.closed_chi, c.punctures) for c in self.components)
+        return tuple([(c.closed_chi, c.punctures) for c in self.components])
 
-    @cached_property
+    @derived
+    def code(self):
+        """The multiset of components as one string: each component's
+        closed chi and punctures in hex, sorted and joined.  Each piece
+        reads back as one (closed_chi, punctures) pair, so equal codes
+        mean equal multisets.  A string keeps its hash once computed,
+        and hex has no digit limit."""
+        return " ".join(sorted([f"{c.closed_chi:x},{c.punctures:x}"
+                                for c in self.components]))
+
+    @derived
     def relative_cost(self):
         """``c_surface(self, relative=True)``, computed once per object."""
         return c_surface(self, relative=True)
 
-    @cached_property
+    @derived
     def moves(self):
         """``component_moves(self)`` as a tuple, computed once per object."""
         return tuple(component_moves(self))
 
     def same_surface(self, other):
-        return self._multiset == other._multiset
+        return self.code == other.code
 
 
 EMPTY_SURFACE = AbstractSurface(())
@@ -162,9 +167,17 @@ class AbstractSplitting(Record):
     """Alternating sequence of surfaces: thin at even, thick at odd index.
 
     Thick levels must be nonempty surfaces; thin levels, including the
-    ends, may be empty.
+    ends, may be empty.  The constructor checks every thick level.  The
+    search builds its successors with :func:`_spliced` instead, which
+    skips that loop, so a successor costs two tuple slices whatever its
+    number of levels: each cached rewrite's replacement is checked once,
+    by :func:`_check_thick`, when the rewrite is computed, and a splice
+    moves the levels after it by an even count (+2 in untangle case 1,
+    -2 in case 4, 0 otherwise), so they stay thick or thin as they were
+    in the parent, where they were checked.  A key stored for the
+    search (see :meth:`canonical`) lives in the instance ``__dict__``.
     """
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "__dict__")
 
     def __init__(self, levels):
         if not levels:
@@ -187,7 +200,46 @@ class AbstractSplitting(Record):
         return not self.thick_indices()
 
     def canonical(self):
-        return tuple([level._multiset for level in self.levels])
+        """The levels' codes in order.
+
+        Two splittings have equal keys exactly when their levels are
+        equal multisets, level by level.  The key is stored only on the
+        start of :func:`is_minimal_reachable` and on the successors that
+        :func:`legal_rewrites` splices from a splitting with a stored
+        key, which get theirs spliced too; any other splitting builds it
+        from its levels' codes on each call, so a caller that reads no
+        key pays for none.
+        """
+        key = getattr(self, "_key", None)
+        if key is None:
+            key = tuple([level.code for level in self.levels])
+        return key
+
+
+def _check_thick(start, replacement):
+    """Raise :class:`HstError` if a level of ``replacement``, placed at
+    index ``start``, lands on a thick (odd) index and is empty."""
+    for i, level in enumerate(replacement, start):
+        if i % 2 and not level.components:
+            raise HstError(f"thick level {i} is empty")
+
+
+def _spliced(levels, start, stop, replacement, key=None, codes=None):
+    """The splitting with ``levels[start:stop]`` replaced by
+    ``replacement``, built without the constructor's check.
+
+    The caller has run :func:`_check_thick` on the replacement.  The
+    levels after it move by len(replacement) - (stop - start), which is
+    even for every rewrite (+2 in untangle case 1, -2 in case 4, 0
+    otherwise), so each keeps its parity and was checked in the splitting
+    that ``levels`` came from.  Given that splitting's ``key`` and the
+    replacement's ``codes``, the new key is spliced from the old one.
+    """
+    child = object.__new__(AbstractSplitting)
+    setfield(child, "levels", levels[:start] + replacement + levels[stop:])
+    if key is not None:
+        setfield(child, "_key", key[:start] + codes + key[stop:])
+    return child
 
 
 def splitting_complexity(splitting, relative=False):
@@ -306,6 +358,8 @@ def _compose_after(d_move, e_move):
                 raise HstError(
                     "E move on the component split by D needs branch 0 or 1")
             shift = e_move.branch
+    if not (shift or e_move.branch):
+        return e_move
     return _readdressed(e_move, e_move.component + shift)
 
 
@@ -454,7 +508,9 @@ def _untangle_moves(g_p):
     for d, g_d in zip(moves, compressed):
         for e, g_e in zip(moves, compressed):
             for branch in (0, 1) if _splits_under(d, e) else (0,):
-                e_branch = _readdressed(e, e.component, branch)
+                # the moves of g_p.moves all have branch 0
+                e_branch = _readdressed(e, e.component, branch) \
+                    if branch else e
                 try:
                     g_de = compress(g_d, _compose_after(d, e_branch))
                 except HstError:
@@ -472,15 +528,18 @@ def _thick_level_rewrites(p, below, thick, above):
     """The rewrites at thick level p, in the order of :func:`legal_rewrites`.
 
     ``thick`` is the level's ``pairs`` and ``below`` and ``above`` are
-    the multisets of its thin neighbours (``above`` is None at the top):
-    the moves address the thick level's components by index, and the
-    neighbours only decide the untangle equality flags.  Returns
-    (move, start, stop, replacement) tuples; a rewrite replaces
-    ``levels[start:stop]`` by ``replacement``, which never holds a thin
-    neighbour itself, so one triple serves every splitting that has it.
-    Untangle steps come from :func:`_untangle_moves`, which compresses
-    each move once and each move pair once more, and from
-    :func:`_splice`.
+    the codes of its thin neighbours (``above`` is None at the top): the
+    moves address the thick level's components by index, and the
+    neighbours only decide the untangle equality flags, which compare
+    G_D and G_E with them by code.  Returns (move, start, stop,
+    replacement, codes) tuples; a rewrite replaces ``levels[start:stop]``
+    by ``replacement``, whose levels have the codes ``codes`` and never
+    include a thin neighbour itself, so one entry serves every splitting
+    that has this level and these neighbours.  Each replacement passes
+    :func:`_check_thick` here, once per entry, and not again when a
+    successor is spliced from it (see :func:`_spliced`).  Untangle steps
+    come from :func:`_untangle_moves`, which compresses each move once
+    and each move pair once more, and from :func:`_splice`.
 
     A level with m moves has up to about m^2 untangle candidates, and m
     grows with the level's |chi| and punctures.  m is counted by
@@ -498,13 +557,18 @@ def _thick_level_rewrites(p, below, thick, above):
             f"thick level {p} has {moves} compressions, so {moves * moves} "
             f"move pairs to untangle, over the rewrites ceiling {limit}")
     level = AbstractSurface.from_pairs(thick)
-    out = [(("compress", p, move), p, p + 1, (compress(level, move),))
-           for move in level.moves]
+    rewrites = [(("compress", p, move), p, p + 1, (compress(level, move),))
+                for move in level.moves]
     if above is not None:
         for d, e, g_d, g_e, g_de in _untangle_moves(level):
-            eq_d, eq_e = g_d.multiset() == below, g_e.multiset() == above
-            out.append((("untangle", p, d, e, eq_d, eq_e),)
-                       + _splice(p, eq_d, eq_e, g_d, g_e, g_de))
+            eq_d, eq_e = g_d.code == below, g_e.code == above
+            rewrites.append((("untangle", p, d, e, eq_d, eq_e),)
+                            + _splice(p, eq_d, eq_e, g_d, g_e, g_de))
+    out = []
+    for move, start, stop, replacement in rewrites:
+        _check_thick(start, replacement)
+        out.append((move, start, stop, replacement,
+                    tuple([g.code for g in replacement])))
     return tuple(out)
 
 
@@ -514,17 +578,24 @@ def legal_rewrites(splitting):
 
     Each thick level's rewrites come from a bounded cache keyed by the
     level and its two neighbours; a successor splices the cached
-    replacement levels into this splitting's levels.
+    replacement levels into this splitting's levels, without the
+    constructor's check, which the cache ran once per entry.  When this
+    splitting has a stored key (see :meth:`AbstractSplitting.canonical`),
+    each successor's key is spliced from it and the cached codes.  So a
+    call costs one cache lookup per thick level, hashing its index, its
+    pairs and two string codes, and per successor one splitting built
+    from two tuple slices and, with a key, one key built the same way.
     """
     out = []
     levels = splitting.levels
+    key = getattr(splitting, "_key", None)
     top = len(levels) - 1
     for p in range(1, len(levels), 2):
-        above = levels[p + 1]._multiset if p < top else None
-        for move, start, stop, replacement in _thick_level_rewrites(
-                p, levels[p - 1]._multiset, levels[p].pairs, above):
-            out.append((move, AbstractSplitting(
-                levels[:start] + replacement + levels[stop:])))
+        above = levels[p + 1].code if p < top else None
+        for move, start, stop, replacement, codes in _thick_level_rewrites(
+                p, levels[p - 1].code, levels[p].pairs, above):
+            out.append((move, _spliced(levels, start, stop, replacement,
+                                       key, codes)))
     return out
 
 
@@ -550,15 +621,20 @@ def is_minimal_reachable(splitting, budget=10000):
     within the budget; with punctures absent the relative vector equals
     the absolute one.
 
-    Each visited state costs one :func:`legal_rewrites` call, which
-    builds one splitting per successor by splicing cached level
-    rewrites, and one canonical key per successor, a tuple of the
-    levels' cached multisets; a successor whose key was already visited
-    is not pushed.  So a state costs time linear in its number of
-    successors times its number of levels.  Compressions and untangle
-    steps are computed once per triple of a thick level, its index and
-    its two thin neighbours; that cache is shared by all calls and keeps
-    the ``REWRITE_CACHE_SIZE`` (1024) triples used most recently.
+    Each visited state costs one :func:`legal_rewrites` call, one
+    cache lookup per thick level and, per successor, one splitting and
+    one key spliced from cached level rewrites: no successor runs the
+    constructor's emptiness check, which ran once when its rewrite was
+    cached (the even-shift argument is in :func:`_spliced`).  The key is
+    a tuple of the levels' string codes, which keep their hashes, so a
+    successor whose key was already visited is dropped for the cost of
+    hashing one short tuple.  So a state costs time linear in its number
+    of successors times its number of levels.  The start's key is stored
+    on it, which is what makes :func:`legal_rewrites` splice keys.
+    Compressions and untangle steps are computed once per thick level,
+    index and pair of thin neighbours; that cache is shared by all calls
+    and keeps the ``REWRITE_CACHE_SIZE`` (1024) entries used most
+    recently.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -569,7 +645,9 @@ def is_minimal_reachable(splitting, budget=10000):
     explored = 0
     exhausted = True
 
-    stack = [(splitting, splitting.canonical(), ())]
+    key = splitting.canonical()
+    setfield(splitting, "_key", key)
+    stack = [(splitting, key, ())]
     while stack:
         state, key, trace = stack.pop()
         if key in visited:
@@ -612,7 +690,7 @@ def random_descent(splitting, rng):
         compressions = sum(len(levels[p].moves) for p in thicks)
         if not compressions:
             return steps, current
-        successor = None
+        replacement = None
         interior = [p for p in thicks if 1 <= p < len(levels) - 1]
         if interior and rng.random() < 0.5:
             for _ in range(4):
@@ -631,10 +709,8 @@ def random_descent(splitting, rng):
                 start, stop, replacement = _splice(
                     p, g_d.same_surface(levels[p - 1]),
                     g_e.same_surface(levels[p + 1]), g_d, g_e, g_de)
-                successor = AbstractSplitting(
-                    levels[:start] + replacement + levels[stop:])
                 break
-        if successor is None:
+        if replacement is None:
             # The draw rng.choice(compressions) made over the list of
             # every (p, move), taken as an index into the per-level moves.
             k = rng.choice(range(compressions))
@@ -643,9 +719,10 @@ def random_descent(splitting, rng):
                 if k < len(moves):
                     break
                 k -= len(moves)
-            successor = AbstractSplitting(
-                levels[:p] + (compress(levels[p], moves[k]),)
-                + levels[p + 1:])
+            start, stop = p, p + 1
+            replacement = (compress(levels[p], moves[k]),)
+        _check_thick(start, replacement)
+        successor = _spliced(levels, start, stop, replacement)
         new_vec = _relative_entries(successor)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"

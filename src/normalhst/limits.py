@@ -35,9 +35,9 @@ def ceiling(name):
     env = os.environ.get("NORMALHST_CEILING")
     if env is None:
         return DEFAULT_CEILINGS[name]
-    from .record import numeral
+    from .record import numeral, quoted
     value = numeral(env)
     if value is None or value < 1:
         raise CeilingSettingError(
-            f"NORMALHST_CEILING must be a positive integer, got {env!r}")
+            f"NORMALHST_CEILING must be a positive integer, got {quoted(env)}")
     return value

@@ -21,7 +21,7 @@ from functools import cache
 
 from . import model
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, json_int, setfield
+from .record import Record, json_int, quoted, setfield
 from .triangulation import compute_skeleton
 
 
@@ -80,7 +80,7 @@ class SurfaceVector(Record):
         for (t, kind, index), value in coords.items():
             if 0 <= t < n:
                 if kind not in PIECE_KINDS:
-                    raise SurfaceError(f"unknown piece kind {kind!r}")
+                    raise SurfaceError(f"unknown piece kind {quoted(kind)}")
                 if t not in named:
                     named[t] = ([0] * 4, [0] * 3, [0] * 3)
                 named[t][PIECE_KINDS.index(kind)][index] = value
@@ -284,7 +284,8 @@ def _tube_structurally_valid(v):
     for piece in tube.pieces():
         kind, index, copy = piece
         if kind not in ("tri", "quad"):
-            out.append(Violation("tube", f"tube piece kind {kind!r} invalid"))
+            out.append(Violation("tube",
+                                 f"tube piece kind {quoted(kind)} invalid"))
             continue
         limit = 4 if kind == "tri" else 3
         if not (0 <= index < limit):

@@ -4,7 +4,8 @@ Immutable value records, built without generated code.
 Every result and input class of the package derives from
 :class:`Record`.  A record class names its fields in ``__slots__``
 (adding ``"__dict__"`` when it caches properties) and stores them in its
-own ``__init__`` with :func:`setfield`, after any checks.  The base gives
+own ``__init__`` with :func:`setfield`, after any checks; a value
+derived from the fields is kept with :class:`derived`.  The base gives
 what a frozen dataclass gives: assigning or deleting an attribute raises
 :class:`FrozenInstanceError`, two records are equal exactly when they are
 of the same class with equal fields, the hash is that of the fields, and
@@ -39,20 +40,43 @@ def numeral(text):
     return None
 
 
+def quoted(x):
+    """x's repr for an error message, cut after 60 characters and then
+    marked ``...``, so an error line that quotes a 5000-digit numeral,
+    a long string or a deeply nested list stays short."""
+    text = repr(x)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def json_int(x, error=TypeError):
     """x if it is a JSON integer, else ``error`` is raised.
 
     Floats, strings and booleans (``bool`` is a subclass of ``int``)
-    are rejected rather than coerced.  The message quotes x's repr up
-    to 60 characters, and marks a longer one cut with ``...``, so a long
-    string or a deeply nested list still makes one short line.
+    are rejected rather than coerced.  The message quotes x with
+    :func:`quoted`.
     """
     if type(x) is not int:
-        text = repr(x)
-        if len(text) > 60:
-            text = text[:60] + "..."
-        raise error(f"expected an integer, got {text}")
+        raise error(f"expected an integer, got {quoted(x)}")
     return x
+
+
+class derived:
+    """A value computed from a record on its first read and kept in the
+    record's ``__dict__``, as ``functools.cached_property`` does, but
+    without the lock that Python 3.11 takes on every first read.  It is
+    a non-data descriptor, so once the value is stored a read finds it
+    in the instance dict and does not call this class at all."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, record, cls=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.fn(record)
+        return value
 
 
 class FrozenInstanceError(AttributeError):

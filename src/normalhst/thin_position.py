@@ -13,7 +13,7 @@ Text format: one event per line, ``B i`` or ``D i``, i a canonical numeral.
 """
 
 from .hst import AbstractSplitting, AbstractSurface, Component, EMPTY_SURFACE
-from .record import Record, numeral, setfield
+from .record import Record, numeral, quoted, setfield
 
 
 class PresentationError(ValueError):
@@ -29,7 +29,7 @@ class Event(Record):
 
     def __init__(self, kind, position):
         if kind not in (BIRTH, DEATH):
-            raise PresentationError(f"unknown event kind {kind!r}")
+            raise PresentationError(f"unknown event kind {quoted(kind)}")
         if position < 0:
             raise PresentationError("event position must be nonnegative")
         setfield(self, "kind", kind)
@@ -46,7 +46,7 @@ class MorsePresentation(Record):
             if ev.kind == BIRTH:
                 if ev.position > count:
                     raise PresentationError(
-                        f"event {i}: birth at slot {ev.position} "
+                        f"event {i}: birth at slot {quoted(ev.position)} "
                         f"with only {count} strands")
                 count += 2
             else:
@@ -55,7 +55,7 @@ class MorsePresentation(Record):
                         f"event {i}: death with {count} strands")
                 if ev.position > count - 2:
                     raise PresentationError(
-                        f"event {i}: death at slot {ev.position} "
+                        f"event {i}: death at slot {quoted(ev.position)} "
                         f"with {count} strands")
                 count -= 2
         if count != 0:
@@ -95,11 +95,11 @@ def parse_presentation(text):
         parts = body.split()
         if len(parts) != 2 or parts[0] not in (BIRTH, DEATH):
             raise PresentationError(
-                f"line {lineno}: expected 'B i' or 'D i', got {body!r}")
+                f"line {lineno}: expected 'B i' or 'D i', got {quoted(body)}")
         pos = numeral(parts[1])
         if pos is None or pos < 0:
             raise PresentationError(
-                f"line {lineno}: bad position {parts[1]!r}")
+                f"line {lineno}: bad position {quoted(parts[1])}")
         events.append(Event(parts[0], pos))
     if not events:
         raise PresentationError("empty presentation")

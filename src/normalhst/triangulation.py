@@ -20,7 +20,7 @@ The text file format accepted by :func:`parse_triangulation`:
 """
 
 from . import model
-from .record import Record, numeral, setfield
+from .record import Record, numeral, quoted, setfield
 
 
 class TriangulationError(ValueError):
@@ -211,20 +211,20 @@ def _token_error(token, f, count):
     """
     parts = token.split(":")
     if len(parts) != 3:
-        return f"malformed gluing token {token!r}"
+        return f"malformed gluing token {quoted(token)}"
     t2, f2 = numeral(parts[0]), numeral(parts[1])
     if t2 is None or f2 is None:
-        return f"malformed gluing token {token!r}"
+        return f"malformed gluing token {quoted(token)}"
     if not 0 <= t2 < count:
-        return f"tetrahedron index {t2} out of range"
+        return f"tetrahedron index {quoted(t2)} out of range"
     if not 0 <= f2 < 4:
-        return f"face index {f2} out of range"
+        return f"face index {quoted(f2)} out of range"
     corners = parts[2]
     if len(corners) != 3 or not (corners.isascii() and corners.isdigit()):
-        return f"corner map {corners!r} must be 3 digits"
+        return f"corner map {quoted(corners)} must be 3 digits"
     if max(corners) > "3":
         return f"corner {max(corners)} out of range"
-    return f"corner map not a bijection in {token!r}"
+    return f"corner map not a bijection in {quoted(token)}"
 
 
 def parse_triangulation(text):
@@ -249,13 +249,13 @@ def parse_triangulation(text):
     lineno, head = rows[0]
     count = numeral(head.strip())
     if count is None:
-        raise ParseError(f"expected tetrahedron count, got {head.strip()!r}",
-                         lineno)
+        raise ParseError(
+            f"expected tetrahedron count, got {quoted(head.strip())}", lineno)
     if count <= 0:
         raise ParseError("tetrahedron count must be positive", lineno)
     if len(rows) - 1 != count:
         raise ParseError(
-            f"expected {count} gluing lines, found {len(rows) - 1}",
+            f"expected {quoted(count)} gluing lines, found {len(rows) - 1}",
             rows[-1][0] if len(rows) > 1 else lineno)
 
     index = {str(t): t for t in range(count)}

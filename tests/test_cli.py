@@ -106,41 +106,66 @@ def test_non_canonical_numeral_is_one_line(tmp_path, capsys, text, message):
 
 # Past the 4300 digits that int() converts by default.
 LONG = "9" * 5000
+# How an error line quotes LONG: its repr cut after 60 characters.
+CUT = "'" + "9" * 59 + "..."
+# A numeral short enough to read, and how an error line quotes its value.
+READABLE = "9" * 4000
+CUT_VALUE = "9" * 60 + "..."
 
 
 @pytest.mark.parametrize("case", ["count", "token", "position", "ceiling",
-                                  "coordinate"])
+                                  "coordinate", "argument", "count_value",
+                                  "slot", "chi", "budget"])
 def test_over_long_numeral_is_one_line(files, tmp_path, capsys, monkeypatch,
                                        case):
     path = tmp_path / "input"
     text, argv, message = {
         "count": (f"{LONG}\n- - - -\n", ["validate", path],
-                  f"{path}: line 1: expected tetrahedron count, "
-                  f"got '{LONG}'"),
+                  f"{path}: line 1: expected tetrahedron count, got {CUT}"),
         "token": (DOUBLED_TEXT.replace("1:0:123", f"{LONG}:0:123", 1),
                   ["enumerate", path],
-                  f"{path}: line 2, column 1: malformed gluing token "
-                  f"'{LONG}:0:123'"),
+                  f"{path}: line 2, column 1: malformed gluing token {CUT}"),
         "position": (f"B {LONG}\n", ["width", path],
-                     f"{path}: line 1: bad position '{LONG}'"),
+                     f"{path}: line 1: bad position {CUT}"),
         "ceiling": (None, ["curves"] + ["1"] * 12,
                     f"NORMALHST_CEILING must be a positive integer, "
-                    f"got '{LONG}'"),
+                    f"got {CUT}"),
         "coordinate": (files["link"].read_text().replace(
                            '"tri": [1,', f'"tri": [{LONG},', 1),
                        ["surface", files["doubled"], path],
-                       f"{path}: invalid JSON: "),
+                       f"{path}: invalid JSON: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits"),
+        "argument": ("", ["curves", LONG] + ["1"] * 11,
+                     f"normalhst curves: argument N: invalid int value: "
+                     f"{CUT}"),
+        "count_value": (f"{READABLE}\n- - - -\n", ["validate", path],
+                        f"{path}: line 2: expected {CUT_VALUE} gluing "
+                        f"lines, found 1"),
+        "slot": (f"B 0\nB {READABLE}\nD 0\nD 0\n", ["width", path],
+                 f"{path}: event 1: birth at slot {CUT_VALUE} with only 2 "
+                 f"strands"),
+        "chi": (f"[[], [[{READABLE}, 0]], []]", ["hst", path],
+                f"{path}: closed Euler characteristic must be even and "
+                f"<= 2, got {CUT_VALUE}"),
+        "budget": ("[[], [[-2, 0]], []]",
+                   ["hst", path, "--budget", f"-{READABLE}"],
+                   f"--budget must be at least 1, got -{CUT_VALUE[1:]}"),
     }[case]
     if text is None:
         monkeypatch.setenv("NORMALHST_CEILING", LONG)
     else:
         path.write_text(text)
-    assert run(argv) == 2
+    if case == "argument":
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+    else:
+        assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith(f"error: {message}")
-    assert case == "coordinate" or line == f"error: {message}"
+    assert line == f"error: {message}"
+    assert len(line) <= len(str(path)) + 150
 
 
 @pytest.mark.parametrize("argv", [

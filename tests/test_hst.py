@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from normalhst import hst
 from normalhst.limits import ResourceCeilingError
+from normalhst.record import setfield
 from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            AbstractSplitting, AbstractSurface, Component,
                            ComplexityVector, HstError,
@@ -451,6 +452,86 @@ def test_search_calls_legal_rewrites_once_per_expanded_state(
         result = is_minimal_reachable(splitting, budget=budget)
         assert len(calls) == min(result.states_explored, budget)
         assert len({s.canonical() for s in calls}) == len(calls)
+
+
+def _with_stored_key(splitting):
+    """``splitting`` with its key stored, as the search stores its
+    start's, so that legal_rewrites splices its successors' keys."""
+    setfield(splitting, "_key", splitting.canonical())
+    return splitting
+
+
+def test_spliced_keys_match_keys_rebuilt_from_levels():
+    checked = 0
+    for splitting in (_seeded_splittings(20, 67)
+                      + _collapsible_splittings(20, 71)):
+        frontier = [_with_stored_key(splitting)]
+        for _depth in range(3):
+            successors = [successor for state in frontier
+                          for _move, successor in legal_rewrites(state)]
+            for successor in successors:
+                assert "_key" in vars(successor)
+                assert successor.canonical() == \
+                    AbstractSplitting(successor.levels).canonical()
+            checked += len(successors)
+            frontier = successors[::max(1, len(successors) // 4)]
+    assert checked > 1000
+
+
+def test_level_codes_equal_exactly_when_multisets_equal():
+    components = [Component(chi, p) for chi in (2, 0, -2, -10, -12)
+                  for p in (0, 1, 10, 11)]
+    rng = random.Random(73)
+    surfaces = [AbstractSurface(())]
+    for size in (1, 2, 3):
+        for _ in range(60):
+            picked = [rng.choice(components) for _ in range(size)]
+            surfaces.extend(AbstractSurface(order) for order in
+                            set(itertools.permutations(picked)))
+    for a in surfaces:
+        for b in surfaces:
+            assert (a.code == b.code) == \
+                (sorted(a.pairs) == sorted(b.pairs))
+    # hex has no digit limit, unlike str() of an int
+    huge = AbstractSurface.of(Component(-2 * 10 ** 5000))
+    assert huge.code != AbstractSurface.of(Component(-2 * 10 ** 5000 - 2)).code
+
+
+def test_every_successor_passes_the_constructor():
+    for splitting in (_seeded_splittings(40, 79)
+                      + _collapsible_splittings(40, 83)):
+        for _move, successor in legal_rewrites(splitting):
+            assert successor == AbstractSplitting(successor.levels)
+
+
+def test_emptiness_check_runs_once_per_cache_entry(monkeypatch):
+    splitting = AbstractSplitting.of(
+        EMPTY_SURFACE, AbstractSurface.of(genus(2)), EMPTY_SURFACE)
+    original = hst.compress
+    made = []
+
+    def empties_second_compressions(surface, move):
+        # G_DE, the only compression of a compressed surface, always
+        # lands on a thin level, so emptying it breaks nothing
+        if any(surface is g for g in made):
+            return EMPTY_SURFACE
+        out = original(surface, move)
+        made.append(out)
+        return out
+
+    hst._thick_level_rewrites.cache_clear()
+    try:
+        monkeypatch.setattr(hst, "compress", empties_second_compressions)
+        rewrites = legal_rewrites(splitting)
+        assert any(successor.levels[2] is EMPTY_SURFACE
+                   for _move, successor in rewrites)
+        hst._thick_level_rewrites.cache_clear()
+        monkeypatch.setattr(hst, "compress",
+                            lambda surface, move: EMPTY_SURFACE)
+        with pytest.raises(HstError, match="thick level 1 is empty"):
+            legal_rewrites(splitting)
+    finally:
+        hst._thick_level_rewrites.cache_clear()
 
 
 def test_move_count_matches_moves():
