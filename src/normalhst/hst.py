@@ -109,6 +109,17 @@ class AbstractSurface(Record):
         """``component_moves(self)`` as a tuple, computed once per object."""
         return tuple(component_moves(self))
 
+    @derived
+    def compressed(self):
+        """``compress(self, move)`` for each of ``moves``, in order,
+        computed once per object."""
+        return tuple([compress(self, move) for move in self.moves])
+
+    @derived
+    def untangles(self):
+        """``_untangle_moves(self)`` as a tuple, computed once per object."""
+        return tuple(_untangle_moves(self))
+
     def same_surface(self, other):
         return self.code == other.code
 
@@ -168,16 +179,13 @@ class AbstractSplitting(Record):
 
     Thick levels must be nonempty surfaces; thin levels, including the
     ends, may be empty.  The constructor checks every thick level.  The
-    search builds its successors with :func:`_spliced` instead, which
-    skips that loop, so a successor costs two tuple slices whatever its
-    number of levels: each cached rewrite's replacement is checked once,
-    by :func:`_check_thick`, when the rewrite is computed, and a splice
-    moves the levels after it by an even count (+2 in untangle case 1,
-    -2 in case 4, 0 otherwise), so they stay thick or thin as they were
-    in the parent, where they were checked.  A key stored for the
-    search (see :meth:`canonical`) lives in the instance ``__dict__``.
+    search and :func:`random_descent` build their states with
+    :func:`_unchecked` instead, which skips that loop: each rewrite's
+    replacement is checked once, by :func:`_check_thick`, and the levels
+    around it keep the parity they had in the parent, where they were
+    checked (the argument is in :func:`_unchecked`).
     """
-    __slots__ = ("levels", "__dict__")
+    __slots__ = ("levels",)
 
     def __init__(self, levels):
         if not levels:
@@ -203,17 +211,11 @@ class AbstractSplitting(Record):
         """The levels' codes in order.
 
         Two splittings have equal keys exactly when their levels are
-        equal multisets, level by level.  The key is stored only on the
-        start of :func:`is_minimal_reachable` and on the successors that
-        :func:`legal_rewrites` splices from a splitting with a stored
-        key, which get theirs spliced too; any other splitting builds it
-        from its levels' codes on each call, so a caller that reads no
-        key pays for none.
+        equal multisets, level by level.  The search does not call this
+        on its successors: it splices each successor's key from its
+        parent's and the rewrite's codes (see :func:`is_minimal_reachable`).
         """
-        key = getattr(self, "_key", None)
-        if key is None:
-            key = tuple([level.code for level in self.levels])
-        return key
+        return tuple([level.code for level in self.levels])
 
 
 def _check_thick(start, replacement):
@@ -224,21 +226,19 @@ def _check_thick(start, replacement):
             raise HstError(f"thick level {i} is empty")
 
 
-def _spliced(levels, start, stop, replacement, key=None, codes=None):
-    """The splitting with ``levels[start:stop]`` replaced by
-    ``replacement``, built without the constructor's check.
+def _unchecked(levels):
+    """The splitting with these levels, built without the constructor's
+    check.
 
-    The caller has run :func:`_check_thick` on the replacement.  The
-    levels after it move by len(replacement) - (stop - start), which is
-    even for every rewrite (+2 in untangle case 1, -2 in case 4, 0
-    otherwise), so each keeps its parity and was checked in the splitting
-    that ``levels`` came from.  Given that splitting's ``key`` and the
-    replacement's ``codes``, the new key is spliced from the old one.
+    The caller has built ``levels`` from a checked splitting's levels by
+    one rewrite, ``levels[:start] + replacement + levels[stop:]``, and
+    has run :func:`_check_thick` on the replacement.  The levels after it
+    move by len(replacement) - (stop - start), which is even for every
+    rewrite (+2 in untangle case 1, -2 in case 4, 0 otherwise), so each
+    keeps its parity and was checked in the splitting it came from.
     """
     child = object.__new__(AbstractSplitting)
-    setfield(child, "levels", levels[:start] + replacement + levels[stop:])
-    if key is not None:
-        setfield(child, "_key", key[:start] + codes + key[stop:])
+    setfield(child, "levels", levels)
     return child
 
 
@@ -499,12 +499,13 @@ def _untangle_moves(g_p):
     (D, E, G_D, G_E, G_DE), in deterministic order: each D, each E, and
     both branches of E where D splits E's component.
 
-    Each move is compressed once, and each pair only for G_DE: every
-    move in ``g_p.moves`` is legal on ``g_p``, so only G_DE can raise.
-    G_E does not depend on E's branch, which only addresses G_DE.
+    Each move is compressed once (``g_p.compressed``), and each pair
+    only for G_DE: every move in ``g_p.moves`` is legal on ``g_p``, so
+    only G_DE can raise.  G_E does not depend on E's branch, which only
+    addresses G_DE.
     """
     moves = g_p.moves
-    compressed = [compress(g_p, move) for move in moves]
+    compressed = g_p.compressed
     for d, g_d in zip(moves, compressed):
         for e, g_e in zip(moves, compressed):
             for branch in (0, 1) if _splits_under(d, e) else (0,):
@@ -518,9 +519,26 @@ def _untangle_moves(g_p):
                 yield d, e_branch, g_d, g_e, g_de
 
 
-# Level triples kept by _thick_level_rewrites.  A 10000-state search on
-# any of the 96 splittings of perfbench's search pool meets at most 886.
+# Entries kept by each of the two rewrite caches.  A cold 10000-state
+# search on any of the 96 splittings of perfbench's search pool meets at
+# most 41 distinct thick levels (_thick_level) and at most 886 level
+# triples (_thick_level_rewrites).
 REWRITE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=REWRITE_CACHE_SIZE)
+def _thick_level(thick):
+    """The surface whose components are ``thick`` (a thick level's
+    ``pairs``), one object per distinct thick level.
+
+    Its derived ``compressed`` and ``untangles`` hold the level's
+    compressions and untangle pairs, computed on first read.  Neither
+    depends on the level's index or its neighbours, so a thick level is
+    compressed once while it stays in this cache, whatever neighbours it
+    meets, and a level met only at the top computes no untangle pair.
+    The caller has checked the ``rewrites`` ceiling first.
+    """
+    return AbstractSurface.from_pairs(thick)
 
 
 @lru_cache(maxsize=REWRITE_CACHE_SIZE)
@@ -537,18 +555,19 @@ def _thick_level_rewrites(p, below, thick, above):
     include a thin neighbour itself, so one entry serves every splitting
     that has this level and these neighbours.  Each replacement passes
     :func:`_check_thick` here, once per entry, and not again when a
-    successor is spliced from it (see :func:`_spliced`).  Untangle steps
-    come from :func:`_untangle_moves`, which compresses each move once
-    and each move pair once more, and from :func:`_splice`.
+    successor is spliced from it (see :func:`_unchecked`).  The
+    compressed surfaces come from :func:`_thick_level`, keyed by the
+    thick level alone; this entry adds the flags and, by
+    :func:`_splice`, the four cases of each untangle step.
 
     A level with m moves has up to about m^2 untangle candidates, and m
     grows with the level's |chi| and punctures.  m is counted by
     :func:`_move_count`, so a level whose m^2 passes the ``rewrites``
     ceiling raises :class:`ResourceCeilingError` before any move is
     built, at a cost that does not grow with chi or the punctures.  The
-    ceiling is read only on a cache miss, so a level cached earlier in
-    the same process is not checked again; reading the environment once
-    per state would add to every state's cost.
+    ceiling is read only on a miss of this cache, so a level cached
+    earlier in the same process is not checked again; reading the
+    environment once per state would add to every state's cost.
     """
     moves = _move_count(thick)
     limit = ceiling("rewrites")
@@ -556,11 +575,11 @@ def _thick_level_rewrites(p, below, thick, above):
         raise ResourceCeilingError(
             f"thick level {p} has {moves} compressions, so {moves * moves} "
             f"move pairs to untangle, over the rewrites ceiling {limit}")
-    level = AbstractSurface.from_pairs(thick)
-    rewrites = [(("compress", p, move), p, p + 1, (compress(level, move),))
-                for move in level.moves]
+    level = _thick_level(thick)
+    rewrites = [(("compress", p, move), p, p + 1, (g,))
+                for move, g in zip(level.moves, level.compressed)]
     if above is not None:
-        for d, e, g_d, g_e, g_de in _untangle_moves(level):
+        for d, e, g_d, g_e, g_de in level.untangles:
             eq_d, eq_e = g_d.code == below, g_e.code == above
             rewrites.append((("untangle", p, d, e, eq_d, eq_e),)
                             + _splice(p, eq_d, eq_e, g_d, g_e, g_de))
@@ -573,29 +592,27 @@ def _thick_level_rewrites(p, below, thick, above):
 
 
 def legal_rewrites(splitting):
-    """All single-move successors: thick-level compressions and
-    untangle steps.  Deterministic order.
+    """All single-move rewrites: thick-level compressions and untangle
+    steps, in deterministic order.
 
-    Each thick level's rewrites come from a bounded cache keyed by the
-    level and its two neighbours; a successor splices the cached
-    replacement levels into this splitting's levels, without the
-    constructor's check, which the cache ran once per entry.  When this
-    splitting has a stored key (see :meth:`AbstractSplitting.canonical`),
-    each successor's key is spliced from it and the cached codes.  So a
-    call costs one cache lookup per thick level, hashing its index, its
-    pairs and two string codes, and per successor one splitting built
-    from two tuple slices and, with a key, one key built the same way.
+    Each is (move, start, stop, replacement, codes): the successor has
+    the levels ``levels[:start] + replacement + levels[stop:]``, and its
+    key (see :meth:`AbstractSplitting.canonical`) is the splitting's key
+    with ``codes`` spliced in the same way.  Each replacement has passed
+    :func:`_check_thick`, so the successor may be built with
+    :func:`_unchecked`; the checking constructor accepts it too.  The
+    rewrites of each thick level come from a bounded cache keyed by the
+    level and its two neighbours (:func:`_thick_level_rewrites`), and
+    the result joins those cached tuples.  So a call costs one cache
+    lookup per thick level, hashing its index, its pairs and two string
+    codes, and builds no successor.
     """
-    out = []
     levels = splitting.levels
-    key = getattr(splitting, "_key", None)
     top = len(levels) - 1
+    out = []
     for p in range(1, len(levels), 2):
-        above = levels[p + 1].code if p < top else None
-        for move, start, stop, replacement, codes in _thick_level_rewrites(
-                p, levels[p - 1].code, levels[p].pairs, above):
-            out.append((move, _spliced(levels, start, stop, replacement,
-                                       key, codes)))
+        out += _thick_level_rewrites(p, levels[p - 1].code, levels[p].pairs,
+                                     levels[p + 1].code if p < top else None)
     return out
 
 
@@ -621,35 +638,35 @@ def is_minimal_reachable(splitting, budget=10000):
     within the budget; with punctures absent the relative vector equals
     the absolute one.
 
-    Each visited state costs one :func:`legal_rewrites` call, one
-    cache lookup per thick level and, per successor, one splitting and
-    one key spliced from cached level rewrites: no successor runs the
+    The stack holds (levels, key, trace) triples.  Each visited state
+    costs one unchecked splitting (see :func:`_unchecked`) and one
+    :func:`legal_rewrites` call, one cache lookup per thick level.  Per
+    rewrite, the successor's key is spliced first, from the state's key
+    and the rewrite's cached codes: a tuple of string codes, which keep
+    their hashes, so a successor already visited, about three in four,
+    is dropped for the cost of two tuple slices, two joins and one hash.
+    Only an unvisited successor has its levels spliced.  No state runs the
     constructor's emptiness check, which ran once when its rewrite was
-    cached (the even-shift argument is in :func:`_spliced`).  The key is
-    a tuple of the levels' string codes, which keep their hashes, so a
-    successor whose key was already visited is dropped for the cost of
-    hashing one short tuple.  So a state costs time linear in its number
-    of successors times its number of levels.  The start's key is stored
-    on it, which is what makes :func:`legal_rewrites` splice keys.
-    Compressions and untangle steps are computed once per thick level,
-    index and pair of thin neighbours; that cache is shared by all calls
-    and keeps the ``REWRITE_CACHE_SIZE`` (1024) entries used most
-    recently.
+    cached; only the returned best splitting is built by the
+    constructor.  So a state costs time linear in its number of
+    successors times its number of levels.  Compressions and untangle
+    pairs are computed once per distinct thick level, and their flags
+    and splices once per thick level, index and pair of thin neighbours;
+    both caches are shared by all calls and each keeps the
+    ``REWRITE_CACHE_SIZE`` (1024) entries used most recently.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     best = _relative_entries(splitting)
-    best_state = splitting
+    best_levels = splitting.levels
     best_trace = ()
     visited = set()
     explored = 0
     exhausted = True
 
-    key = splitting.canonical()
-    setfield(splitting, "_key", key)
-    stack = [(splitting, key, ())]
+    stack = [(splitting.levels, splitting.canonical(), ())]
     while stack:
-        state, key, trace = stack.pop()
+        levels, key, trace = stack.pop()
         if key in visited:
             continue
         visited.add(key)
@@ -657,16 +674,19 @@ def is_minimal_reachable(splitting, budget=10000):
         if explored > budget:
             exhausted = False
             break
+        state = _unchecked(levels)
         vec = _relative_entries(state)
         if vec < best:
-            best, best_state, best_trace = vec, state, trace
-        for move, successor in reversed(legal_rewrites(state)):
-            successor_key = successor.canonical()
+            best, best_levels, best_trace = vec, levels, trace
+        for move, start, stop, replacement, codes in reversed(
+                legal_rewrites(state)):
+            successor_key = key[:start] + codes + key[stop:]
             if successor_key not in visited:
-                stack.append((successor, successor_key, trace + (move,)))
+                stack.append((levels[:start] + replacement + levels[stop:],
+                              successor_key, trace + (move,)))
 
     return MinimalSearchResult(minimum=ComplexityVector(best),
-                               splitting=best_state,
+                               splitting=AbstractSplitting(best_levels),
                                trace=best_trace, certified=exhausted,
                                states_explored=explored)
 
@@ -722,7 +742,7 @@ def random_descent(splitting, rng):
             start, stop = p, p + 1
             replacement = (compress(levels[p], moves[k]),)
         _check_thick(start, replacement)
-        successor = _spliced(levels, start, stop, replacement)
+        successor = _unchecked(levels[:start] + replacement + levels[stop:])
         new_vec = _relative_entries(successor)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"

@@ -10,8 +10,10 @@ what a frozen dataclass gives: assigning or deleting an attribute raises
 :class:`FrozenInstanceError`, two records are equal exactly when they are
 of the same class with equal fields, the hash is that of the fields, and
 the repr lists them.  A class with a field kept on the class, not in a
-slot, names all its fields in ``_fields``.  Nothing is generated or
-``exec``-ed, so defining a record class costs what a plain class costs.
+slot, names all its fields in ``_fields``.  Each constructor parameter
+names a field, so copy, deepcopy and pickle rebuild a record by calling
+its class with those fields.  Nothing is generated or ``exec``-ed, so
+defining a record class costs what a plain class costs.
 """
 
 from operator import attrgetter
@@ -88,9 +90,14 @@ class Record:
 
     __slots__ = ()
     _fields = ()
+    _arguments = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            # The names of the constructor's parameters, each a field.
+            code = cls.__init__.__code__
+            cls._arguments = code.co_varnames[1:code.co_argcount]
         if "_fields" not in cls.__dict__:
             slots = cls.__dict__.get("__slots__", ())
             if not slots:               # a subclass adding no field
@@ -112,6 +119,14 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        """Rebuild through the constructor, which copy and pickle then
+        call: their default would restore the slots by assignment, which
+        a record refuses.  Derived values are not copied; a copy computes
+        them again on first read."""
+        return type(self), tuple([getattr(self, name)
+                                  for name in self._arguments])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

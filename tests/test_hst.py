@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from normalhst import hst
 from normalhst.limits import ResourceCeilingError
-from normalhst.record import setfield
 from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            AbstractSplitting, AbstractSurface, Component,
                            ComplexityVector, HstError,
@@ -391,17 +390,26 @@ def test_minimal_reachable_matches_rebuilding_oracle(budget):
             [(False, 10001), (True, 1344)]
 
 
+def _successors(splitting):
+    """``legal_rewrites(splitting)`` as (move, successor) pairs, each
+    successor built by the checking constructor when it is reached."""
+    levels = splitting.levels
+    for move, start, stop, replacement, _codes in legal_rewrites(splitting):
+        yield move, AbstractSplitting(levels[:start] + replacement
+                                      + levels[stop:])
+
+
 def test_legal_rewrites_match_rebuilding_oracle():
     # The successors of a splitting repeat its levels, so they also
     # check rewrites spliced from cached triples met before.
     flags = set()
     for splitting in (_seeded_splittings(40, 47)
                       + _collapsible_splittings(40, 61)):
-        rewrites = legal_rewrites(splitting)
+        rewrites = list(_successors(splitting))
         assert rewrites == rebuilt_rewrites(splitting)
         flags |= {move[4:] for move, _ in rewrites if move[0] == "untangle"}
         for _move, successor in rewrites[:3]:
-            assert legal_rewrites(successor) == \
+            assert list(_successors(successor)) == \
                 rebuilt_rewrites(successor)
     assert flags == {(False, False), (True, False), (False, True),
                      (True, True)}
@@ -454,25 +462,23 @@ def test_search_calls_legal_rewrites_once_per_expanded_state(
         assert len({s.canonical() for s in calls}) == len(calls)
 
 
-def _with_stored_key(splitting):
-    """``splitting`` with its key stored, as the search stores its
-    start's, so that legal_rewrites splices its successors' keys."""
-    setfield(splitting, "_key", splitting.canonical())
-    return splitting
-
-
 def test_spliced_keys_match_keys_rebuilt_from_levels():
+    # The search splices a successor's key from its parent's key and the
+    # rewrite's codes, as it splices the levels.
     checked = 0
     for splitting in (_seeded_splittings(20, 67)
                       + _collapsible_splittings(20, 71)):
-        frontier = [_with_stored_key(splitting)]
+        frontier = [splitting]
         for _depth in range(3):
-            successors = [successor for state in frontier
-                          for _move, successor in legal_rewrites(state)]
-            for successor in successors:
-                assert "_key" in vars(successor)
-                assert successor.canonical() == \
-                    AbstractSplitting(successor.levels).canonical()
+            successors = []
+            for state in frontier:
+                key = state.canonical()
+                rewrites = legal_rewrites(state)
+                for (_move, start, stop, _replacement, codes), (
+                        _, successor) in zip(rewrites, _successors(state)):
+                    assert key[:start] + codes + key[stop:] == \
+                        successor.canonical()
+                    successors.append(successor)
             checked += len(successors)
             frontier = successors[::max(1, len(successors) // 4)]
     assert checked > 1000
@@ -500,8 +506,11 @@ def test_level_codes_equal_exactly_when_multisets_equal():
 def test_every_successor_passes_the_constructor():
     for splitting in (_seeded_splittings(40, 79)
                       + _collapsible_splittings(40, 83)):
-        for _move, successor in legal_rewrites(splitting):
-            assert successor == AbstractSplitting(successor.levels)
+        levels = splitting.levels
+        for _move, start, stop, replacement, _codes in \
+                legal_rewrites(splitting):
+            spliced = levels[:start] + replacement + levels[stop:]
+            assert hst._unchecked(spliced) == AbstractSplitting(spliced)
 
 
 def test_emptiness_check_runs_once_per_cache_entry(monkeypatch):
@@ -519,19 +528,52 @@ def test_emptiness_check_runs_once_per_cache_entry(monkeypatch):
         made.append(out)
         return out
 
-    hst._thick_level_rewrites.cache_clear()
+    _clear_rewrite_caches()
     try:
         monkeypatch.setattr(hst, "compress", empties_second_compressions)
-        rewrites = legal_rewrites(splitting)
         assert any(successor.levels[2] is EMPTY_SURFACE
-                   for _move, successor in rewrites)
-        hst._thick_level_rewrites.cache_clear()
+                   for _move, successor in _successors(splitting))
+        _clear_rewrite_caches()
         monkeypatch.setattr(hst, "compress",
                             lambda surface, move: EMPTY_SURFACE)
         with pytest.raises(HstError, match="thick level 1 is empty"):
             legal_rewrites(splitting)
     finally:
-        hst._thick_level_rewrites.cache_clear()
+        _clear_rewrite_caches()
+
+
+def _clear_rewrite_caches():
+    hst._thick_level.cache_clear()
+    hst._thick_level_rewrites.cache_clear()
+
+
+def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
+    # Pool splitting 16 of perfbench's search workload fills its
+    # 10^4-state budget; its thick levels meet many pairs of neighbours.
+    thick = set()
+    original = hst.legal_rewrites
+
+    def recording(splitting):
+        levels = splitting.levels
+        thick.update(levels[p].pairs for p in range(1, len(levels), 2))
+        return original(splitting)
+
+    splitting = random_splitting(random.Random("splitting-16"))
+    monkeypatch.setattr(hst, "legal_rewrites", recording)
+    _clear_rewrite_caches()
+    try:
+        result = is_minimal_reachable(splitting, budget=10000)
+        levels = hst._thick_level.cache_info()
+        neighbourhoods = hst._thick_level_rewrites.cache_info()
+        # a thick level met only at the top has no untangle step
+        _clear_rewrite_caches()
+        assert legal_rewrites(splitting_from_json([[], [[-4, 2]]]))
+        assert "untangles" not in vars(hst._thick_level(((-4, 2),)))
+    finally:
+        _clear_rewrite_caches()
+    assert not result.certified
+    assert levels.misses == levels.currsize == len(thick)
+    assert neighbourhoods.misses > 10 * len(thick)
 
 
 def test_move_count_matches_moves():
@@ -566,7 +608,7 @@ def test_every_rewrite_decreases():
     for _ in range(20):
         splitting = random_splitting(rng, max_punctures=2)
         before = splitting_complexity(splitting, True)
-        for _move, successor in legal_rewrites(splitting):
+        for _move, successor in _successors(splitting):
             after = splitting_complexity(successor, True)
             assert compare_complexity(after, before) == LESS
 
@@ -602,7 +644,7 @@ def test_random_descent_steps_are_legal_rewrites(monkeypatch):
         for before, after in zip(path, path[1:]):
             key = after.canonical()
             assert any(successor.canonical() == key
-                       for _move, successor in legal_rewrites(before))
+                       for _move, successor in _successors(before))
         total += steps
     assert total == 6487
 

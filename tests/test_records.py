@@ -7,9 +7,11 @@ record of another class or a plain tuple, and keep the checks its
 constructor makes.
 """
 
+import copy
 import importlib
 import inspect
 import itertools
+import pickle
 import pkgutil
 
 import pytest
@@ -170,6 +172,25 @@ def test_never_equal_to_another_class_or_a_tuple(cls):
     for other in (values, values[:1], twin(*args, **kwargs)):
         assert record != other and other != record
         assert not record == other
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_copy_deepcopy_and_pickle_rebuild_the_record(cls):
+    record = _make(cls)
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+
+
+def test_copies_of_a_surface_with_a_derived_value():
+    surface = AbstractSurface((Component(-2, 1), Component(0)))
+    code = surface.code                 # kept in the instance __dict__
+    for clone in (copy.copy(surface), copy.deepcopy(surface),
+                  pickle.loads(pickle.dumps(surface))):
+        assert clone == surface
+        assert clone.code == code and clone.pairs == surface.pairs
 
 
 def test_records_of_different_classes_differ():
