@@ -244,7 +244,7 @@ def cmd_hst(args):
             f"--budget must be at least 1, got {quoted(args.budget)}")
     try:
         splitting = splitting_from_json(_load_json(args.splitting))
-    except (HstError, TypeError, ValueError) as exc:
+    except HstError as exc:
         raise InputProblem(f"{args.splitting}: {exc}")
     if args.action == "complexity":
         payload = {

@@ -18,7 +18,7 @@ makes every rewrite search terminate.
 from functools import lru_cache
 
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, derived, json_int, quoted, setfield
+from .record import Record, derived, json_array, json_int, quoted, setfield
 
 
 class HstError(ValueError):
@@ -77,10 +77,6 @@ class AbstractSurface(Record):
         """Inverse of ``pairs``: components from (closed_chi, punctures)."""
         return cls(tuple(Component(chi, p) for chi, p in pairs))
 
-    @property
-    def is_empty(self):
-        return not self.components
-
     def multiset(self):
         return tuple(sorted(self.pairs))
 
@@ -117,11 +113,24 @@ class AbstractSurface(Record):
 
     @derived
     def untangles(self):
-        """``_untangle_moves(self)`` as a tuple, computed once per object."""
-        return tuple(_untangle_moves(self))
-
-    def same_surface(self, other):
-        return self.code == other.code
+        """Every legal untangle pair on this surface as a thick level:
+        (D, E, G_D, G_E, G_DE) for each D, each E, and both branches of E
+        where D splits E's component, computed once per object.  G_D and
+        G_E come from ``compressed``, so only G_DE is compressed per pair
+        and only it can raise; G_E does not depend on E's branch."""
+        out = []
+        for d, g_d in zip(self.moves, self.compressed):
+            for e, g_e in zip(self.moves, self.compressed):
+                for branch in (0, 1) if _splits_under(d, e) else (0,):
+                    # the moves of self.moves all have branch 0
+                    e_branch = _readdressed(e, e.component, branch) \
+                        if branch else e
+                    try:
+                        g_de = compress(g_d, _compose_after(d, e_branch))
+                    except HstError:
+                        continue
+                    out.append((d, e_branch, g_d, g_e, g_de))
+        return tuple(out)
 
 
 EMPTY_SURFACE = AbstractSurface(())
@@ -178,12 +187,10 @@ class AbstractSplitting(Record):
     """Alternating sequence of surfaces: thin at even, thick at odd index.
 
     Thick levels must be nonempty surfaces; thin levels, including the
-    ends, may be empty.  The constructor checks every thick level.  The
-    search and :func:`random_descent` build their states with
-    :func:`_unchecked` instead, which skips that loop: each rewrite's
-    replacement is checked once, by :func:`_check_thick`, and the levels
-    around it keep the parity they had in the parent, where they were
-    checked (the argument is in :func:`_unchecked`).
+    ends, may be empty.  The constructor checks every thick level.  Only
+    the search (:func:`is_minimal_reachable`) builds its states with
+    :func:`_unchecked` instead, which skips that loop; why each of them
+    would pass it is argued there.
     """
     __slots__ = ("levels",)
 
@@ -218,24 +225,17 @@ class AbstractSplitting(Record):
         return tuple([level.code for level in self.levels])
 
 
-def _check_thick(start, replacement):
-    """Raise :class:`HstError` if a level of ``replacement``, placed at
-    index ``start``, lands on a thick (odd) index and is empty."""
-    for i, level in enumerate(replacement, start):
-        if i % 2 and not level.components:
-            raise HstError(f"thick level {i} is empty")
-
-
 def _unchecked(levels):
     """The splitting with these levels, built without the constructor's
-    check.
+    check; only :func:`is_minimal_reachable` calls it.
 
-    The caller has built ``levels`` from a checked splitting's levels by
-    one rewrite, ``levels[:start] + replacement + levels[stop:]``, and
-    has run :func:`_check_thick` on the replacement.  The levels after it
-    move by len(replacement) - (stop - start), which is even for every
-    rewrite (+2 in untangle case 1, -2 in case 4, 0 otherwise), so each
-    keeps its parity and was checked in the splitting it came from.
+    Each state of the search comes from a checked one by a rewrite of
+    :func:`legal_rewrites`, ``levels[:start] + replacement +
+    levels[stop:]``.  The replacement's thick levels are nonempty (see
+    :func:`_thick_level_rewrites`).  The levels after it move by
+    len(replacement) - (stop - start), which is even for every rewrite
+    (+2 in untangle case 1, -2 in case 4, 0 otherwise), so each keeps its
+    parity and was checked in the splitting it came from.
     """
     child = object.__new__(AbstractSplitting)
     setfield(child, "levels", levels)
@@ -402,9 +402,9 @@ def untangle_step(splitting, p, move_d, move_e, eq_d, eq_e):
     if not (1 <= p < len(levels) - 1):
         raise HstError(f"thick level {p} needs thin neighbours on both sides")
     g_d, g_e, g_de = _untangle(levels[p], move_d, move_e)
-    if eq_d and not g_d.same_surface(levels[p - 1]):
+    if eq_d and g_d.code != levels[p - 1].code:
         raise HstError("equality flag for the D side is inconsistent")
-    if eq_e and not g_e.same_surface(levels[p + 1]):
+    if eq_e and g_e.code != levels[p + 1].code:
         raise HstError("equality flag for the E side is inconsistent")
     start, stop, replacement = _splice(p, eq_d, eq_e, g_d, g_e, g_de)
     return AbstractSplitting(levels[:start] + replacement + levels[stop:])
@@ -450,10 +450,10 @@ def underlying_splitting(splitting):
     while True:
         merged = []
         for level in seq:
-            if not merged or not merged[-1].same_surface(level):
+            if not merged or merged[-1].code != level.code:
                 merged.append(level)
         for i, level in enumerate(merged):
-            if i % 2 == 1 and level.is_empty:
+            if i % 2 == 1 and not level.components:
                 del merged[i]
                 break
         else:
@@ -494,35 +494,10 @@ def _move_count(pairs):
                for chi, p in pairs)
 
 
-def _untangle_moves(g_p):
-    """Every legal untangle pair on the thick surface ``g_p``, as
-    (D, E, G_D, G_E, G_DE), in deterministic order: each D, each E, and
-    both branches of E where D splits E's component.
-
-    Each move is compressed once (``g_p.compressed``), and each pair
-    only for G_DE: every move in ``g_p.moves`` is legal on ``g_p``, so
-    only G_DE can raise.  G_E does not depend on E's branch, which only
-    addresses G_DE.
-    """
-    moves = g_p.moves
-    compressed = g_p.compressed
-    for d, g_d in zip(moves, compressed):
-        for e, g_e in zip(moves, compressed):
-            for branch in (0, 1) if _splits_under(d, e) else (0,):
-                # the moves of g_p.moves all have branch 0
-                e_branch = _readdressed(e, e.component, branch) \
-                    if branch else e
-                try:
-                    g_de = compress(g_d, _compose_after(d, e_branch))
-                except HstError:
-                    continue
-                yield d, e_branch, g_d, g_e, g_de
-
-
-# Entries kept by each of the two rewrite caches.  A cold 10000-state
-# search on any of the 96 splittings of perfbench's search pool meets at
-# most 41 distinct thick levels (_thick_level) and at most 886 level
-# triples (_thick_level_rewrites).
+# Entries kept by each of the two rewrite caches.  One cold 10000-state
+# search fits in both without eviction (34/26/21 and 767/664/475 entries
+# on pool splittings 1, 3 and 16 of perfbench's search workload); the 96
+# pool searches in one process fill the second with 44,490 misses.
 REWRITE_CACHE_SIZE = 1024
 
 
@@ -553,12 +528,17 @@ def _thick_level_rewrites(p, below, thick, above):
     replacement, codes) tuples; a rewrite replaces ``levels[start:stop]``
     by ``replacement``, whose levels have the codes ``codes`` and never
     include a thin neighbour itself, so one entry serves every splitting
-    that has this level and these neighbours.  Each replacement passes
-    :func:`_check_thick` here, once per entry, and not again when a
-    successor is spliced from it (see :func:`_unchecked`).  The
-    compressed surfaces come from :func:`_thick_level`, keyed by the
-    thick level alone; this entry adds the flags and, by
-    :func:`_splice`, the four cases of each untangle step.
+    that has this level and these neighbours.  The compressed surfaces
+    come from :func:`_thick_level`, keyed by the thick level alone; this
+    entry adds the flags and, by :func:`_splice`, the four cases of each
+    untangle step.
+
+    On a miss each of the level's compressions is checked once: an empty
+    one raises ``thick level {p} is empty``.  Every thick slot of every
+    replacement holds one of them: G in a compression rewrite, G_D at p
+    (untangle cases 1 and 3), G_E at p (case 2) or p + 2 (case 1), and
+    G_E does not depend on E's branch.  G_DE lands on p - 1 (cases 2 and
+    4) or p + 1 (cases 1 and 3), both thin.
 
     A level with m moves has up to about m^2 untangle candidates, and m
     grows with the level's |chi| and punctures.  m is counted by
@@ -576,19 +556,18 @@ def _thick_level_rewrites(p, below, thick, above):
             f"thick level {p} has {moves} compressions, so {moves * moves} "
             f"move pairs to untangle, over the rewrites ceiling {limit}")
     level = _thick_level(thick)
-    rewrites = [(("compress", p, move), p, p + 1, (g,))
+    if not all([g.components for g in level.compressed]):
+        raise HstError(f"thick level {p} is empty")
+    rewrites = [(("compress", p, move), p, p + 1, (g,), (g.code,))
                 for move, g in zip(level.moves, level.compressed)]
     if above is not None:
         for d, e, g_d, g_e, g_de in level.untangles:
             eq_d, eq_e = g_d.code == below, g_e.code == above
-            rewrites.append((("untangle", p, d, e, eq_d, eq_e),)
-                            + _splice(p, eq_d, eq_e, g_d, g_e, g_de))
-    out = []
-    for move, start, stop, replacement in rewrites:
-        _check_thick(start, replacement)
-        out.append((move, start, stop, replacement,
-                    tuple([g.code for g in replacement])))
-    return tuple(out)
+            start, stop, replacement = _splice(p, eq_d, eq_e, g_d, g_e, g_de)
+            rewrites.append((("untangle", p, d, e, eq_d, eq_e), start, stop,
+                             replacement,
+                             tuple([g.code for g in replacement])))
+    return tuple(rewrites)
 
 
 def legal_rewrites(splitting):
@@ -598,12 +577,11 @@ def legal_rewrites(splitting):
     Each is (move, start, stop, replacement, codes): the successor has
     the levels ``levels[:start] + replacement + levels[stop:]``, and its
     key (see :meth:`AbstractSplitting.canonical`) is the splitting's key
-    with ``codes`` spliced in the same way.  Each replacement has passed
-    :func:`_check_thick`, so the successor may be built with
-    :func:`_unchecked`; the checking constructor accepts it too.  The
-    rewrites of each thick level come from a bounded cache keyed by the
-    level and its two neighbours (:func:`_thick_level_rewrites`), and
-    the result joins those cached tuples.  So a call costs one cache
+    with ``codes`` spliced in the same way.  The checking constructor
+    accepts every successor.  The rewrites of each thick level come from
+    a bounded cache keyed by the level and its two neighbours
+    (:func:`_thick_level_rewrites`), and the result joins those cached
+    tuples.  So a call costs one cache
     lookup per thick level, hashing its index, its pairs and two string
     codes, and builds no successor.
     """
@@ -646,10 +624,10 @@ def is_minimal_reachable(splitting, budget=10000):
     their hashes, so a successor already visited, about three in four,
     is dropped for the cost of two tuple slices, two joins and one hash.
     Only an unvisited successor has its levels spliced.  No state runs the
-    constructor's emptiness check, which ran once when its rewrite was
-    cached; only the returned best splitting is built by the
-    constructor.  So a state costs time linear in its number of
-    successors times its number of levels.  Compressions and untangle
+    constructor's emptiness check (see :func:`_unchecked`); only the
+    returned best splitting is built by the constructor.  So a state
+    costs time linear in its number of successors times its number of
+    levels.  Compressions and untangle
     pairs are computed once per distinct thick level, and their flags
     and splices once per thick level, index and pair of thin neighbours;
     both caches are shared by all calls and each keeps the
@@ -727,8 +705,8 @@ def random_descent(splitting, rng):
                 except HstError:
                     continue
                 start, stop, replacement = _splice(
-                    p, g_d.same_surface(levels[p - 1]),
-                    g_e.same_surface(levels[p + 1]), g_d, g_e, g_de)
+                    p, g_d.code == levels[p - 1].code,
+                    g_e.code == levels[p + 1].code, g_d, g_e, g_de)
                 break
         if replacement is None:
             # The draw rng.choice(compressions) made over the list of
@@ -741,8 +719,8 @@ def random_descent(splitting, rng):
                 k -= len(moves)
             start, stop = p, p + 1
             replacement = (compress(levels[p], moves[k]),)
-        _check_thick(start, replacement)
-        successor = _unchecked(levels[:start] + replacement + levels[stop:])
+        successor = AbstractSplitting(
+            levels[:start] + replacement + levels[stop:])
         new_vec = _relative_entries(successor)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"
@@ -777,14 +755,19 @@ def surface_to_json(surface):
 
 
 def surface_from_json(data):
-    """Parse ``[[chi, punctures], ...]``; both entries must be JSON integers.
-
-    Floats, booleans and strings are rejected rather than coerced, so
-    ``-2.7`` never reads as -2 nor ``true`` as one puncture.
-    """
-    return AbstractSurface(tuple(Component(json_int(chi, HstError),
-                                           json_int(p, HstError))
-                                 for chi, p in data))
+    """Parse ``[[chi, punctures], ...]``, an array of arrays of two JSON
+    integers; nothing else is coerced, so ``{}`` never reads as an empty
+    surface, ``-2.7`` as -2 nor ``true`` as one puncture.  An error names
+    the component."""
+    components = []
+    for j, pair in enumerate(json_array(data, error=HstError)):
+        try:
+            chi, p = json_array(pair, 2, HstError)
+            components.append(Component(json_int(chi, HstError),
+                                        json_int(p, HstError)))
+        except HstError as exc:
+            raise HstError(f"component {j}: {exc}") from None
+    return AbstractSurface(tuple(components))
 
 
 def splitting_to_json(splitting):
@@ -792,8 +775,15 @@ def splitting_to_json(splitting):
 
 
 def splitting_from_json(data):
-    return AbstractSplitting(tuple(surface_from_json(level)
-                                   for level in data))
+    """Parse an array of levels, each read by :func:`surface_from_json`;
+    an error names the level."""
+    levels = []
+    for i, level in enumerate(json_array(data, error=HstError)):
+        try:
+            levels.append(surface_from_json(level))
+        except HstError as exc:
+            raise HstError(f"level {i}: {exc}") from None
+    return AbstractSplitting(tuple(levels))
 
 
 def move_to_json(move):

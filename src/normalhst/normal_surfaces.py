@@ -21,7 +21,7 @@ from functools import cache
 
 from . import model
 from .limits import ResourceCeilingError, ceiling
-from .record import Record, json_int, quoted, setfield
+from .record import Record, json_array, json_int, quoted, setfield
 from .triangulation import compute_skeleton
 
 
@@ -150,20 +150,20 @@ class SurfaceVector(Record):
 
     @classmethod
     def from_json_dict(cls, data):
-        """Parse the JSON form; every count must be a JSON integer.
-
-        Floats, booleans and strings are rejected rather than coerced,
-        so ``1.7`` or ``true`` never reads as 1.
-        """
+        """Parse the JSON form; ``tets`` and a tube's two ``pieces`` of
+        three entries must be arrays, and every count a JSON integer, so
+        ``""`` never reads as zero tetrahedra, no fourth entry of a piece
+        is cut, and ``1.7`` or ``true`` never reads as 1."""
         try:
             blocks = tuple((tuple(json_int(x) for x in td["tri"]),
                             tuple(json_int(x) for x in td["quad"]),
                             tuple(json_int(x) for x in td["oct"]))
-                           for td in data["tets"])
+                           for td in json_array(data["tets"]))
             tube = None
             if data.get("tube") is not None:
                 td = data["tube"]
-                pa, pb = td["pieces"]
+                pa, pb = [json_array(piece, 3)
+                          for piece in json_array(td["pieces"], 2)]
                 tube = TubeAnnotation(json_int(td["tet"]),
                                       (pa[0], json_int(pa[1]),
                                        json_int(pa[2])),

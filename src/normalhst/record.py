@@ -62,6 +62,15 @@ def json_int(x, error=TypeError):
     return x
 
 
+def json_array(x, length=None, error=TypeError):
+    """x if it is a JSON array, of ``length`` entries when one is given,
+    else ``error`` is raised; an object or a string is no array."""
+    if type(x) is not list or length not in (None, len(x)):
+        entries = "" if length is None else f" of {length} entries"
+        raise error(f"expected an array{entries}, got {quoted(x)}")
+    return x
+
+
 class derived:
     """A value computed from a record on its first read and kept in the
     record's ``__dict__``, as ``functools.cached_property`` does, but

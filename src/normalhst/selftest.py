@@ -16,8 +16,7 @@ from .enumeration import (brute_force_enumerate, cross_check,
 from .hst import (EMPTY_SURFACE, LESS, AbstractSplitting, AbstractSurface,
                   Component, c_surface, compare_complexity, component_moves,
                   compress, random_descent, random_splitting,
-                  splitting_complexity, _untangle_moves,
-                  untangle_step, RelativeCompression)
+                  splitting_complexity, untangle_step, RelativeCompression)
 from .normal_surfaces import (euler_characteristic, reconstruct_surface,
                               vertex_link)
 from .record import Record, setfield
@@ -145,7 +144,7 @@ def criterion_5(seed=20260810):
     for chi in range(-8, 2, 2):
         for punctures in range(7):
             g_p = AbstractSurface.of(Component(chi, punctures))
-            for d, e, g_d, g_e, _g_de in _untangle_moves(g_p):
+            for d, e, g_d, g_e, _g_de in g_p.untangles:
                 for eq_d in (False, True):
                     for eq_e in (False, True):
                         below = g_d if eq_d else EMPTY_SURFACE

@@ -145,8 +145,8 @@ def test_over_long_numeral_is_one_line(files, tmp_path, capsys, monkeypatch,
                  f"{path}: event 1: birth at slot {CUT_VALUE} with only 2 "
                  f"strands"),
         "chi": (f"[[], [[{READABLE}, 0]], []]", ["hst", path],
-                f"{path}: closed Euler characteristic must be even and "
-                f"<= 2, got {CUT_VALUE}"),
+                f"{path}: level 1: component 0: closed Euler "
+                f"characteristic must be even and <= 2, got {CUT_VALUE}"),
         "budget": ("[[], [[-2, 0]], []]",
                    ["hst", path, "--budget", f"-{READABLE}"],
                    f"--budget must be at least 1, got -{CUT_VALUE[1:]}"),
@@ -338,6 +338,7 @@ def test_surface_rejects_non_integer_coordinate(files, tmp_path, capsys,
     {"tet": 0, "pieces": [["tri", True, 0], ["tri", 1, 0]]},
     {"tet": 0, "pieces": [["tri", 0, 0]]},
     {"tet": 0},
+    {"tet": 0, "pieces": [["tri", 0, 0, 7], ["tri", 1, 0]]},
 ])
 def test_surface_rejects_malformed_tube(files, tmp_path, capsys, tube):
     data = json.loads(files["link"].read_text())
@@ -348,6 +349,18 @@ def test_surface_rejects_malformed_tube(files, tmp_path, capsys, tube):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tets", ['""', "{}"])
+def test_surface_rejects_non_array_tets(files, tmp_path, capsys, tets):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"tets": {tets}}}')
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: malformed surface vector JSON: expected an array, "
+        f"got {json.loads(tets)!r}"]
 
 
 def test_enumerate_vertex_stream(files, capsys):
@@ -583,6 +596,28 @@ def test_hst_rejects_non_integer_entry(tmp_path, capsys, component, action):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "expected an integer" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[[], [[-2, 0]], {}]', "level 2: expected an array, got {}"),
+    ('[[], [[-2, 0]], ""]', "level 2: expected an array, got ''"),
+    ('{"": 0}', "expected an array, got {'': 0}"),
+    ('[""]', "level 0: expected an array, got ''"),
+    ("[[], 5]", "level 1: expected an array, got 5"),
+    ("[[], [[-2]]]",
+     "level 1: component 0: expected an array of 2 entries, got [-2]"),
+    ("[[], [[-2, 0], [0, 0, 1]]]",
+     "level 1: component 1: expected an array of 2 entries, got [0, 0, 1]"),
+    ("[[3, 0]]", "level 0: component 0: expected an array of 2 entries, "
+     "got 3"),
+])
+def test_hst_rejects_non_array_shape(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["hst", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
 
 
 def test_width_actions(files, capsys):

@@ -438,7 +438,7 @@ def test_untangle_moves_match_pair_by_pair_untangle():
     total = 0
     for pairs in surfaces:
         g_p = AbstractSurface.from_pairs(pairs)
-        got = list(hst._untangle_moves(g_p))
+        got = list(g_p.untangles)
         assert got == list(_untangle_pairs_one_by_one(g_p))
         total += len(got)
     assert total == 9615
@@ -548,8 +548,9 @@ def _clear_rewrite_caches():
 
 
 def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
-    # Pool splitting 16 of perfbench's search workload fills its
-    # 10^4-state budget; its thick levels meet many pairs of neighbours.
+    # Pool splittings 1, 3 and 16 of perfbench's search workload fill
+    # their 10^4-state budgets; their thick levels meet many pairs of
+    # neighbours.  One cold search evicts from neither cache.
     thick = set()
     original = hst.legal_rewrites
 
@@ -558,22 +559,58 @@ def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
         thick.update(levels[p].pairs for p in range(1, len(levels), 2))
         return original(splitting)
 
-    splitting = random_splitting(random.Random("splitting-16"))
     monkeypatch.setattr(hst, "legal_rewrites", recording)
-    _clear_rewrite_caches()
     try:
-        result = is_minimal_reachable(splitting, budget=10000)
-        levels = hst._thick_level.cache_info()
-        neighbourhoods = hst._thick_level_rewrites.cache_info()
+        for i in (1, 3, 16):
+            thick.clear()
+            _clear_rewrite_caches()
+            splitting = random_splitting(random.Random(f"splitting-{i}"))
+            result = is_minimal_reachable(splitting, budget=10000)
+            levels = hst._thick_level.cache_info()
+            neighbourhoods = hst._thick_level_rewrites.cache_info()
+            assert not result.certified
+            assert levels.misses == levels.currsize == len(thick)
+            assert neighbourhoods.misses > 10 * len(thick)
+            for info in (levels, neighbourhoods):
+                assert info.misses == info.currsize < hst.REWRITE_CACHE_SIZE
         # a thick level met only at the top has no untangle step
         _clear_rewrite_caches()
         assert legal_rewrites(splitting_from_json([[], [[-4, 2]]]))
         assert "untangles" not in vars(hst._thick_level(((-4, 2),)))
     finally:
         _clear_rewrite_caches()
-    assert not result.certified
-    assert levels.misses == levels.currsize == len(thick)
-    assert neighbourhoods.misses > 10 * len(thick)
+
+
+def test_thick_slots_hold_compressions_and_g_de_lands_thin():
+    # Why _thick_level_rewrites checks only the level's compressions for
+    # emptiness: every replacement level on an odd index is one of them,
+    # and G_DE always lands on an even index.
+    flags = set()
+    for splitting in (_seeded_splittings(40, 79)
+                      + _collapsible_splittings(40, 83)):
+        levels = splitting.levels
+        for move, start, _stop, replacement, _codes in \
+                legal_rewrites(splitting):
+            p = move[1]
+            compressed = {g.pairs for g in
+                          hst._thick_level(levels[p].pairs).compressed}
+            for i, level in enumerate(replacement, start):
+                assert i % 2 == 0 or level.pairs in compressed
+            if move[0] == "untangle":
+                _, _, d, e, eq_d, eq_e = move
+                flags.add((eq_d, eq_e))
+                at = start if eq_d else start + 1
+                assert at % 2 == 0
+                assert replacement[at - start].pairs == \
+                    hst._untangle(levels[p], d, e)[2].pairs
+    assert len(flags) == 4
+
+
+def test_random_descent_rejects_an_empty_thick_level(monkeypatch):
+    monkeypatch.setattr(hst, "compress", lambda surface, move: EMPTY_SURFACE)
+    with pytest.raises(HstError, match="thick level 1 is empty"):
+        random_descent(splitting_from_json([[], [[-2, 0]]]),
+                       random.Random(0))
 
 
 def test_move_count_matches_moves():
