@@ -330,9 +330,9 @@ def _balanced_patterns(max_total):
                             n32 = twice // 2
                             n31 = r0 - n32
                             n30 = r1 - n32
+                            # n30 + n31 = r0 + r1 - 2 * n32 = r2 holds
+                            # by construction.
                             if n30 < 0 or n31 < 0:
-                                continue
-                            if n30 + n31 != r2:
                                 continue
                             if used2 + n30 + n31 + n32 > max_total:
                                 continue

@@ -235,6 +235,7 @@ def is_extreme_ray(system, flat):
     A point of the cone {x >= 0, Ax = 0} lies on an extreme ray exactly
     when its active constraints (the equations plus its zero
     coordinates) have rank n - 1.  Independent of double description.
+    With no active constraint the rank is 0, so only n == 1 passes.
     """
     n = system.columns
     rows = []
@@ -246,8 +247,6 @@ def is_extreme_ray(system, flat):
     for i, x in enumerate(flat):
         if x == 0:
             rows.append([1 if j == i else 0 for j in range(n)])
-    if not rows:
-        return n == 1
     return rational_rank(rows) == n - 1
 
 

@@ -133,70 +133,46 @@ def edge_weight(block, e):
 # ---------------------------------------------------------------------------
 
 
-def _close_cycle(arcs, crossing_of_endpoint):
-    """Assemble directed arc slots into a single boundary cycle.
+def _cycle(arcs, doubled=None):
+    """The boundary cycle of the piece whose arc types are ``arcs``.
 
-    ``arcs`` lists (face, cut_vertex); ``crossing_of_endpoint`` maps
-    (face, cut_vertex, edge) to a crossing token.  Every crossing must be
+    ``arcs`` lists (face, cut_vertex) in ARC_TYPES order.  An arc
+    endpoint on edge e is the crossing (e, None), but on an edge of
+    pair ``doubled``, which an octagon crosses twice, the arc cutting
+    off v crosses near the v end, (e, v).  Every crossing must be
     shared by exactly two arc endpoints.
     """
+    def crossing(f, v, e):
+        return (e, v if PAIR_OF_EDGE[e] == doubled else None)
+
     by_crossing = {}
     for (f, v) in arcs:
         for e in arc_endpoints(f, v):
-            by_crossing.setdefault(crossing_of_endpoint[(f, v, e)], []).append((f, v, e))
+            by_crossing.setdefault(crossing(f, v, e), []).append((f, v, e))
     for ends in by_crossing.values():
         assert len(ends) == 2
     slots = []
     f, v = arcs[0]
     e_from = arc_endpoints(f, v)[0]
     start = (f, v, e_from)
-    seen = set()
     while True:
         e1, e2 = arc_endpoints(f, v)
         e_to = e2 if e_from == e1 else e1
-        slots.append((f, v, crossing_of_endpoint[(f, v, e_from)],
-                      crossing_of_endpoint[(f, v, e_to)]))
-        seen.add((f, v))
-        ends = by_crossing[crossing_of_endpoint[(f, v, e_to)]]
-        nxt = ends[0] if ends[0][:2] != (f, v) else ends[1]
-        f, v, e_from = nxt
+        slots.append((f, v, crossing(f, v, e_from), crossing(f, v, e_to)))
+        ends = by_crossing[crossing(f, v, e_to)]
+        f, v, e_from = ends[0] if ends[0][:2] != (f, v) else ends[1]
         if (f, v, e_from) == start:
             break
     assert len(slots) == len(arcs), "piece boundary is not a single cycle"
     return tuple(slots)
 
 
-def _triangle_cycle(v):
-    arcs = [(f, v) for f in FACES if f != v]
-    cross = {(f, v_, e): (e, None) for (f, v_) in arcs
-             for e in arc_endpoints(f, v_)}
-    return _close_cycle(arcs, cross)
-
-
-def _quad_cycle(q):
-    arcs = [(f, v) for f in FACES for v in FACE_VERTICES[f]
-            if ARC_QUAD[f][v] == q]
-    cross = {(f, v, e): (e, None) for (f, v) in arcs
-             for e in arc_endpoints(f, v)}
-    return _close_cycle(arcs, cross)
-
-
-def _oct_cycle(q):
-    arcs = [(f, v) for f in FACES for v in FACE_VERTICES[f]
-            if oct_arc_count(q, f, v)]
-    cross = {}
-    for (f, v) in arcs:
-        for e in arc_endpoints(f, v):
-            # On a doubled edge the two crossings sit near the two ends;
-            # the arc cutting off v crosses near the v end.
-            end = v if PAIR_OF_EDGE[e] == q else None
-            cross[(f, v, e)] = (e, end)
-    return _close_cycle(arcs, cross)
-
-
-TRI_CYCLES = tuple(_triangle_cycle(v) for v in VERTICES)
-QUAD_CYCLES = tuple(_quad_cycle(q) for q in range(3))
-OCT_CYCLES = tuple(_oct_cycle(q) for q in range(3))
+TRI_CYCLES = tuple(_cycle([(f, w) for f, w in ARC_TYPES if w == v])
+                   for v in VERTICES)
+QUAD_CYCLES = tuple(_cycle([(f, w) for f, w in ARC_TYPES
+                            if ARC_QUAD[f][w] == q]) for q in range(3))
+OCT_CYCLES = tuple(_cycle([(f, w) for f, w in ARC_TYPES
+                           if oct_arc_count(q, f, w)], q) for q in range(3))
 
 
 # ---------------------------------------------------------------------------

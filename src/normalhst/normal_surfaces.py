@@ -31,17 +31,47 @@ class SurfaceError(ValueError):
 
 PIECE_KINDS = ("tri", "quad", "oct")
 
+# The ten pieces of a tetrahedron by slot: triangles 0..3 by the vertex
+# cut off, quads 4..6 and octagons 7..9 by edge pair.  PIECE_SLOT maps
+# (kind, type) to the slot, and _PIECE_CYCLES[slot] is the piece's
+# boundary cycle.
+PIECE_SLOT = {piece: slot for slot, piece in enumerate(
+    [("tri", v) for v in range(4)]
+    + [(kind, q) for kind in ("quad", "oct") for q in range(3)])}
+_PIECE_CYCLES = model.TRI_CYCLES + model.QUAD_CYCLES + model.OCT_CYCLES
+
+
+def piece_slot(kind, typ):
+    """The slot of piece (kind, typ), or None when it names none of the
+    ten; a kind that is no string, or a type that is no int, such as
+    1.0 or True, names none."""
+    if type(kind) is str and type(typ) is int:
+        return PIECE_SLOT.get((kind, typ))
+    return None
+
 
 class TubeAnnotation(Record):
     """An unknotted tube joining two normal disks in one tetrahedron.
 
     Pieces are addressed as (kind, type, stacking index) with kind
     "tri" or "quad".  The tube is the single exceptional piece of an
-    almost normal surface, so its multiplicity is always 1.
+    almost normal surface, so its multiplicity is always 1.  The
+    constructor raises :class:`SurfaceError` unless each piece is a
+    triangle or quad at an index >= 0 and the two pieces differ.
     """
     __slots__ = ("tet", "piece_a", "piece_b")
 
     def __init__(self, tet, piece_a, piece_b):
+        for piece in (piece_a, piece_b):
+            kind, typ, copy = piece
+            if piece_slot(kind, typ) not in range(7):
+                raise SurfaceError(
+                    f"tube piece {quoted(piece)} is not a triangle or quad")
+            if copy < 0:
+                raise SurfaceError(
+                    f"tube piece {quoted(piece)} has a negative index")
+        if piece_a == piece_b:
+            raise SurfaceError("tube joins a piece to itself")
         setfield(self, "tet", tet)
         setfield(self, "piece_a", piece_a)
         setfield(self, "piece_b", piece_b)
@@ -69,23 +99,27 @@ class SurfaceVector(Record):
 
     @classmethod
     def build(cls, tri, coords, tube=None):
-        """From {(t, kind, index): value} sparse coordinates.
+        """From {(t, kind, type): value} sparse coordinates.
 
         One pass over ``coords``, and every tetrahedron it does not name
         shares one zero block; entries of a tetrahedron outside the
-        triangulation are ignored.
+        triangulation are ignored.  A (kind, type) that names none of
+        the ten pieces raises :class:`SurfaceError`.
         """
         n = tri.tetrahedron_count
         named = {}
-        for (t, kind, index), value in coords.items():
+        for (t, kind, typ), value in coords.items():
             if 0 <= t < n:
-                if kind not in PIECE_KINDS:
-                    raise SurfaceError(f"unknown piece kind {quoted(kind)}")
-                if t not in named:
-                    named[t] = ([0] * 4, [0] * 3, [0] * 3)
-                named[t][PIECE_KINDS.index(kind)][index] = value
+                slot = piece_slot(kind, typ)
+                if slot is None:
+                    raise SurfaceError(
+                        f"unknown piece kind {quoted(kind)}"
+                        if kind not in PIECE_KINDS
+                        else f"unknown {kind} type {quoted(typ)}")
+                named.setdefault(t, [0] * 10)[slot] = value
         zero = ((0, 0, 0, 0), (0, 0, 0), (0, 0, 0))
-        return cls(tuple(tuple(map(tuple, named[t])) if t in named else zero
+        return cls(tuple((tuple(c[:4]), tuple(c[4:7]), tuple(c[7:]))
+                         if (c := named.get(t)) else zero
                          for t in range(n)), tube)
 
     def coordinates(self):
@@ -272,30 +306,18 @@ def _check_dimension(tri, v):
 
 
 def _tube_structurally_valid(v):
-    """Structural checks on a tube annotation; returns violations."""
+    """The tube's violations that depend on the vector: its tetrahedron
+    out of range, or a piece past the copies there.  The constructor of
+    :class:`TubeAnnotation` has checked the rest."""
     tube = v.tube
-    out = []
     if not (0 <= tube.tet < len(v.tets)):
-        out.append(Violation("tube", f"tube tetrahedron {tube.tet} out of range"))
-        return out
-    if tube.piece_a == tube.piece_b:
-        out.append(Violation("tube", "tube joins a piece to itself"))
-    block = v.tets[tube.tet]
-    for piece in tube.pieces():
-        kind, index, copy = piece
-        if kind not in ("tri", "quad"):
-            out.append(Violation("tube",
-                                 f"tube piece kind {quoted(kind)} invalid"))
-            continue
-        limit = 4 if kind == "tri" else 3
-        if not (0 <= index < limit):
-            out.append(Violation("tube", f"tube piece type {index} out of range"))
-            continue
-        count = block[0][index] if kind == "tri" else block[1][index]
-        if not (0 <= copy < count):
-            out.append(Violation(
-                "tube", f"tube piece {piece} exceeds available copies"))
-    return out
+        return [Violation(
+            "tube", f"tube tetrahedron {quoted(tube.tet)} out of range")]
+    counts = sum(v.tets[tube.tet], ())
+    return [Violation("tube", f"tube piece {quoted(piece)} exceeds "
+                      "available copies")
+            for piece in tube.pieces()
+            if piece[2] >= counts[PIECE_SLOT[piece[0], piece[1]]]]
 
 
 def check_admissible(tri, v):
@@ -486,27 +508,17 @@ class SurfaceSummary(Record):
                      in zip(self.component_chis, self.component_closed))
 
 
-# Boundary cycles by piece kind, and the directed arc slot of each
-# (kind, type, face, cut vertex) on its piece's cycle.
-_CYCLES = {"tri": model.TRI_CYCLES, "quad": model.QUAD_CYCLES,
-           "oct": model.OCT_CYCLES}
-_ARC_SLOT = {(kind, typ, s[0], s[1]): s
-             for kind, cycles in _CYCLES.items()
-             for typ, cycle in enumerate(cycles) for s in cycle}
-# The ten coordinate slots of a tetrahedron as (kind, type): triangles
-# 0..3, quads 4..6, octagons 7..9.  _SLOT is each kind's first slot.
-_KIND_TYPE = tuple((kind, typ) for kind in PIECE_KINDS
-                   for typ in range(len(_CYCLES[kind])))
-_SLOT = {"tri": 0, "quad": 4, "oct": 7}
+# The directed arc slot of each (piece slot, face, cut vertex) on the
+# piece's cycle.
+_ARC_SLOT = {(slot, s[0], s[1]): s
+             for slot, cycle in enumerate(_PIECE_CYCLES) for s in cycle}
 # Per slot, read off the piece's cycle: crossings of each of the six
-# edges (one per slot whose outgoing crossing lies on the edge), and
+# edges (one per arc slot whose outgoing crossing lies on the edge), and
 # arcs on each of the four faces.
-_EDGE_CROSSINGS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ]
-                                  if s[3][0] == e) for e in range(6))
-                        for kind, typ in _KIND_TYPE)
-_FACE_ARCS = tuple(tuple(sum(1 for s in _CYCLES[kind][typ] if s[0] == f)
-                         for f in range(4))
-                   for kind, typ in _KIND_TYPE)
+_EDGE_CROSSINGS = tuple(tuple(sum(1 for s in cycle if s[3][0] == e)
+                              for e in range(6)) for cycle in _PIECE_CYCLES)
+_FACE_ARCS = tuple(tuple(sum(1 for s in cycle if s[0] == f)
+                         for f in range(4)) for cycle in _PIECE_CYCLES)
 
 
 def _span_sum(a, b):
@@ -627,8 +639,9 @@ def _stack_slots(f, v):
     octagons of the two other types (see model.oct_arc_count).
     """
     q = model.ARC_QUAD[f][v]
-    return ((v, True), (4 + q, v in model.EDGES[min(model.PAIRS[q])]),
-            *((7 + o, True) for o in range(3) if o != q))
+    return ((PIECE_SLOT["tri", v], True),
+            (PIECE_SLOT["quad", q], v in model.EDGES[min(model.PAIRS[q])]),
+            *((PIECE_SLOT["oct", o], True) for o in range(3) if o != q))
 
 
 # _STACK_SLOTS[f << 2 | v] = _stack_slots(f, v), empty for v == f.
@@ -681,12 +694,12 @@ def _label(perm, f, v, slot_a, slot_b):
     f2, v2 = perm[f], perm[v]
     reversed_ = (dict(_STACK_SLOTS[f << 2 | v])[slot_a]
                  != dict(_STACK_SLOTS[f2 << 2 | v2])[slot_b])
-    e_from, end = _ARC_SLOT[(*_KIND_TYPE[slot_a], f, v)][2]
+    e_from, end = _ARC_SLOT[slot_a, f, v][2]
     x, y = model.EDGES[e_from]
     mapped_from = (model.edge_index(perm[x], perm[y]),
                    None if end is None else perm[end])
     return reversed_ << 1 | (
-        mapped_from == _ARC_SLOT[(*_KIND_TYPE[slot_b], f2, v2)][2])
+        mapped_from == _ARC_SLOT[slot_b, f2, v2][2])
 
 
 def _glued_faces(rows, tets):
@@ -706,13 +719,13 @@ def _glued_faces(rows, tets):
                 yield t, f, g
 
 
-def _crossing_direction(kind, typ, e):
+def _crossing_direction(slot, e):
     """(face in, face out) of a piece's boundary crossing of edge e."""
-    cycle = _CYCLES[kind][typ]
+    cycle = _PIECE_CYCLES[slot]
     for i, s in enumerate(cycle):
         if s[3][0] == e:
             return (s[0], cycle[(i + 1) % len(cycle)][0])
-    raise AssertionError((kind, typ, e))
+    raise AssertionError((slot, e))
 
 
 def _edge_weights(tets, skeleton):
@@ -934,7 +947,7 @@ def _join_runs(rows, vector, held, stacks, first_block, count, weight,
         e_shared = _tube_shared_edge(vector)
         (tube_run, da), (rb, db) = [
             (first_run[b] + [0, *cuts.get(b, ())].index(copy),
-             _crossing_direction(kind, typ, e_shared))
+             _crossing_direction(PIECE_SLOT[kind, typ], e_shared))
             for (b, copy), (kind, typ, _) in zip(
                 tube_ends, vector.tube.pieces())]
         sheets.union(tube_run, rb, da == db)
@@ -1060,7 +1073,7 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
         counts = sum(v.tets[v.tube.tet], ())
         tube_ends = tuple(
             (first_block[v.tube.tet]
-             + sum(map(bool, counts[:_SLOT[kind] + typ])), copy)
+             + sum(map(bool, counts[:PIECE_SLOT[kind, typ]])), copy)
             for kind, typ, copy in v.tube.pieces())
     cuts = _cut(rows, many, stacks, first_block, count, tube_ends, limit)
     chis, closeds, orientables, run_count = _join_runs(

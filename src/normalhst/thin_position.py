@@ -155,11 +155,14 @@ def induced_splitting(pres):
 
     Level spheres at the thick and thin levels of the profile become the
     thick and thin levels of the splitting; each is a 2-sphere punctured
-    by the strands it meets.  Ends are empty.
+    by the strands it meets.  Ends are empty.  A nonempty presentation
+    has a thick level: consecutive strand counts differ by 2 and both
+    ends are padded with 0, so the profile's maximum is a strict local
+    maximum.  The empty one, which :func:`parse_presentation` rejects,
+    gives two empty levels, and :class:`AbstractSplitting` raises
+    :class:`HstError` for the empty level 1.
     """
     prof = width(pres)
-    if not prof.thick_indices:
-        raise PresentationError("presentation has no thick level")
     levels = [EMPTY_SURFACE]
     for k, j in enumerate(prof.thick_indices):
         levels.append(AbstractSurface.of(Component(2, prof.profile[j])))

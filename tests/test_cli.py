@@ -351,6 +351,46 @@ def test_surface_rejects_malformed_tube(files, tmp_path, capsys, tube):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("pieces, message", [
+    ([[5, 0, 0], ["tri", 1, 0]],
+     "tube piece (5, 0, 0) is not a triangle or quad"),
+    ([["oct", 0, 0], ["tri", 0, 0]],
+     "tube piece ('oct', 0, 0) is not a triangle or quad"),
+    ([[[], 0, 0], ["tri", 0, 0]],
+     "tube piece ([], 0, 0) is not a triangle or quad"),
+    ([["tri", 0, 0], ["tri", 0, 0]], "tube joins a piece to itself"),
+    ([["tri", 9, 0], ["tri", 0, 0]],
+     "tube piece ('tri', 9, 0) is not a triangle or quad"),
+    ([["tri", 0, -1], ["tri", 0, 0]],
+     "tube piece ('tri', 0, -1) has a negative index"),
+])
+def test_surface_rejects_tube_pieces(files, tmp_path, capsys, pieces,
+                                     message):
+    # what the annotation decides on its own is an input error, not a
+    # violation of the vector
+    data = json.loads(files["link"].read_text())
+    data["tube"] = {"tet": 0, "pieces": pieces}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: malformed surface vector JSON: {message}"]
+
+
+def test_surface_rejects_wrong_length_arrays(files, tmp_path, capsys):
+    data = json.loads(files["link"].read_text())
+    data["tets"][0]["quad"] = [0, 0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: coordinate arrays must have lengths 4/3/3"]
+
+
 @pytest.mark.parametrize("tets", ['""', "{}"])
 def test_surface_rejects_non_array_tets(files, tmp_path, capsys, tets):
     path = tmp_path / "bad.json"

@@ -181,6 +181,15 @@ def test_find_connected_chi2():
                find_connected_chi2(doubled_tetrahedron(), "brute", bound=2))
 
 
+@pytest.mark.parametrize("search, bound, message", [
+    ("brute", None, "brute search needs a bound"),
+    ("quad", 3, "unknown search 'quad'"),
+])
+def test_find_connected_chi2_rejects(search, bound, message):
+    with pytest.raises(ValueError, match=message):
+        find_connected_chi2(single_tetrahedron(), search, bound)
+
+
 def test_octagon_augmentations_respect_admissibility():
     tri = lens_l41()
     augs = octagon_augmentations(tri, brute_force_enumerate(tri, 4))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
                            genus, is_minimal_reachable, legal_rewrites,
                            random_descent, random_splitting,
                            splitting_complexity, splitting_from_json,
-                           splitting_to_json, underlying_splitting,
-                           untangle_step)
+                           splitting_to_json, trace_to_json,
+                           underlying_splitting, untangle_step)
 
 from oracles import minimal_reachable_by_rebuilding, rebuilt_rewrites
 
@@ -224,6 +225,43 @@ def test_untangle_rejects_inconsistent_flags():
     with pytest.raises(HstError, match="inconsistent"):
         untangle_step(base, 1, NonseparatingCompression(0),
                       NonseparatingCompression(0), True, False)
+    with pytest.raises(HstError, match="flag for the E side is inconsistent"):
+        untangle_step(base, 1, NonseparatingCompression(0),
+                      NonseparatingCompression(0), False, True)
+
+
+@pytest.mark.parametrize("move, message", [
+    (NonseparatingCompression(1), "no component 1"),
+    (SimpleNamespace(component=0), r"unknown move namespace\(component=0\)"),
+])
+def test_compress_rejects_bad_moves(move, message):
+    with pytest.raises(HstError, match=message):
+        compress(AbstractSurface.of(genus(2)), move)
+
+
+def test_trace_json_of_both_step_kinds():
+    # an untangle step with a separating D and an E on branch 1, then a
+    # compression of the new level G_E; each is a legal rewrite there
+    d = SeparatingCompression(0, -2, 1)
+    e = NonseparatingCompression(0, branch=1)
+    trace = (("untangle", 1, d, e, False, False),
+             ("compress", 3, RelativeCompression(0)))
+    state = splitting_from_json([[], [[-4, 2]], []])
+    for step in trace:
+        _, start, stop, replacement, _ = next(
+            r for r in legal_rewrites(state) if r[0] == step)
+        state = AbstractSplitting(state.levels[:start] + replacement
+                                  + state.levels[stop:])
+    assert splitting_to_json(state) == [
+        [], [[-2, 1], [0, 1]], [[-2, 1], [2, 1]], [[-2, 0]], []]
+    assert trace_to_json(trace) == [
+        {"step": "untangle", "level": 1,
+         "move_d": {"kind": "separating", "component": 0, "chi1": -2,
+                    "punctures1": 1},
+         "move_e": {"kind": "nonseparating", "component": 0, "branch": 1},
+         "eq_d": False, "eq_e": False},
+        {"step": "compress", "level": 3,
+         "move": {"kind": "relative", "component": 0}}]
 
 
 def test_untangle_case_1_descent_window():

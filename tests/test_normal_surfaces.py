@@ -562,7 +562,10 @@ def test_runs_match_oracle_on_tubes():
                 + enumerate_vertex_surfaces(tri):
             for k in (1, 2, 3, 5):
                 for tubed in _tube_vectors(tri, vec.scale(k)):
-                    _assert_matches_oracle(tri, tubed, sk)
+                    summary = _assert_matches_oracle(tri, tubed, sk)
+                    # chi by counting, whose tube branch only tubes reach
+                    assert euler_characteristic(tri, tubed, sk) == \
+                        summary.euler_characteristic
                     count += 1
     assert count > 1000
 
@@ -664,6 +667,29 @@ def test_build_is_one_pass():
     assert vec.total_weight() == sum(range(0, n, 10))
     with pytest.raises(SurfaceError, match="unknown piece kind 'hex'"):
         SurfaceVector.build(tri, {(3, "hex", 0): 1})
+
+
+_TEN_PIECES = [("tri", v) for v in range(4)] + [
+    (kind, q) for kind in ("quad", "oct") for q in range(3)]
+
+
+@pytest.mark.parametrize("slot, piece", enumerate(_TEN_PIECES))
+def test_build_puts_each_piece_at_its_slot(slot, piece):
+    vec = SurfaceVector.build(single_tetrahedron(), {(0, *piece): 1})
+    assert vec.coordinates() == tuple(int(s == slot) for s in range(10))
+
+
+@pytest.mark.parametrize("kind, typ, message", [
+    ("tri", -1, "unknown tri type -1"),
+    ("tri", 7, "unknown tri type 7"),
+    ("quad", 3, "unknown quad type 3"),
+    ("quad", 1.0, "unknown quad type 1.0"),
+    ("tri", True, "unknown tri type True"),
+])
+def test_build_rejects_piece_types(kind, typ, message):
+    # a negative type never writes through to the end of a block
+    with pytest.raises(SurfaceError, match=message):
+        SurfaceVector.build(single_tetrahedron(), {(0, kind, typ): 1})
 
 
 def test_runs_match_oracle_on_one_sided_multiples():

@@ -25,8 +25,9 @@ from normalhst.hst import (EMPTY_SURFACE, AbstractSplitting, AbstractSurface,
                            MinimalSearchResult, NonseparatingCompression,
                            RelativeCompression, SeparatingCompression)
 from normalhst.normal_surfaces import (AdmissibilityReport, MatchingSystem,
-                                       SurfaceSummary, SurfaceVector,
-                                       TubeAnnotation, Violation)
+                                       SurfaceError, SurfaceSummary,
+                                       SurfaceVector, TubeAnnotation,
+                                       Violation)
 from normalhst.record import FrozenInstanceError, Record, setfield
 from normalhst.selftest import CriterionResult
 from normalhst.thin_position import (Event, ExchangeResult, MorsePresentation,
@@ -249,6 +250,20 @@ def test_kept_methods_and_caches():
      PresentationError, "event 1: death at slot 1 with 2 strands"),
     (lambda: MorsePresentation((Event("B", 0),)), PresentationError,
      "strand count must return to zero"),
+    (lambda: TubeAnnotation(0, ("oct", 0, 0), ("tri", 0, 0)), SurfaceError,
+     r"tube piece \('oct', 0, 0\) is not a triangle or quad"),
+    (lambda: TubeAnnotation(0, ("tri", 0, 0), ([], 0, 0)), SurfaceError,
+     r"tube piece \(\[\], 0, 0\) is not a triangle or quad"),
+    (lambda: TubeAnnotation(0, ("tri", 4, 0), ("tri", 0, 0)), SurfaceError,
+     r"tube piece \('tri', 4, 0\) is not a triangle or quad"),
+    (lambda: TubeAnnotation(0, ("tri", 0, 0), ("quad", 3, 0)), SurfaceError,
+     r"tube piece \('quad', 3, 0\) is not a triangle or quad"),
+    (lambda: TubeAnnotation(0, ("tri", True, 0), ("tri", 0, 0)), SurfaceError,
+     r"tube piece \('tri', True, 0\) is not a triangle or quad"),
+    (lambda: TubeAnnotation(0, ("quad", 1, -1), ("tri", 0, 0)), SurfaceError,
+     r"tube piece \('quad', 1, -1\) has a negative index"),
+    (lambda: TubeAnnotation(0, ("tri", 2, 1), ("tri", 2, 1)), SurfaceError,
+     "tube joins a piece to itself"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_constructor_checks_still_raise(build, error, message):
     with pytest.raises(error, match=message):

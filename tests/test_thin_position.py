@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normalhst.hst import HstError
 from normalhst.thin_position import (BIRTH, DEATH, Event, MorsePresentation,
                                      PresentationError, all_presentations,
                                      exchange_move, format_presentation,
@@ -112,6 +113,11 @@ def test_induced_three_thick():
     assert levels_of(s) == [[], [(2, 4)], [(2, 2)], [(2, 4)], []]
 
 
+def test_induced_empty_presentation_has_no_thick_level():
+    with pytest.raises(HstError, match="thick level 1 is empty"):
+        induced_splitting(MorsePresentation(()))
+
+
 def test_induced_bridge_position():
     s = induced_splitting(MorsePresentation.of("B", "B", "D", "D"))
     assert levels_of(s) == [[], [(2, 4)], []]
@@ -139,6 +145,8 @@ def test_exchange_requires_birth_then_death():
         exchange_move(pres, 1, 0)
     with pytest.raises(PresentationError, match="birth immediately"):
         exchange_move(MorsePresentation.of("B", "B", "D", "D"), 1, 0)
+    with pytest.raises(PresentationError, match="event index out of range"):
+        exchange_move(pres, 2, 1)
 
 
 def test_exchange_legal_case():
@@ -200,6 +208,11 @@ def test_search_all_two_births_two_deaths():
 def test_search_one_birth_one_death():
     res = thin_position_search(MorsePresentation.of("B", "D"), mode="all")
     assert res.minimum_width == 2
+
+
+def test_search_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'best'"):
+        thin_position_search(MorsePresentation.of("B", "D"), mode="best")
 
 
 def test_search_stacks():

@@ -8,7 +8,7 @@ from normalhst.library import (boundary_4_simplex, doubled_tetrahedron,
                                lens_l41, one_tet_sphere,
                                pseudomanifold_two_tet, rp3_two_tet,
                                single_tetrahedron, stellar_subdivision)
-from normalhst.triangulation import (ParseError, Triangulation,
+from normalhst.triangulation import (Gluing, ParseError, Triangulation,
                                      TriangulationError, compute_skeleton,
                                      parse_triangulation, validate_manifold)
 
@@ -101,6 +101,8 @@ def test_syntax_error_reports_line():
         parse_triangulation("1\nnot a gluing line at all\n")
     with pytest.raises(ParseError, match="expected tetrahedron count"):
         parse_triangulation("zero\n- - - -\n")
+    with pytest.raises(ParseError, match="empty file"):
+        parse_triangulation("")
 
 
 def test_involutivity_exhaustive():
@@ -238,6 +240,19 @@ def test_orientability():
     for tri in (single_tetrahedron(), doubled_tetrahedron(),
                 boundary_4_simplex(), one_tet_sphere(), lens_l41()):
         assert tri.orientable()
+
+
+@pytest.mark.parametrize("gluing, message", [
+    (Gluing(2, 0, (0, 1, 2, 3)),
+     r"\(0,0\) targets tetrahedron 2, out of range"),
+    (Gluing(1, 4, (4, 1, 2, 3)), r"\(0,0\) targets face 4, out of range"),
+    (Gluing(1, 0, (0, 1, 1, 3)), r"corner map not a bijection at \(0,0\)"),
+    (Gluing(1, 1, (0, 1, 2, 3)), r"does not send face 0 to face 1"),
+])
+def test_constructor_rejects_bad_gluing(gluing, message):
+    # gluing records the parser would never build
+    with pytest.raises(TriangulationError, match=message):
+        Triangulation([[gluing, None, None, None], [None] * 4])
 
 
 def test_from_pairs_validates():
