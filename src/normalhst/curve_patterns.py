@@ -288,61 +288,49 @@ class LoopClass(Record):
         return len(self.members)
 
 
+# Per arc type (f, v), in ARC_TYPES order: face f's two edges at v and
+# its third edge.
+_ARC_EDGES = tuple(
+    model.arc_endpoints(f, v)
+    + (model.edge_index(*[x for x in model.FACE_VERTICES[f] if x != v]),)
+    for f, v in model.ARC_TYPES)
+# Per edge e, the edges of each face whose last edge is e.
+_CLOSED_BY = tuple(tuple(model.FACE_EDGES[f] for f in model.FACES
+                         if max(model.FACE_EDGES[f]) == e)
+                   for e in range(6))
+
+
 def _balanced_patterns(max_total):
     """All edge-balanced patterns with at most max_total arcs.
 
-    Faces are filled in order 0..3; each balance equation is solved as
-    soon as its second face is reached, so faces 1, 2, 3 contribute two,
-    one and zero free counts.
+    A balanced pattern is its six edge weights w: in face f the arcs
+    cutting off vertex v number (w(a) + w(b) - w(c)) / 2, where a and b
+    are f's edges at v and c is the third.  So each face's three weights
+    have an even sum and none exceeds the other two, and the pattern has
+    sum(w) arcs.  The weights are filled edge by edge, and each face is
+    checked when its last edge gets a weight.
     """
     out = []
-    # n[f][v] indexed by cut vertex; face vertex sets per model.
-    for n01 in range(max_total + 1):
-        for n02 in range(max_total + 1 - n01):
-            for n03 in range(max_total + 1 - n01 - n02):
-                n0 = {1: n01, 2: n02, 3: n03}
-                used0 = n01 + n02 + n03
-                # face 1 shares edge {2,3} with face 0
-                for n10 in range(max_total + 1 - used0):
-                    for n12 in range(max_total + 1 - used0 - n10):
-                        n13 = n0[2] + n0[3] - n12
-                        if n13 < 0 or used0 + n10 + n12 + n13 > max_total:
-                            continue
-                        n1 = {0: n10, 2: n12, 3: n13}
-                        used1 = used0 + n10 + n12 + n13
-                        # face 2 shares {1,3} with face 0, {0,3} with face 1
-                        for n23 in range(max_total + 1 - used1):
-                            n21 = n0[1] + n0[3] - n23
-                            n20 = n1[0] + n1[3] - n23
-                            if n21 < 0 or n20 < 0:
-                                continue
-                            used2 = used1 + n20 + n21 + n23
-                            if used2 > max_total:
-                                continue
-                            n2 = {0: n20, 1: n21, 3: n23}
-                            # face 3 is determined by its three edges
-                            r0 = n0[1] + n0[2]       # edge {1,2}
-                            r1 = n1[0] + n1[2]       # edge {0,2}
-                            r2 = n2[0] + n2[1]       # edge {0,1}
-                            twice = r0 + r1 - r2
-                            if twice < 0 or twice % 2:
-                                continue
-                            n32 = twice // 2
-                            n31 = r0 - n32
-                            n30 = r1 - n32
-                            # n30 + n31 = r0 + r1 - 2 * n32 = r2 holds
-                            # by construction.
-                            if n30 < 0 or n31 < 0:
-                                continue
-                            if used2 + n30 + n31 + n32 > max_total:
-                                continue
-                            counts = [0] * 12
-                            for f, nf in ((0, n0), (1, n1), (2, n2),
-                                          (3, {0: n30, 1: n31, 2: n32})):
-                                for v, c in nf.items():
-                                    counts[model.ARC_INDEX[(f, v)]] = c
-                            out.append(CurvePattern(tuple(counts)))
+    w = [0] * 6
+
+    def fill(e, left):
+        if e == 6:
+            out.append(CurvePattern(tuple((w[a] + w[b] - w[c]) // 2
+                                          for a, b, c in _ARC_EDGES)))
+            return
+        for weight in range(left + 1):
+            w[e] = weight
+            if all(_face_ok(w[x], w[y], w[z]) for x, y, z in _CLOSED_BY[e]):
+                fill(e + 1, left - weight)
+
+    fill(0, max_total)
     return out
+
+
+def _face_ok(x, y, z):
+    """Whether a face's edge weights give nonnegative whole arc counts."""
+    total = x + y + z
+    return total % 2 == 0 and 2 * max(x, y, z) <= total
 
 
 def word_image(word, perm):
@@ -350,7 +338,7 @@ def word_image(word, perm):
     return canonical_word([model.perm_on_edge(perm, e) for e in word])
 
 
-def enumerate_normal_loops(max_length=None):
+def enumerate_normal_loops(max_length):
     """All embedded normal loops of bounded length, up to symmetry.
 
     Enumerates every edge-balanced pattern with at most ``max_length``
@@ -358,8 +346,6 @@ def enumerate_normal_loops(max_length=None):
     loop; these are exactly the embedded normal curves.  Loops are
     grouped into orbits under the full 24-element symmetry group.
     """
-    if max_length is None:
-        max_length = ceiling("loop_length")
     if max_length > ceiling("loop_length"):
         raise ResourceCeilingError(
             f"loop length {max_length} exceeds ceiling "

@@ -21,6 +21,7 @@ from math import gcd
 from .limits import ResourceCeilingError, ceiling
 from .normal_surfaces import (SurfaceVector, check_admissible,
                               matching_system, reconstruct_surface)
+from .triangulation import compute_skeleton
 
 
 def _reduce(vec):
@@ -307,9 +308,10 @@ def find_connected_chi2(tri, search="vertex", bound=None):
         candidates = brute_force_enumerate(tri, bound)
     else:
         raise ValueError(f"unknown search {search!r}")
+    skeleton = compute_skeleton(tri)
     out = []
     for v in candidates:
-        summary = reconstruct_surface(tri, v)
+        summary = reconstruct_surface(tri, v, skeleton)
         if summary.component_count == 1 and summary.euler_characteristic == 2:
             out.append(v)
     return out

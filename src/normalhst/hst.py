@@ -187,10 +187,7 @@ class AbstractSplitting(Record):
     """Alternating sequence of surfaces: thin at even, thick at odd index.
 
     Thick levels must be nonempty surfaces; thin levels, including the
-    ends, may be empty.  The constructor checks every thick level.  Only
-    the search (:func:`is_minimal_reachable`) builds its states with
-    :func:`_unchecked` instead, which skips that loop; why each of them
-    would pass it is argued there.
+    ends, may be empty.  The constructor checks every thick level.
     """
     __slots__ = ("levels",)
 
@@ -225,36 +222,18 @@ class AbstractSplitting(Record):
         return tuple([level.code for level in self.levels])
 
 
-def _unchecked(levels):
-    """The splitting with these levels, built without the constructor's
-    check; only :func:`is_minimal_reachable` calls it.
-
-    Each state of the search comes from a checked one by a rewrite of
-    :func:`legal_rewrites`, ``levels[:start] + replacement +
-    levels[stop:]``.  The replacement's thick levels are nonempty (see
-    :func:`_thick_level_rewrites`).  The levels after it move by
-    len(replacement) - (stop - start), which is even for every rewrite
-    (+2 in untangle case 1, -2 in case 4, 0 otherwise), so each keeps its
-    parity and was checked in the splitting it came from.
-    """
-    child = object.__new__(AbstractSplitting)
-    setfield(child, "levels", levels)
-    return child
-
-
 def splitting_complexity(splitting, relative=False):
     """Thick-level complexities, sorted non-increasing."""
     if relative:
-        return ComplexityVector(_relative_entries(splitting))
+        return ComplexityVector(_relative_entries(splitting.levels))
     values = sorted((c_surface(splitting.levels[i])
                      for i in splitting.thick_indices()), reverse=True)
     return ComplexityVector(tuple(values))
 
 
-def _relative_entries(splitting):
-    """The entries of the relative complexity vector, from each thick
-    level's cached cost."""
-    levels = splitting.levels
+def _relative_entries(levels):
+    """The entries of the relative complexity vector of the splitting
+    with these levels, from each thick level's cached cost."""
     return tuple(sorted([levels[i].relative_cost
                          for i in range(1, len(levels), 2)], reverse=True))
 
@@ -570,9 +549,9 @@ def _thick_level_rewrites(p, below, thick, above):
     return tuple(rewrites)
 
 
-def legal_rewrites(splitting):
-    """All single-move rewrites: thick-level compressions and untangle
-    steps, in deterministic order.
+def legal_rewrites(levels):
+    """All single-move rewrites of the splitting with these levels:
+    thick-level compressions and untangle steps, in deterministic order.
 
     Each is (move, start, stop, replacement, codes): the successor has
     the levels ``levels[:start] + replacement + levels[stop:]``, and its
@@ -581,11 +560,9 @@ def legal_rewrites(splitting):
     accepts every successor.  The rewrites of each thick level come from
     a bounded cache keyed by the level and its two neighbours
     (:func:`_thick_level_rewrites`), and the result joins those cached
-    tuples.  So a call costs one cache
-    lookup per thick level, hashing its index, its pairs and two string
-    codes, and builds no successor.
+    tuples.  So a call costs one cache lookup per thick level, hashing
+    its index, its pairs and two string codes, and builds no successor.
     """
-    levels = splitting.levels
     top = len(levels) - 1
     out = []
     for p in range(1, len(levels), 2):
@@ -616,18 +593,25 @@ def is_minimal_reachable(splitting, budget=10000):
     within the budget; with punctures absent the relative vector equals
     the absolute one.
 
-    The stack holds (levels, key, trace) triples.  Each visited state
-    costs one unchecked splitting (see :func:`_unchecked`) and one
-    :func:`legal_rewrites` call, one cache lookup per thick level.  Per
-    rewrite, the successor's key is spliced first, from the state's key
-    and the rewrite's cached codes: a tuple of string codes, which keep
-    their hashes, so a successor already visited, about three in four,
-    is dropped for the cost of two tuple slices, two joins and one hash.
-    Only an unvisited successor has its levels spliced.  No state runs the
-    constructor's emptiness check (see :func:`_unchecked`); only the
-    returned best splitting is built by the constructor.  So a state
-    costs time linear in its number of successors times its number of
-    levels.  Compressions and untangle
+    The stack holds (levels, key, trace) triples, and a state is its
+    tuple of levels: no splitting is built per state, and only the
+    returned best splitting goes through the constructor.  Each state
+    would pass its emptiness check.  It comes from a checked splitting by
+    rewrites of :func:`legal_rewrites`, ``levels[:start] + replacement +
+    levels[stop:]``.  The replacement's thick levels are compressions,
+    checked nonempty (see :func:`_thick_level_rewrites`).  The levels
+    after it move by len(replacement) - (stop - start), which is even for
+    every rewrite (+2 in untangle case 1, -2 in case 4, 0 otherwise), so
+    each keeps its parity and was checked where it came from.
+
+    Each visited state costs one :func:`legal_rewrites` call, one cache
+    lookup per thick level.  Per rewrite, the successor's key is spliced
+    first, from the state's key and the rewrite's cached codes: a tuple
+    of string codes, which keep their hashes, so a successor already
+    visited, about three in four, is dropped for the cost of two tuple
+    slices, two joins and one hash.  Only an unvisited successor has its
+    levels spliced.  So a state costs time linear in its number of
+    successors times its number of levels.  Compressions and untangle
     pairs are computed once per distinct thick level, and their flags
     and splices once per thick level, index and pair of thin neighbours;
     both caches are shared by all calls and each keeps the
@@ -635,14 +619,14 @@ def is_minimal_reachable(splitting, budget=10000):
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    best = _relative_entries(splitting)
     best_levels = splitting.levels
+    best = _relative_entries(best_levels)
     best_trace = ()
     visited = set()
     explored = 0
     exhausted = True
 
-    stack = [(splitting.levels, splitting.canonical(), ())]
+    stack = [(best_levels, splitting.canonical(), ())]
     while stack:
         levels, key, trace = stack.pop()
         if key in visited:
@@ -652,12 +636,11 @@ def is_minimal_reachable(splitting, budget=10000):
         if explored > budget:
             exhausted = False
             break
-        state = _unchecked(levels)
-        vec = _relative_entries(state)
+        vec = _relative_entries(levels)
         if vec < best:
             best, best_levels, best_trace = vec, levels, trace
         for move, start, stop, replacement, codes in reversed(
-                legal_rewrites(state)):
+                legal_rewrites(levels)):
             successor_key = key[:start] + codes + key[stop:]
             if successor_key not in visited:
                 stack.append((levels[:start] + replacement + levels[stop:],
@@ -681,7 +664,7 @@ def random_descent(splitting, rng):
     """
     steps = 0
     current = splitting
-    vec = _relative_entries(current)
+    vec = _relative_entries(current.levels)
     while True:
         thicks = current.thick_indices()
         levels = current.levels
@@ -721,7 +704,7 @@ def random_descent(splitting, rng):
             replacement = (compress(levels[p], moves[k]),)
         successor = AbstractSplitting(
             levels[:start] + replacement + levels[stop:])
-        new_vec = _relative_entries(successor)
+        new_vec = _relative_entries(successor.levels)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"
         current, vec = successor, new_vec

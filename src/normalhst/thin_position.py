@@ -37,10 +37,13 @@ class Event(Record):
 
 
 class MorsePresentation(Record):
-    """A validated event sequence with zero strands at both ends."""
+    """A validated nonempty event sequence with zero strands at both
+    ends."""
     __slots__ = ("events",)
 
     def __init__(self, events):
+        if not events:
+            raise PresentationError("empty presentation")
         count = 0
         for i, ev in enumerate(events):
             if ev.kind == BIRTH:
@@ -101,8 +104,6 @@ def parse_presentation(text):
             raise PresentationError(
                 f"line {lineno}: bad position {quoted(parts[1])}")
         events.append(Event(parts[0], pos))
-    if not events:
-        raise PresentationError("empty presentation")
     return MorsePresentation(tuple(events))
 
 
@@ -155,12 +156,10 @@ def induced_splitting(pres):
 
     Level spheres at the thick and thin levels of the profile become the
     thick and thin levels of the splitting; each is a 2-sphere punctured
-    by the strands it meets.  Ends are empty.  A nonempty presentation
-    has a thick level: consecutive strand counts differ by 2 and both
-    ends are padded with 0, so the profile's maximum is a strict local
-    maximum.  The empty one, which :func:`parse_presentation` rejects,
-    gives two empty levels, and :class:`AbstractSplitting` raises
-    :class:`HstError` for the empty level 1.
+    by the strands it meets.  Ends are empty.  Every presentation has a
+    thick level, since its constructor rejects the empty one:
+    consecutive strand counts differ by 2 and both ends are padded with
+    0, so the profile's maximum is a strict local maximum.
     """
     prof = width(pres)
     levels = [EMPTY_SURFACE]
@@ -287,7 +286,7 @@ def thin_position_search(pres, mode="exchange", single_component=False):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "all":
         births = sum(1 for e in pres.events if e.kind == BIRTH)
-        if single_component and births:
+        if single_component:
             kinds = BIRTH + (BIRTH + DEATH) * (births - 1) + DEATH
         else:
             kinds = (BIRTH + DEATH) * births
@@ -321,7 +320,8 @@ def thin_position_search(pres, mode="exchange", single_component=False):
 
 
 def all_presentations(event_count):
-    """Every valid presentation with the given number of events.
+    """Every valid presentation with the given number of events; none
+    has 0 events.
 
     Positions are enumerated exhaustively; used by the property checks
     on exchange moves.
@@ -330,7 +330,7 @@ def all_presentations(event_count):
 
     def extend(events, count, remaining):
         if remaining == 0:
-            if count == 0:
+            if count == 0 and events:
                 out.append(MorsePresentation(tuple(events)))
             return
         if count > 2 * remaining:

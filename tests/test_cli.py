@@ -741,6 +741,15 @@ def test_width_bad_presentation(tmp_path):
     assert run(["width", path]) == 2
 
 
+def test_width_comments_only_file_is_empty_presentation(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# no events\n\n   # still none\n")
+    assert run(["width", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: empty presentation\n"
+
+
 def test_table_and_json_agree(files, capsys):
     assert run(["validate", files["doubled"], "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -64,6 +65,25 @@ def test_counting_route_matches_explicit_on_small_patterns():
     for pattern in patterns:
         assert decompose_pattern(pattern) == \
             explicit_decompose_pattern(pattern), pattern.counts
+
+
+def test_balanced_patterns_match_brute_force_filter():
+    # every vector of 12 counts with at most 8 arcs, kept when each
+    # edge's two faces put equally many arc ends on it
+    sides = [[[i for i, (f, v) in enumerate(model.ARC_TYPES)
+               if f == face and e in model.arc_endpoints(f, v)]
+              for face in model.FACES_OF_EDGE[e]] for e in range(6)]
+    balanced = []
+    for total in range(9):
+        for arcs in itertools.combinations_with_replacement(range(12), total):
+            counts = [0] * 12
+            for i in arcs:
+                counts[i] += 1
+            if all(sum(counts[i] for i in one) == sum(counts[i] for i in two)
+                   for one, two in sides):
+                balanced.append(tuple(counts))
+    assert len(balanced) == 36
+    assert sorted(p.counts for p in _balanced_patterns(8)) == sorted(balanced)
 
 
 @pytest.mark.parametrize("octagons", [0, 1, 2])

@@ -249,7 +249,7 @@ def test_trace_json_of_both_step_kinds():
     state = splitting_from_json([[], [[-4, 2]], []])
     for step in trace:
         _, start, stop, replacement, _ = next(
-            r for r in legal_rewrites(state) if r[0] == step)
+            r for r in legal_rewrites(state.levels) if r[0] == step)
         state = AbstractSplitting(state.levels[:start] + replacement
                                   + state.levels[stop:])
     assert splitting_to_json(state) == [
@@ -429,10 +429,10 @@ def test_minimal_reachable_matches_rebuilding_oracle(budget):
 
 
 def _successors(splitting):
-    """``legal_rewrites(splitting)`` as (move, successor) pairs, each
-    successor built by the checking constructor when it is reached."""
+    """``legal_rewrites(splitting.levels)`` as (move, successor) pairs,
+    each successor built by the checking constructor when it is reached."""
     levels = splitting.levels
-    for move, start, stop, replacement, _codes in legal_rewrites(splitting):
+    for move, start, stop, replacement, _codes in legal_rewrites(levels):
         yield move, AbstractSplitting(levels[:start] + replacement
                                       + levels[stop:])
 
@@ -488,16 +488,17 @@ def test_search_calls_legal_rewrites_once_per_expanded_state(
     calls = []
     original = hst.legal_rewrites
 
-    def counting(splitting):
-        calls.append(splitting)
-        return original(splitting)
+    def counting(levels):
+        calls.append(levels)
+        return original(levels)
 
     monkeypatch.setattr(hst, "legal_rewrites", counting)
     for splitting in _seeded_splittings(6, 53, max_punctures=1):
         calls.clear()
         result = is_minimal_reachable(splitting, budget=budget)
         assert len(calls) == min(result.states_explored, budget)
-        assert len({s.canonical() for s in calls}) == len(calls)
+        assert len({AbstractSplitting(levels).canonical()
+                    for levels in calls}) == len(calls)
 
 
 def test_spliced_keys_match_keys_rebuilt_from_levels():
@@ -511,7 +512,7 @@ def test_spliced_keys_match_keys_rebuilt_from_levels():
             successors = []
             for state in frontier:
                 key = state.canonical()
-                rewrites = legal_rewrites(state)
+                rewrites = legal_rewrites(state.levels)
                 for (_move, start, stop, _replacement, codes), (
                         _, successor) in zip(rewrites, _successors(state)):
                     assert key[:start] + codes + key[stop:] == \
@@ -546,9 +547,9 @@ def test_every_successor_passes_the_constructor():
                       + _collapsible_splittings(40, 83)):
         levels = splitting.levels
         for _move, start, stop, replacement, _codes in \
-                legal_rewrites(splitting):
+                legal_rewrites(levels):
             spliced = levels[:start] + replacement + levels[stop:]
-            assert hst._unchecked(spliced) == AbstractSplitting(spliced)
+            assert AbstractSplitting(spliced).levels == spliced
 
 
 def test_emptiness_check_runs_once_per_cache_entry(monkeypatch):
@@ -575,7 +576,7 @@ def test_emptiness_check_runs_once_per_cache_entry(monkeypatch):
         monkeypatch.setattr(hst, "compress",
                             lambda surface, move: EMPTY_SURFACE)
         with pytest.raises(HstError, match="thick level 1 is empty"):
-            legal_rewrites(splitting)
+            legal_rewrites(splitting.levels)
     finally:
         _clear_rewrite_caches()
 
@@ -592,10 +593,9 @@ def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
     thick = set()
     original = hst.legal_rewrites
 
-    def recording(splitting):
-        levels = splitting.levels
+    def recording(levels):
         thick.update(levels[p].pairs for p in range(1, len(levels), 2))
-        return original(splitting)
+        return original(levels)
 
     monkeypatch.setattr(hst, "legal_rewrites", recording)
     try:
@@ -613,7 +613,7 @@ def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
                 assert info.misses == info.currsize < hst.REWRITE_CACHE_SIZE
         # a thick level met only at the top has no untangle step
         _clear_rewrite_caches()
-        assert legal_rewrites(splitting_from_json([[], [[-4, 2]]]))
+        assert legal_rewrites(splitting_from_json([[], [[-4, 2]]]).levels)
         assert "untangles" not in vars(hst._thick_level(((-4, 2),)))
     finally:
         _clear_rewrite_caches()
@@ -628,7 +628,7 @@ def test_thick_slots_hold_compressions_and_g_de_lands_thin():
                       + _collapsible_splittings(40, 83)):
         levels = splitting.levels
         for move, start, _stop, replacement, _codes in \
-                legal_rewrites(splitting):
+                legal_rewrites(levels):
             p = move[1]
             compressed = {g.pairs for g in
                           hst._thick_level(levels[p].pairs).compressed}
@@ -693,7 +693,7 @@ def test_random_descent_terminates():
     for _ in range(200):
         splitting = random_splitting(rng)
         steps, final = random_descent(splitting, rng)
-        assert not legal_rewrites(final) or steps >= 0
+        assert not legal_rewrites(final.levels)
         assert compare_complexity(
             splitting_complexity(final, True),
             splitting_complexity(splitting, True)) != GREATER
@@ -701,13 +701,14 @@ def test_random_descent_terminates():
 
 def test_random_descent_steps_are_legal_rewrites(monkeypatch):
     # random_descent reads the complexity of its start and of each
-    # successor once, so wrapping _relative_entries records its path.
+    # successor once, so wrapping _relative_entries records the levels
+    # of its path.
     path = []
     original = hst._relative_entries
 
-    def recording(splitting):
-        path.append(splitting)
-        return original(splitting)
+    def recording(levels):
+        path.append(levels)
+        return original(levels)
 
     monkeypatch.setattr(hst, "_relative_entries", recording)
     rng = random.Random(7)
@@ -715,11 +716,11 @@ def test_random_descent_steps_are_legal_rewrites(monkeypatch):
     for _ in range(300):
         path.clear()
         steps, final = random_descent(random_splitting(rng), rng)
-        assert len(path) == steps + 1 and path[-1] is final
+        assert len(path) == steps + 1 and path[-1] is final.levels
         for before, after in zip(path, path[1:]):
-            key = after.canonical()
-            assert any(successor.canonical() == key
-                       for _move, successor in _successors(before))
+            key = AbstractSplitting(after).canonical()
+            assert any(successor.canonical() == key for _move, successor
+                       in _successors(AbstractSplitting(before)))
         total += steps
     assert total == 6487
 

@@ -242,6 +242,8 @@ def test_kept_methods_and_caches():
      "must be nonnegative"),
     (lambda: Event("X", 0), PresentationError, "unknown event kind 'X'"),
     (lambda: Event("B", -1), PresentationError, "must be nonnegative"),
+    (lambda: MorsePresentation(()), PresentationError,
+     "empty presentation"),
     (lambda: MorsePresentation((Event("B", 1),)), PresentationError,
      "event 0: birth at slot 1 with only 0 strands"),
     (lambda: MorsePresentation((Event("D", 0),)), PresentationError,

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from normalhst.hst import HstError
 from normalhst.thin_position import (BIRTH, DEATH, Event, MorsePresentation,
                                      PresentationError, all_presentations,
                                      exchange_move, format_presentation,
@@ -31,6 +30,7 @@ def test_validation():
         MorsePresentation.of(("B", 1), ("D", 0))
     with pytest.raises(PresentationError, match="slot"):
         MorsePresentation.of(("B", 0), ("D", 1))
+    assert all_presentations(0) == []
 
 
 def test_parse_and_format():
@@ -111,11 +111,6 @@ def test_induced_three_thick():
     assert width(pres).profile == (2, 4, 2, 4, 2)
     s = induced_splitting(pres)
     assert levels_of(s) == [[], [(2, 4)], [(2, 2)], [(2, 4)], []]
-
-
-def test_induced_empty_presentation_has_no_thick_level():
-    with pytest.raises(HstError, match="thick level 1 is empty"):
-        induced_splitting(MorsePresentation(()))
 
 
 def test_induced_bridge_position():
