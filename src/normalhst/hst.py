@@ -474,9 +474,9 @@ def _move_count(pairs):
 
 
 # Entries kept by each of the two rewrite caches.  One cold 10000-state
-# search fits in both without eviction (34/26/21 and 767/664/475 entries
-# on pool splittings 1, 3 and 16 of perfbench's search workload); the 96
-# pool searches in one process fill the second with 44,490 misses.
+# search fits in both without eviction (30/24/18 and 668/543/232 entries
+# on pool splittings 2, 10 and 20 of perfbench's search workload); the 96
+# pool searches in one process fill the second with 13,680 misses.
 REWRITE_CACHE_SIZE = 1024
 
 
@@ -583,15 +583,74 @@ class MinimalSearchResult(Record):
         setfield(self, "states_explored", states_explored)
 
 
+def _end_floor(levels):
+    """A vector at most the relative complexity vector of every splitting
+    reachable by rewrites from the splitting with these levels.
+
+    Call a thick level persistent when no rewrite removes it and a
+    rewrite that changes it puts one of its own compressions in its
+    place.  Up to two thick levels persist:
+
+    - Compressions never lower a surface's component count, so G_D and
+      G_E are never empty and an empty neighbour never passes an
+      equality flag.
+    - If ``levels[0]`` is empty, no rewrite starts at index 0: that
+      would be an untangle step at level 1 with the D flag.  So level 1
+      stays thick and is replaced only by its own compressions: G, or
+      G_D in untangle cases 1 and 3.
+    - The top thick level stays and is replaced only by its own
+      compressions in two cases.  (i) The length is even: the top level
+      is thick and has no untangle step.  (ii) The length is odd and
+      ``levels[-1]`` is empty: no flag on the E side passes, so the top
+      thick level at len - 2 is replaced only by G or G_E.  Every
+      rewrite changes the length by an even count, so the parity holds.
+    - Untangle case 4 needs both flags, so it removes neither of these
+      levels, and the two stay distinct when they start distinct.
+
+    Compressions never lower a level's number of components with an odd
+    puncture count: a nonseparating compression keeps p, a relative one
+    takes p to p - 2, and a separating split of an odd p leaves exactly
+    one odd part.  Such a component costs (2 - chi + p)^2 >= 1, since
+    2 - chi + p is odd.  So each persistent level's cost is at least its
+    odd-component count at the start, and the k-th largest entry of
+    every reachable vector is at least the k-th largest of these counts.
+    With the prefix rule, every reachable vector is at least the tuple
+    of the persistent levels' odd-component counts sorted
+    non-increasing, which is () when neither end persists.
+    """
+    top = len(levels) - 1
+    ends = set()
+    if top and not levels[0].components:
+        ends.add(1)
+    if top % 2:
+        ends.add(top)
+    elif top and not levels[top].components:
+        ends.add(top - 1)
+    return tuple(sorted([sum([p % 2 for _, p in levels[i].pairs])
+                         for i in ends], reverse=True))
+
+
 def is_minimal_reachable(splitting, budget=10000):
     """Smallest complexity vector reachable by legal rewrites.
 
-    Exhaustive depth-first search; every move strictly decreases the
-    (relative) complexity vector, so the search space is finite and the
-    search terminates.  ``budget``, at least 1, bounds the distinct
-    states it visits, and ``certified`` reports whether it was exhausted
-    within the budget; with punctures absent the relative vector equals
-    the absolute one.
+    Depth-first search; every move strictly decreases the (relative)
+    complexity vector, so the search space is finite and the search
+    terminates.  ``budget``, at least 1, bounds the distinct states it
+    visits, and ``certified`` reports whether it was exhausted within
+    the budget or stopped at the floor; with punctures absent the
+    relative vector equals the absolute one.
+
+    The floor, from :func:`_end_floor` on the start, is at most every
+    reachable vector.  So the search stops, certified, once its best
+    vector equals the floor.  The check follows the best update, so a
+    start at its floor stops after one state, and the state that reaches
+    the floor is counted in ``states_explored`` but not expanded.  (It
+    has no rewrite anyway: each of its thick levels costs exactly its
+    odd-component count, so it holds only spheres with at most one
+    puncture.)  It is the first state at the minimum in the search
+    order, so its vector, levels and trace are those an exhaustive
+    search would return: that search keeps the first state it meets at
+    the least vector.
 
     The stack holds (levels, key, trace) triples, and a state is its
     tuple of levels: no splitting is built per state, and only the
@@ -604,7 +663,7 @@ def is_minimal_reachable(splitting, budget=10000):
     every rewrite (+2 in untangle case 1, -2 in case 4, 0 otherwise), so
     each keeps its parity and was checked where it came from.
 
-    Each visited state costs one :func:`legal_rewrites` call, one cache
+    Each expanded state costs one :func:`legal_rewrites` call, one cache
     lookup per thick level.  Per rewrite, the successor's key is spliced
     first, from the state's key and the rewrite's cached codes: a tuple
     of string codes, which keep their hashes, so a successor already
@@ -622,6 +681,7 @@ def is_minimal_reachable(splitting, budget=10000):
     best_levels = splitting.levels
     best = _relative_entries(best_levels)
     best_trace = ()
+    floor = _end_floor(best_levels)
     visited = set()
     explored = 0
     exhausted = True
@@ -639,6 +699,8 @@ def is_minimal_reachable(splitting, budget=10000):
         vec = _relative_entries(levels)
         if vec < best:
             best, best_levels, best_trace = vec, levels, trace
+        if best == floor:
+            break
         for move, start, stop, replacement, codes in reversed(
                 legal_rewrites(levels)):
             successor_key = key[:start] + codes + key[stop:]

@@ -906,7 +906,10 @@ def _canonical(splitting):
 def minimal_reachable_by_rebuilding(splitting, budget=10000):
     """Depth-first minimum search that checks each state against the
     visited set when it is popped, with the same order and budget rule
-    as ``hst.is_minimal_reachable``."""
+    as ``hst.is_minimal_reachable``.  It is the unpruned route: it has no
+    floor, so it certifies only by exhausting every reachable state, and
+    a search that stops at its floor agrees with it cut at the same
+    number of states."""
     best = _relative_vector(splitting)
     best_state, best_trace = splitting, ()
     visited = set()

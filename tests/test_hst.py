@@ -408,11 +408,20 @@ def _collapsible_splittings(count, seed):
     return out
 
 
+def _stopped_at_floor(splitting, result):
+    """Whether the search stopped at its floor: its best vector reached
+    it, so the last state it counted was not expanded."""
+    return result.minimum.entries == hst._end_floor(splitting.levels)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 100, 10000])
 def test_minimal_reachable_matches_rebuilding_oracle(budget):
     # The oracle takes seconds to fill a budget of 10000, so that budget
-    # runs on the first two splittings only: the first fills it and the
-    # second is certified after 1344 states.
+    # runs on the first two splittings only: neither reaches its floor,
+    # the first fills the budget and the second is certified after 1344
+    # states.  A search that stops at its floor at state k agrees with
+    # the unpruned oracle cut at budget k, which has not yet reached the
+    # floor at budget k - 1.
     if budget == 10000:
         cases = _seeded_splittings(2, 41, max_punctures=1)
     else:
@@ -421,11 +430,134 @@ def test_minimal_reachable_matches_rebuilding_oracle(budget):
                  + _collapsible_splittings(12, 59))
     results = [is_minimal_reachable(splitting, budget=budget)
                for splitting in cases]
-    assert results == [minimal_reachable_by_rebuilding(splitting, budget)
-                       for splitting in cases]
+    stopped = 0
+    for splitting, result in zip(cases, results):
+        if not _stopped_at_floor(splitting, result):
+            assert result == minimal_reachable_by_rebuilding(splitting,
+                                                             budget)
+            continue
+        stopped += 1
+        k = result.states_explored
+        assert result.certified and k <= budget
+        cut = minimal_reachable_by_rebuilding(splitting, k)
+        assert (cut.minimum, cut.splitting, cut.trace) == \
+            (result.minimum, result.splitting, result.trace)
+        if k > 1:
+            floor = hst._end_floor(splitting.levels)
+            assert minimal_reachable_by_rebuilding(
+                splitting, k - 1).minimum.entries > floor
     if budget == 10000:
         assert [(r.certified, r.states_explored) for r in results] == \
             [(False, 10001), (True, 1344)]
+    assert stopped == {1: 0, 7: 15, 100: 16, 10000: 0}[budget]
+
+
+def _pool_splittings():
+    """The 96 pool splittings of perfbench's search workload."""
+    return [random_splitting(random.Random(f"splitting-{i}"))
+            for i in range(96)]
+
+
+def test_floor_is_below_every_reachable_vector():
+    # Every state the unpruned oracle visits is reachable, so its best
+    # vector is never below the floor, certified or not; where it is
+    # certified, that best is the minimum.
+    certified = attained = 0
+    for splitting in (_pool_splittings() + _seeded_splittings(40, 89)
+                      + _collapsible_splittings(40, 97)):
+        floor = hst._end_floor(splitting.levels)
+        result = minimal_reachable_by_rebuilding(splitting, 100)
+        assert result.minimum.entries >= floor
+        certified += result.certified
+        attained += result.minimum.entries == floor
+    assert (certified, attained) == (23, 96)
+
+
+def _end_invariants(levels):
+    """The end flags and the length parity, which no rewrite changes."""
+    return (not levels[0].components, not levels[-1].components,
+            len(levels) % 2)
+
+
+def _persistent_odd_counts(levels):
+    """The odd-component counts of the bottom and top thick levels where
+    the floor's proof says they persist, else None."""
+    top = len(levels) - 1
+    bottom = levels[1] if top and not levels[0].components else None
+    if top % 2:
+        upper = levels[top]
+    elif top and not levels[top].components:
+        upper = levels[top - 1]
+    else:
+        upper = None
+    return tuple(None if level is None else
+                 sum(p % 2 for _, p in level.pairs)
+                 for level in (bottom, upper))
+
+
+def _check_floor_step(before, after):
+    assert _end_invariants(after) == _end_invariants(before)
+    for old, new in zip(_persistent_odd_counts(before),
+                        _persistent_odd_counts(after)):
+        assert (old is None) == (new is None)
+        assert old is None or new >= old
+
+
+def test_floor_invariants_hold_along_every_rewrite():
+    steps = 0
+    for splitting in (_pool_splittings() + _seeded_splittings(40, 101)
+                      + _collapsible_splittings(40, 103)):
+        for _move, successor in _successors(splitting):
+            _check_floor_step(splitting.levels, successor.levels)
+            steps += 1
+    assert steps == 11059
+
+
+def test_floor_invariants_hold_along_random_descents(monkeypatch):
+    # random_descent reads the complexity of its start and of each
+    # successor once, so wrapping _relative_entries records its path.
+    path = []
+    original = hst._relative_entries
+
+    def recording(levels):
+        path.append(levels)
+        return original(levels)
+
+    monkeypatch.setattr(hst, "_relative_entries", recording)
+    rng = random.Random(107)
+    steps = 0
+    for splitting in _pool_splittings() + _collapsible_splittings(40, 109):
+        path.clear()
+        steps += random_descent(splitting, rng)[0]
+        for before, after in zip(path, path[1:]):
+            _check_floor_step(before, after)
+    assert steps == 2733
+
+
+def test_search_at_its_floor_stops_after_one_state():
+    # a once-punctured sphere costs 1, its odd-component count
+    start = splitting_from_json([[], [[2, 1], [2, 0]], [[0, 0]], [[2, 1]]])
+    assert hst._end_floor(start.levels) == (1, 1)
+    result = is_minimal_reachable(start)
+    assert (result.minimum.entries, result.certified,
+            result.states_explored) == ((1, 1), True, 1)
+
+
+def test_floor_of_each_end_case():
+    # both ends nonempty, or no thick level: nothing persists
+    assert hst._end_floor(splitting_from_json([[]]).levels) == ()
+    both_ends = splitting_from_json([[[0, 1]], [[-2, 3]], [[0, 1]]])
+    assert hst._end_floor(both_ends.levels) == ()
+    # an even length keeps its top thick level whatever the bottom holds
+    assert hst._end_floor(splitting_from_json(
+        [[[0, 1]], [[-2, 3], [0, 1]]]).levels) == (2,)
+    assert hst._end_floor(splitting_from_json(
+        [[], [[-2, 3]], [[0, 1]]]).levels) == (1,)
+    # level 1 is both ends' level when it is the only one: counted once
+    assert hst._end_floor(splitting_from_json(
+        [[], [[0, 1], [0, 3]]]).levels) == (2,)
+    assert hst._end_floor(splitting_from_json(
+        [[], [[0, 1]], [], [[0, 0]], []]).levels) == (1, 0)
 
 
 def _successors(splitting):
@@ -496,7 +628,11 @@ def test_search_calls_legal_rewrites_once_per_expanded_state(
     for splitting in _seeded_splittings(6, 53, max_punctures=1):
         calls.clear()
         result = is_minimal_reachable(splitting, budget=budget)
-        assert len(calls) == min(result.states_explored, budget)
+        # the state that reaches the floor is counted, not expanded
+        assert len(calls) == (
+            result.states_explored - 1
+            if _stopped_at_floor(splitting, result)
+            else min(result.states_explored, budget))
         assert len({AbstractSplitting(levels).canonical()
                     for levels in calls}) == len(calls)
 
@@ -587,7 +723,7 @@ def _clear_rewrite_caches():
 
 
 def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
-    # Pool splittings 1, 3 and 16 of perfbench's search workload fill
+    # Pool splittings 2, 10 and 20 of perfbench's search workload fill
     # their 10^4-state budgets; their thick levels meet many pairs of
     # neighbours.  One cold search evicts from neither cache.
     thick = set()
@@ -599,7 +735,7 @@ def test_level_cache_fills_once_per_distinct_thick_level(monkeypatch):
 
     monkeypatch.setattr(hst, "legal_rewrites", recording)
     try:
-        for i in (1, 3, 16):
+        for i in (2, 10, 20):
             thick.clear()
             _clear_rewrite_caches()
             splitting = random_splitting(random.Random(f"splitting-{i}"))
