@@ -38,10 +38,9 @@ print("A width-reducing exchange:")
 tangled = MorsePresentation.of(("B", 0), ("B", 0), ("B", 0), ("D", 2),
                                ("D", 0), ("D", 0))
 print(f"  start: width {width(tangled).width}, "
-      f"legal exchanges {legal_exchanges(tangled)}")
-result = exchange_move(tangled, 3, 2)
-print(f"  after swapping: width {width(result.presentation).width} "
-      f"(drop {result.width_decrease})")
+      f"legal exchanges at births {legal_exchanges(tangled)}")
+before, after = width(tangled).width, width(exchange_move(tangled, 2)).width
+print(f"  after swapping: width {after} (drop {before - after})")
 # Exchanges act on disjoint pairs and commute, so every maximal chain of
 # them ends at one presentation, the least width they reach.
 thinnest = thin_position_search(tangled, mode="exchange")

@@ -37,10 +37,10 @@ _HOMES = {
     **dict.fromkeys(
         ("Component", "AbstractSurface", "AbstractSplitting",
          "ComplexityVector", "HstError", "SPHERE", "TORUS", "EMPTY_SURFACE",
-         "genus", "c_surface", "compare_complexity", "splitting_complexity",
-         "compress", "NonseparatingCompression", "SeparatingCompression",
+         "genus", "c_surface", "splitting_complexity", "compress",
+         "NonseparatingCompression", "SeparatingCompression",
          "RelativeCompression", "untangle_step", "underlying_splitting",
-         "is_minimal_reachable", "LESS", "EQUAL", "GREATER", "hst"), "hst"),
+         "is_minimal_reachable", "hst"), "hst"),
     **dict.fromkeys(
         ("MorsePresentation", "Event", "WidthProfile", "PresentationError",
          "parse_presentation", "format_presentation", "width",

@@ -347,8 +347,8 @@ def cmd_selftest(args):
             raise InputProblem(
                 f"--criteria: unknown criterion {quoted(unknown[0])}, "
                 f"choose from {', '.join(sorted(known))}")
-        numbers = sorted(known[x] for x in parts)
-    results = selftest.run(numbers, seed=args.seed)
+        numbers = sorted({known[x] for x in parts})
+    results = selftest.run(numbers)
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_SEMANTIC
@@ -444,8 +444,6 @@ def build_parser():
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
-    p.add_argument("--seed", type=_integer, default=20260810,
-                   help="seed of criterion 5's random descents")
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -183,7 +183,7 @@ def brute_force_enumerate(tri, max_total_coordinate):
                 ba, bb = assigned[ta], assigned[tb]
                 for w in model.FACE_VERTICES[fa]:
                     if model.arc_count(ba, fa, w) != \
-                            model.arc_count(bb, fb, g.image_of_vertex(w)):
+                            model.arc_count(bb, fb, g.perm[w]):
                         ok = False
                         break
                 if not ok:

@@ -9,8 +9,9 @@ thick levels at odd ones.
 
 The complexity of a surface is the sum of (2 - chi)^2 over components;
 a splitting's complexity is the non-increasing vector of its thick-level
-complexities, compared lexicographically with the convention that a
-proper prefix is smaller.  Compression rewrites and the four-case
+complexities, a tuple compared by Python's tuple order: lexicographic,
+with a proper prefix smaller.  The prefix rule makes dropping a thick
+level a strict decrease.  Compression rewrites and the four-case
 weak-reduction step strictly decrease these complexities, which is what
 makes every rewrite search terminate.
 """
@@ -149,11 +150,9 @@ def c_surface(surface, relative=False):
 # Complexity vectors
 # ---------------------------------------------------------------------------
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
 class ComplexityVector(Record):
-    """Non-increasing vector of nonnegative integers."""
+    """Non-increasing vector of nonnegative integers; ``entries`` is a
+    tuple, so vectors compare by the tuple order of the module docstring."""
     __slots__ = ("entries",)
 
     def __init__(self, entries):
@@ -165,18 +164,6 @@ class ComplexityVector(Record):
 
     def __len__(self):
         return len(self.entries)
-
-
-def compare_complexity(a, b):
-    """Lexicographic comparison; a proper prefix is smaller.
-
-    This is Python's tuple order.  The prefix rule makes dropping a
-    thick level a strict decrease, which the termination arguments rely
-    on.
-    """
-    xs = a.entries if isinstance(a, ComplexityVector) else tuple(a)
-    ys = b.entries if isinstance(b, ComplexityVector) else tuple(b)
-    return (xs > ys) - (xs < ys)
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +707,24 @@ def random_descent(splitting, rng):
     Draws single compressions directly and, on half of the steps,
     first attempts untangle steps with randomly paired moves (full
     enumeration of move pairs is avoided, so long runs stay cheap).
-    Returns (moves applied, final splitting); asserts strict
-    lexicographic descent at every step, so nontermination would
-    surface as an error.
+    Returns (moves applied, final splitting); asserts strict descent of
+    the complexity vector at every step, so nontermination would surface
+    as an error.
+
+    Like :func:`is_minimal_reachable`, it holds each state as its tuple
+    of levels, each of which would pass the constructor's check by the
+    parity argument there, and builds only the splitting it returns.
     """
     steps = 0
-    current = splitting
-    vec = _relative_entries(current.levels)
+    levels = splitting.levels
+    vec = _relative_entries(levels)
     while True:
-        thicks = current.thick_indices()
-        levels = current.levels
+        thicks = range(1, len(levels), 2)
         compressions = sum(len(levels[p].moves) for p in thicks)
         if not compressions:
-            return steps, current
+            return steps, AbstractSplitting(levels)
         replacement = None
-        interior = [p for p in thicks if 1 <= p < len(levels) - 1]
+        interior = range(1, len(levels) - 1, 2)
         if interior and rng.random() < 0.5:
             for _ in range(4):
                 p = rng.choice(interior)
@@ -764,12 +754,11 @@ def random_descent(splitting, rng):
                 k -= len(moves)
             start, stop = p, p + 1
             replacement = (compress(levels[p], moves[k]),)
-        successor = AbstractSplitting(
-            levels[:start] + replacement + levels[stop:])
-        new_vec = _relative_entries(successor.levels)
+        levels = levels[:start] + replacement + levels[stop:]
+        new_vec = _relative_entries(levels)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"
-        current, vec = successor, new_vec
+        vec = new_vec
         steps += 1
 
 

@@ -223,20 +223,21 @@ class MatchingSystem(Record):
     triangle/quad coordinates: column 7t + s is slot s (triangles 0..3,
     quads 4..6) of tetrahedron t.  Each row is sparse: its (column,
     coefficient) pairs in ascending column order, with no zero
-    coefficient, so at most four.  Row labels record ((t, f), (t', f'),
-    v): the arc type (f, v) matched with (f', perm(v)).
+    coefficient, so at most four.  Rows come in the order of
+    ``tri.face_pairs()``, each glued pair (t, f) -> (t', f') giving one
+    row per v in ``model.FACE_VERTICES[f]``: the arc type (f, v) matched
+    with (f', perm[v]).
 
     ``quads`` masks the quad columns, of which a support may hold at
     most one per tetrahedron.  A support's quads q hold two of one
     tetrahedron exactly when q & (q >> 1 | q >> 2): bits of one
     tetrahedron lie 1 or 2 apart, and of different ones at least 5.
     """
-    __slots__ = ("columns", "rows", "row_labels", "quads")
+    __slots__ = ("columns", "rows", "quads")
 
-    def __init__(self, columns, rows, row_labels, quads):
+    def __init__(self, columns, rows, quads):
         setfield(self, "columns", columns)
         setfield(self, "rows", rows)
-        setfield(self, "row_labels", row_labels)
         setfield(self, "quads", quads)
 
 
@@ -255,11 +256,10 @@ def matching_system(tri):
     and a column whose sum is zero is left out.
     """
     rows = []
-    labels = []
     for t, f, g in tri.face_pairs():
         u, f2 = g.tet, g.face
         for v in model.FACE_VERTICES[f]:
-            v2 = g.image_of_vertex(v)
+            v2 = g.perm[v]
             row = ((7 * t + v, 1), (7 * t + 4 + model.ARC_QUAD[f][v], 1),
                    (7 * u + v2, -1), (7 * u + 4 + model.ARC_QUAD[f2][v2], -1))
             if u == t:
@@ -268,9 +268,8 @@ def matching_system(tri):
                     merged[column] = merged.get(column, 0) + sign
                 row = tuple(sorted((c, x) for c, x in merged.items() if x))
             rows.append(row)
-            labels.append(((t, f), (u, f2), v))
     n = tri.tetrahedron_count
-    return MatchingSystem(7 * n, tuple(rows), tuple(labels),
+    return MatchingSystem(7 * n, tuple(rows),
                           sum(0b111 << 7 * t + 4 for t in range(n)))
 
 
@@ -358,7 +357,7 @@ def check_admissible(tri, v):
         f2 = g.face << 2
         for w in model.FACE_VERTICES[f]:
             lhs = arcs_a[f << 2 | w]
-            rhs = arcs_b[f2 | g.image_of_vertex(w)]
+            rhs = arcs_b[f2 | g.perm[w]]
             if lhs != rhs:
                 violations.append(Violation(
                     "matching",

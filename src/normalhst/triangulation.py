@@ -50,9 +50,6 @@ class Gluing(Record):
         setfield(self, "face", face)
         setfield(self, "perm", perm)
 
-    def image_of_vertex(self, v):
-        return self.perm[v]
-
 
 class Triangulation:
     """An immutable collection of tetrahedra with face pairings.

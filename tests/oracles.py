@@ -151,12 +151,12 @@ def explicit_skeleton(tri):
                 continue
             faces.union((t, f), (g.tet, g.face))
             for v in model.FACE_VERTICES[f]:
-                vertices.union((t, v), (g.tet, g.image_of_vertex(v)))
+                vertices.union((t, v), (g.tet, g.perm[v]))
             for e in model.FACE_EDGES[f]:
                 e2 = image_of_edge(g, e)
                 edges.union((t, e), (g.tet, e2))
                 u, v = model.EDGES[e]
-                flip = 0 if g.image_of_vertex(u) < g.image_of_vertex(v) else 1
+                flip = 0 if g.perm[u] < g.perm[v] else 1
                 directed.union((t, e, 0), (g.tet, e2, flip))
                 directed.union((t, e, 1), (g.tet, e2, 1 - flip))
 
@@ -232,7 +232,7 @@ def link_chi(tri, vertex_orbit_members):
             g = tri.gluings[t][f]
             if g is None:
                 continue
-            v2 = g.image_of_vertex(v)
+            v2 = g.perm[v]
             sides.union((t, v, f), (g.tet, v2, g.face))
             for e in model.FACE_EDGES[f]:
                 if v in model.EDGES[e]:
@@ -346,7 +346,7 @@ def surface_cells(tri, vector):
                         boundary_arc.add(("arc", t, f, v, rank))
                 continue
             for v in model.FACE_VERTICES[f]:
-                v2 = g.image_of_vertex(v)
+                v2 = g.perm[v]
                 a_list = _arc_rank_positions(vector, t, f, v)
                 b_list = _arc_rank_positions(vector, g.tet, g.face, v2)
                 assert len(a_list) == len(b_list)
@@ -379,8 +379,8 @@ def surface_cells(tri, vector):
                 u, w = model.EDGES[e]
                 width = _edge_width(vector, t, e)
                 assert width == _edge_width(vector, g.tet, e2)
-                u2 = g.image_of_vertex(u)
-                same = u2 == min(u2, g.image_of_vertex(w))
+                u2 = g.perm[u]
+                same = u2 == min(u2, g.perm[w])
                 for pos in range(width):
                     pos2 = pos if same else width - 1 - pos
                     cells.union(("cross", t, e, pos),
@@ -548,7 +548,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
     glued_arcs = []
     for t, f, g in tri.face_pairs():
         for w in model.FACE_VERTICES[f]:
-            w2 = g.image_of_vertex(w)
+            w2 = g.perm[w]
             side_a = face_arcs(v.tets[t], f, w)
             side_b = face_arcs(v.tets[g.tet], g.face, w2)
             assert len(side_a) == len(side_b)
@@ -559,7 +559,7 @@ def explicit_reconstruction(tri, v, skeleton=None):
                 e_from, end = sa[2]
                 mapped_from = (image_of_edge(g, e_from),
                                None if end is None
-                               else g.image_of_vertex(end))
+                               else g.perm[end])
                 join(ia, index[(g.tet,) + pb], mapped_from == sb[2])
                 glued_arcs.append(ia)
 
@@ -763,14 +763,14 @@ def naive_canonical_word(word):
 
 
 def exchanges_by_trial(pres):
-    """Every (death_index, birth_index) whose exchange_move succeeds."""
+    """Every birth index whose exchange_move succeeds."""
     out = []
     for b in range(len(pres.events) - 1):
         try:
-            exchange_move(pres, b + 1, b)
+            exchange_move(pres, b)
         except PresentationError:
             continue
-        out.append((b + 1, b))
+        out.append(b)
     return out
 
 
@@ -836,8 +836,8 @@ def exchange_minimum_by_search(pres, budget=100000, single_component=False):
         if not (single_component and prof.hits_zero_interior) \
                 and (best is None or prof.width < best):
             best, best_pres = prof.width, current
-        for d, b in legal_exchanges(current):
-            stack.append(exchange_move(current, d, b).presentation)
+        for b in legal_exchanges(current):
+            stack.append(exchange_move(current, b))
     if best is None:
         raise PresentationError(
             "no presentation satisfies the single-component flag")

@@ -75,7 +75,7 @@ def test_criterion_7_determinism_subprocess(tmp_path):
         ["hst", str(split_file), "--action", "search", "--format", "json"],
         ["width", str(pres_file), "--action", "search", "--search-mode",
          "all", "--format", "json"],
-        ["selftest", "--criteria", "1,3,6", "--seed", "20260810"],
+        ["selftest", "--criteria", "1,3,6"],
     ]
     for argv in commands:
         first_code, first_out = _run_cli(argv)

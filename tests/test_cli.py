@@ -2,7 +2,9 @@ import argparse
 import inspect
 import json
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -863,6 +865,13 @@ def test_selftest_single_criterion(capsys):
     assert out.startswith("criterion 1 [PASS]")
 
 
+def test_selftest_runs_each_named_criterion_once(capsys):
+    assert run(["selftest", "--criteria", "6,1,1,6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" [")[0] for line in lines] == \
+        ["criterion 1", "criterion 6"]
+
+
 @pytest.mark.parametrize("criteria", ["9", "x", "1,0", ""])
 def test_selftest_unknown_criterion_exit_2(capsys, criteria):
     assert run(["selftest", "--criteria", criteria]) == 2
@@ -893,8 +902,7 @@ def test_bad_int_is_one_line(files, capsys):
 # int() reads each of these as an integer: a sign, an underscore, a
 # leading zero, an Arabic-Indic digit.
 @pytest.mark.parametrize("text", ["+1", "1_0", "01", "\u0661"])
-@pytest.mark.parametrize("command", ["curves", "enumerate", "hst",
-                                     "selftest"])
+@pytest.mark.parametrize("command", ["curves", "enumerate", "hst"])
 def test_non_canonical_integer_is_one_line(files, capsys, command, text):
     argv, name = {
         "curves": (["curves", text] + ["1"] * 11, "N"),
@@ -902,8 +910,6 @@ def test_non_canonical_integer_is_one_line(files, capsys, command, text):
                        "--bound", text], "--bound"),
         "hst": (["hst", files["split"], "--action", "search",
                  "--budget", text], "--budget"),
-        "selftest": (["selftest", "--criteria", "1", "--seed", text],
-                     "--seed"),
     }[command]
     assert _rejected(argv, capsys) == (
         f"error: normalhst {command}: argument {name}: "
@@ -928,6 +934,7 @@ def test_missing_positional_is_one_line(capsys):
     ["selftest", "--format", "json"],
     ["width", "pres", "--action", "search", "--budget", "5"],
     ["surface", "doubled", "link", "--mode", "normal"],
+    ["selftest", "--seed", "1"],
 ])
 def test_removed_flags_are_one_line(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]
@@ -960,3 +967,24 @@ def test_every_option_is_read_by_its_handler():
             if f"args.{action.dest}" not in source:
                 inert.add((name, action.dest))
     assert inert == INERT_OPTIONS
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
+
+
+def test_readme_and_parser_name_the_same_options():
+    # Every option the parser defines is named in the README, and every
+    # flag of the README's "Command line" synopsis is one it defines.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {option for command in sub.choices.values()
+               for action in command._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    text = README.read_text(encoding="utf-8")
+    synopsis = re.search(r"## Command line\n\n```\n(.*?)```", text,
+                         re.S).group(1)
+    assert options - set(FLAG.findall(text)) == set()
+    assert set(FLAG.findall(synopsis)) - options == set()

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from normalhst import hst
 from normalhst.limits import ResourceCeilingError
-from normalhst.hst import (EMPTY_SURFACE, EQUAL, GREATER, LESS, SPHERE, TORUS,
-                           AbstractSplitting, AbstractSurface, Component,
-                           ComplexityVector, HstError,
-                           NonseparatingCompression, RelativeCompression,
-                           SeparatingCompression, c_surface,
-                           compare_complexity, component_moves, compress,
+from normalhst.hst import (EMPTY_SURFACE, SPHERE, TORUS, AbstractSplitting,
+                           AbstractSurface, Component, ComplexityVector,
+                           HstError, NonseparatingCompression,
+                           RelativeCompression, SeparatingCompression,
+                           c_surface, component_moves, compress,
                            genus, is_minimal_reachable, legal_rewrites,
                            random_descent, random_splitting,
                            splitting_complexity, splitting_from_json,
@@ -50,11 +49,24 @@ def test_component_validation():
         Component(0, -1)
 
 
+def _entries(values):
+    return ComplexityVector(tuple(values)).entries
+
+
+def _lexicographically_less(a, b):
+    """The order of the module docstring, written out: the first
+    differing entry decides, and a proper prefix is smaller."""
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return len(a) < len(b)
+
+
 def test_compare_examples():
-    assert compare_complexity((4,), (4, 0)) == LESS
-    assert compare_complexity((16, 4), (16, 3, 3)) == GREATER
-    assert compare_complexity((4, 4), (4, 4)) == EQUAL
-    assert compare_complexity((), (0,)) == LESS
+    assert _entries((4,)) < _entries((4, 0))
+    assert _entries((16, 4)) > _entries((16, 3, 3))
+    assert _entries((4, 4)) == _entries((4, 4))
+    assert _entries(()) < _entries((0,))
 
 
 def test_complexity_vector_validation():
@@ -72,12 +84,11 @@ vectors = st.lists(st.integers(0, 40), max_size=5).map(
 @given(vectors, vectors, vectors)
 @settings(max_examples=200, deadline=None)
 def test_compare_is_total_order(a, b, c):
-    ab = compare_complexity(a, b)
-    ba = compare_complexity(b, a)
-    assert ab == -ba
-    assert (ab == EQUAL) == (a == b)
-    if ab != GREATER and compare_complexity(b, c) != GREATER:
-        assert compare_complexity(a, c) != GREATER
+    a, b, c = _entries(a), _entries(b), _entries(c)
+    assert (a < b) == _lexicographically_less(a, b)
+    assert (a < b) + (a == b) + (b < a) == 1
+    if a <= b <= c:
+        assert a <= c
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +183,8 @@ def test_untangle_case_1():
                         NonseparatingCompression(0), False, False)
     assert len(out.levels) == 5
     assert out.thick_indices() == (1, 3)
-    assert compare_complexity(splitting_complexity(out),
-                              splitting_complexity(base)) == LESS
+    assert splitting_complexity(out).entries < \
+        splitting_complexity(base).entries
 
 
 def test_untangle_case_2():
@@ -204,8 +215,8 @@ def test_untangle_case_4_collapses():
                         NonseparatingCompression(0), True, True)
     assert len(out.levels) == 1
     assert out.levels[0].components == (SPHERE,)
-    assert compare_complexity(splitting_complexity(out),
-                              splitting_complexity(base)) == LESS
+    assert splitting_complexity(out).entries < \
+        splitting_complexity(base).entries
 
 
 def test_untangle_rejects_even_level():
@@ -278,9 +289,8 @@ def test_untangle_case_1_descent_window():
                 except HstError:
                     continue
                 out = untangle_step(base, 1, d, e, False, False)
-                assert compare_complexity(
-                    splitting_complexity(out, True),
-                    splitting_complexity(base, True)) == LESS
+                assert splitting_complexity(out, True).entries < \
+                    splitting_complexity(base, True).entries
                 for p in out.thick_indices():
                     assert c_surface(out.levels[p], True) < \
                         c_surface(level, True)
@@ -293,8 +303,8 @@ def test_untangle_separating_branches():
     for branch in (0, 1):
         e = NonseparatingCompression(0, branch=branch)
         out = untangle_step(base, 1, d, e, False, False)
-        assert compare_complexity(splitting_complexity(out),
-                                  splitting_complexity(base)) == LESS
+        assert splitting_complexity(out).entries < \
+            splitting_complexity(base).entries
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +831,7 @@ def test_every_rewrite_decreases():
         before = splitting_complexity(splitting, True)
         for _move, successor in _successors(splitting):
             after = splitting_complexity(successor, True)
-            assert compare_complexity(after, before) == LESS
+            assert after.entries < before.entries
 
 
 def test_random_descent_terminates():
@@ -830,9 +840,8 @@ def test_random_descent_terminates():
         splitting = random_splitting(rng)
         steps, final = random_descent(splitting, rng)
         assert not legal_rewrites(final.levels)
-        assert compare_complexity(
-            splitting_complexity(final, True),
-            splitting_complexity(splitting, True)) != GREATER
+        assert splitting_complexity(final, True).entries <= \
+            splitting_complexity(splitting, True).entries
 
 
 def test_random_descent_steps_are_legal_rewrites(monkeypatch):

@@ -21,15 +21,15 @@ from normalhst.normal_surfaces import vertex_link
 ALL = [
     "ALMOST_NORMAL_OCTAGON", "ALMOST_NORMAL_TUBE", "AbstractSplitting",
     "AbstractSurface", "CeilingSettingError", "ComplexityVector", "Component",
-    "CurvePattern", "EMPTY_SURFACE", "EQUAL", "Event", "GREATER", "Gluing",
-    "HstError", "INADMISSIBLE", "LESS", "LoopClass", "LoopDecomposition",
+    "CurvePattern", "EMPTY_SURFACE", "Event", "Gluing", "HstError",
+    "INADMISSIBLE", "LoopClass", "LoopDecomposition",
     "MorsePresentation", "NORMAL", "NonseparatingCompression", "ParseError",
     "PatternError", "PresentationError", "RelativeCompression",
     "ResourceCeilingError", "SPHERE", "SeparatingCompression", "Skeleton",
     "SurfaceError", "SurfaceSummary", "SurfaceVector", "TORUS",
     "Triangulation", "TriangulationError", "TubeAnnotation", "WidthProfile",
     "brute_force_enumerate", "c_surface", "check_348", "check_admissible",
-    "classify", "compare_complexity", "compress", "compute_skeleton",
+    "classify", "compress", "compute_skeleton",
     "curve_patterns", "decompose_pattern", "enumerate_normal_loops",
     "enumerate_vertex_surfaces", "enumeration", "euler_characteristic",
     "exchange_move", "find_connected_chi2", "format_presentation", "genus",

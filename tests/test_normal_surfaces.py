@@ -72,15 +72,19 @@ def test_sparse_rows_match_arc_counts(tri):
         units.append([(tuple(flat[7 * t:7 * t + 4]),
                        tuple(flat[7 * t + 4:7 * t + 7]), (0, 0, 0))
                       for t in range(n)])
-    for row, ((t, f), (t2, f2), v) in zip(system.rows, system.row_labels):
+    # Rows come in the order of tri.face_pairs(), then of the face's
+    # vertices v: the arc type (f, v) matched with (f2, perm[v]).
+    labels = [(t, f, g, v) for t, f, g in tri.face_pairs()
+              for v in model.FACE_VERTICES[f]]
+    assert len(labels) == len(system.rows)
+    for row, (t, f, g, v) in zip(system.rows, labels):
         columns = [c for c, _ in row]
         assert columns == sorted(set(columns)) and len(row) <= 4
-        g = tri.gluings[t][f]
-        assert (g.tet, g.face) == (t2, f2)
+        t2, f2 = g.tet, g.face
         coefficients = dict(row)
         for c, blocks in enumerate(units):
             want = model.arc_count(blocks[t], f, v) \
-                - model.arc_count(blocks[t2], f2, g.image_of_vertex(v))
+                - model.arc_count(blocks[t2], f2, g.perm[v])
             assert coefficients.get(c, 0) == want
         assert 0 not in coefficients.values()
     # The shift test on the quad mask agrees with the oracle's 7-slices.

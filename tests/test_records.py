@@ -30,7 +30,7 @@ from normalhst.normal_surfaces import (AdmissibilityReport, MatchingSystem,
                                        Violation)
 from normalhst.record import FrozenInstanceError, Record, setfield
 from normalhst.selftest import CriterionResult
-from normalhst.thin_position import (Event, ExchangeResult, MorsePresentation,
+from normalhst.thin_position import (Event, MorsePresentation,
                                      PresentationError, ThinPositionResult,
                                      WidthProfile)
 from normalhst.triangulation import (Gluing, ManifoldReport, Skeleton,
@@ -56,9 +56,8 @@ SAMPLES = {
                     ((((1, 0, 0, 0), (0, 0, 0), (0, 0, 0)),),),
                     {"tube": TubeAnnotation(0, ("tri", 0, 0),
                                             ("tri", 1, 0))}),
-    MatchingSystem: ("(columns, rows, row_labels, quads)",
-                     (14, (((0, 1), (7, -1)),), (((0, 0), (1, 0), 1),),
-                      0b11100000001110000), {}),
+    MatchingSystem: ("(columns, rows, quads)",
+                     (14, (((0, 1), (7, -1)),), 0b11100000001110000), {}),
     Violation: ("(code, message)", ("matching", "1 != 2"), {}),
     AdmissibilityReport: ("(mode, violations)", ("normal", ()), {}),
     SurfaceSummary: ("(component_chis, component_closed, "
@@ -88,7 +87,6 @@ SAMPLES = {
     MorsePresentation: ("(events)", (PRESENTATION.events,), {}),
     WidthProfile: ("(profile, width, thick_indices, thin_indices, "
                    "hits_zero_interior)", ((2,), 2, (0,), (), False), {}),
-    ExchangeResult: ("(presentation, width_decrease)", (PRESENTATION, 4), {}),
     ThinPositionResult: ("(minimum_width, witness, states_explored)",
                          (2, PRESENTATION, 1), {}),
     CriterionResult: ("(number, title, passed, detail)",
@@ -116,7 +114,7 @@ def _package_records():
 
 
 def test_samples_cover_every_record_class():
-    assert len(CLASSES) == 29
+    assert len(CLASSES) == 28
     assert _package_records() == set(CLASSES)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normalhst.hst import AbstractSplitting, legal_rewrites
 from normalhst.thin_position import (BIRTH, DEATH, Event, MorsePresentation,
                                      PresentationError, all_presentations,
                                      exchange_move, format_presentation,
@@ -137,11 +138,13 @@ def test_induced_matches_profile_maxima():
 def test_exchange_requires_birth_then_death():
     pres = MorsePresentation.of("B", "D")
     with pytest.raises(PresentationError, match="independent"):
-        exchange_move(pres, 1, 0)
+        exchange_move(pres, 0)
     with pytest.raises(PresentationError, match="birth immediately"):
-        exchange_move(MorsePresentation.of("B", "B", "D", "D"), 1, 0)
-    with pytest.raises(PresentationError, match="event index out of range"):
-        exchange_move(pres, 2, 1)
+        exchange_move(MorsePresentation.of("B", "B", "D", "D"), 0)
+    for index in (1, -1):
+        with pytest.raises(PresentationError,
+                           match="event index out of range"):
+            exchange_move(pres, index)
 
 
 def test_exchange_legal_case():
@@ -150,11 +153,10 @@ def test_exchange_legal_case():
     pres = MorsePresentation.of(("B", 0), ("B", 0), ("B", 0), ("D", 2),
                                 ("D", 0), ("D", 0))
     before = width(pres).width
-    result = exchange_move(pres, 3, 2)
-    assert result.width_decrease == 4
-    assert width(result.presentation).width == before - 4
+    result = exchange_move(pres, 2)
+    assert width(result).width == before - 4
     # the swapped events: death first (reindexed), then birth
-    kinds = result.presentation.kinds()
+    kinds = result.kinds()
     assert kinds == "BBDBDD"
 
 
@@ -162,7 +164,7 @@ def test_exchange_interleaved_rejected():
     # death joins exactly the newborn strands
     pres = MorsePresentation.of(("B", 0), ("B", 0), ("D", 0), ("D", 0))
     with pytest.raises(PresentationError, match="independent"):
-        exchange_move(pres, 2, 1)
+        exchange_move(pres, 1)
 
 
 def test_all_legal_exchanges_drop_width_by_four():
@@ -170,9 +172,8 @@ def test_all_legal_exchanges_drop_width_by_four():
     for count in range(2, 7):
         for pres in all_presentations(count):
             w0 = width(pres).width
-            for d, b in legal_exchanges(pres):
-                result = exchange_move(pres, d, b)
-                assert width(result.presentation).width == w0 - 4
+            for b in legal_exchanges(pres):
+                assert width(exchange_move(pres, b)).width == w0 - 4
                 checked += 1
     assert checked > 0
 
@@ -185,6 +186,29 @@ def test_legal_exchanges_match_trial_moves():
             assert legal == exchanges_by_trial(pres)
             found += len(legal)
     assert found > 1000
+
+
+def test_every_exchange_is_one_hst_rewrite():
+    # The splitting induced after each legal exchange has the key of a
+    # legal_rewrites successor of the splitting induced before it.
+    found = []
+    for count in (4, 6, 8):
+        found.append(0)
+        for pres in all_presentations(count):
+            exchanges = legal_exchanges(pres)
+            if not exchanges:
+                continue
+            levels = induced_splitting(pres).levels
+            successors = {
+                AbstractSplitting(levels[:start] + replacement
+                                  + levels[stop:]).canonical()
+                for _move, start, stop, replacement, _codes
+                in legal_rewrites(levels)}
+            for b in exchanges:
+                after = induced_splitting(exchange_move(pres, b))
+                assert after.canonical() in successors
+                found[-1] += 1
+    assert found == [2, 148, 15810]
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_orbit_soundness():
                 assert f_orbit[(t, f)] == f_orbit[(g.tet, g.face)]
                 for v in model.FACE_VERTICES[f]:
                     assert v_orbit[(t, v)] == \
-                        v_orbit[(g.tet, g.image_of_vertex(v))]
+                        v_orbit[(g.tet, g.perm[v])]
                 for e in model.FACE_EDGES[f]:
                     assert e_orbit[(t, e)] == \
                         e_orbit[(g.tet, image_of_edge(g, e))]
