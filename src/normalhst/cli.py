@@ -9,6 +9,7 @@ diverge.  Exit codes: 0 success, 1 semantic failure, 2 input error,
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -450,9 +451,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; ``argv`` None reads ``sys.argv``, as a process.
+
+    Run that way, it freezes the collector on every way out, ``--help``
+    and argument errors (``SystemExit``) included, so the collections
+    at interpreter exit skip the objects still alive instead of walking
+    them.  A caller that passes ``argv`` runs in process, and the
+    collector is left as it was.
+    """
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code
@@ -476,6 +484,9 @@ def main(argv=None):
         print("resource ceiling: the result holds an integer past Python's "
               "integer string conversion limit", file=sys.stderr)
         return EXIT_CEILING
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

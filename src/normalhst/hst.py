@@ -162,9 +162,6 @@ class ComplexityVector(Record):
             raise HstError("complexity vector must be non-increasing")
         setfield(self, "entries", entries)
 
-    def __len__(self):
-        return len(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # Splittings

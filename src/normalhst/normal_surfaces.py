@@ -17,12 +17,13 @@ identified face matches these orders, which makes reconstruction a pure
 function of the vector.
 """
 
+from bisect import bisect_right
 from functools import cache
 
 from . import model
 from .limits import ResourceCeilingError, ceiling
 from .record import Record, json_array, json_int, quoted, setfield
-from .triangulation import compute_skeleton
+from .triangulation import compute_edge_orbits, compute_skeleton
 
 
 class SurfaceError(ValueError):
@@ -727,12 +728,12 @@ def _crossing_direction(slot, e):
     raise AssertionError((slot, e))
 
 
-def _edge_weights(tets, skeleton):
+def _edge_weights(tets, edge_orbits):
     # Six weights per tetrahedron, computed once per distinct block.
     tets = list(map(cache(lambda block: tuple(
         model.edge_weight(block, e) for e in range(6))), tets))
     weights = []
-    for orbit in skeleton.edge_orbits:
+    for orbit in edge_orbits:
         t0, e0 = orbit[0]
         weight = tets[t0][e0]
         for (t, e) in orbit[1:]:
@@ -742,18 +743,18 @@ def _edge_weights(tets, skeleton):
     return tuple(weights)
 
 
-def _blocks(rows, tets, skeleton):
+def _blocks(rows, tets, edge_orbits):
     """Nonzero blocks in piece order, and where they sit.
 
     Returns the tetrahedra that hold pieces and those that hold a
     block of two or more copies, both ascending; per tetrahedron its
-    stack table (see :func:`_stacks`) and its first block number;
-    and per block its count, V - E + F per piece and whether a piece
-    has a boundary arc.
+    stack table (see :func:`_stacks`) and its first block number, the
+    count of blocks before it, so these ascend; and per block its
+    count, V - E + F per piece and whether a piece has a boundary arc.
     """
     n = len(rows)
     first_edges = [0] * n
-    for orbit in skeleton.edge_orbits:
+    for orbit in edge_orbits:
         t, e = orbit[0]
         first_edges[t] |= 1 << e
     held, many = [], []
@@ -762,11 +763,11 @@ def _blocks(rows, tets, skeleton):
     # Each distinct stack table and shape is built once per call.
     tables, shapes = {}, {}
     for t, (tri_c, quad_c, oct_c) in enumerate(tets):
+        first_block[t] = len(count)
         counts = tri_c + quad_c + oct_c
         if not any(counts):
             continue
         held.append(t)
-        first_block[t] = len(count)
         shape = first_edges[t] << 8
         for f, g in enumerate(rows[t]):
             if g is None:
@@ -857,6 +858,27 @@ def _cut(rows, many, stacks, first_block, count, tube_ends, limit):
     return {b: sorted(here) for b, here in cuts.items()}
 
 
+def _run_table(stack_table, first, first_run):
+    """A stack table with each block replaced by its runs.
+
+    ``first`` is the tetrahedron's first block.  Each (rank, slot,
+    forward) entry becomes one (offset, slot, forward) per run of the
+    block, offset from the tetrahedron's first run, ascending when the
+    block is forward and descending otherwise.
+    """
+    base = first_run[first]
+    table = []
+    for side in stack_table:
+        runs = []
+        for rank, slot, forward in side:
+            b = first + rank
+            offsets = range(first_run[b] - base, first_run[b + 1] - base)
+            runs += [(r, slot, forward)
+                     for r in (offsets if forward else reversed(offsets))]
+        table.append(tuple(runs))
+    return tuple(table)
+
+
 def _join_runs(rows, vector, held, stacks, first_block, count, weight,
                is_open, cuts, tube_ends, limit):
     """Per component its chi, closedness and orientability, and R."""
@@ -876,6 +898,12 @@ def _join_runs(rows, vector, held, stacks, first_block, count, weight,
     sheets = ParityUnionFind(run_count)
     union = sheets.union
 
+    # Per tetrahedron its runs on each arc type, offset from its first
+    # run: its stack table, unless it holds a cut block.
+    tables = stacks[:]
+    for t in {bisect_right(first_block, b) - 1 for b in cuts}:
+        tables[t] = _run_table(stacks[t], first_block[t], first_run)
+
     # Per gluing permutation, the label of each case met so far.
     labels_by_perm = {}
     for t, f, g in _glued_faces(rows, held):
@@ -883,60 +911,27 @@ def _join_runs(rows, vector, held, stacks, first_block, count, weight,
         labels = labels_by_perm.get(perm)
         if labels is None:
             labels = labels_by_perm[perm] = {}
-        stacks_a, stacks_b = stacks[t], stacks[u]
-        base_a, base_b = first_block[t], first_block[u]
+        table_a, table_b = tables[t], tables[u]
+        base_a, base_b = first_run[first_block[t]], first_run[first_block[u]]
         f2 = g.face << 2
         for v in model.FACE_VERTICES[f]:
             arc = f << 2 | v
-            side_a = stacks_a[arc]
-            side_b = stacks_b[f2 | perm[v]]
-            # The runs of the two sides line up.  Walk both sides
-            # block by block; done_a and done_b count the runs of
-            # the current two blocks already paired.
-            i = j = done_a = done_b = 0
-            end_a, end_b = len(side_a), len(side_b)
-            while i < end_a and j < end_b:
-                rank_a, slot_a, forward_a = side_a[i]
-                rank_b, slot_b, forward_b = side_b[j]
+            side_a = table_a[arc]
+            side_b = table_b[f2 | perm[v]]
+            # The runs of the two sides line up in stacking order.
+            assert len(side_a) == len(side_b), \
+                "matching violated during reconstruction"
+            for (ra, slot_a, _), (rb, slot_b, _) in zip(side_a, side_b):
                 key = arc * 100 + slot_a * 10 + slot_b
                 label = labels.get(key)
                 if label is None:
                     label = labels[key] = _label(perm, f, v,
                                                  slot_a, slot_b)
-                b = base_a + rank_a
-                lo_a, runs_a = first_run[b], first_run[b + 1]
-                runs_a -= lo_a
-                b = base_b + rank_b
-                lo_b, runs_b = first_run[b], first_run[b + 1]
-                runs_b -= lo_b
-                step = runs_a - done_a
-                if runs_b - done_b < step:
-                    step = runs_b - done_b
-                if forward_a:
-                    ra, da = lo_a + done_a, 1
-                else:
-                    ra, da = lo_a + runs_a - 1 - done_a, -1
-                if forward_b:
-                    rb, db = lo_b + done_b, 1
-                else:
-                    rb, db = lo_b + runs_b - 1 - done_b, -1
-                for _ in range(step):
-                    assert run_length[ra] == run_length[rb], \
-                        "matching violated during reconstruction"
-                    union(ra, rb, label)
-                    ra += da
-                    rb += db
-                done_a += step
-                done_b += step
-                if done_a == runs_a:
-                    i += 1
-                    done_a = 0
-                if done_b == runs_b:
-                    j += 1
-                    done_b = 0
-            # Both sides end together: their lengths match.
-            assert i == end_a and j == end_b, \
-                "matching violated during reconstruction"
+                ra += base_a
+                rb += base_b
+                assert run_length[ra] == run_length[rb], \
+                    "matching violated during reconstruction"
+                union(ra, rb, label)
 
     # Tube: join its two singleton runs; consecutive parallel sheets
     # get opposite boundary orientations when their crossings of
@@ -1015,6 +1010,9 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
     tetrahedron's blocks are numbered consecutively in slot order, so
     the set of its nonzero slots picks a stack table (:func:`_stacks`)
     that lists, for each arc type, the blocks meeting it by their rank.
+    Without a cut block these are the tetrahedron's runs in stacking
+    order; a tetrahedron holding a cut block gets a table of its runs
+    (:func:`_run_table`), so two glued arcs pair their runs in order.
     The label of two glued blocks depends only on their slots, the arc
     type and the gluing permutation, and each reconstruction computes
     it once per distinct case (:func:`_label`), as it builds each
@@ -1054,17 +1052,18 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
 
     ``report`` is v's :func:`check_admissible` report, for a caller
     that has it already; without it the vector is checked here.  Either
-    way an inadmissible vector raises :class:`SurfaceError`.
+    way an inadmissible vector raises :class:`SurfaceError`.  Only the
+    ``skeleton``'s edge orbits are read; without one, only they are walked.
     """
-    if skeleton is None:
-        skeleton = compute_skeleton(tri)
+    edge_orbits = (compute_edge_orbits(tri)[0] if skeleton is None
+                   else skeleton.edge_orbits)
     _require_admissible(check_admissible(tri, v) if report is None
                         else report)
-    edge_weights = _edge_weights(v.tets, skeleton)
+    edge_weights = _edge_weights(v.tets, edge_orbits)
     limit = ceiling("surface_cells")
     rows = tri.gluings
     held, many, stacks, first_block, count, weight, is_open = \
-        _blocks(rows, v.tets, skeleton)
+        _blocks(rows, v.tets, edge_orbits)
     # (block number, copy) of the tube's two pieces: a block's number
     # is its tetrahedron's first plus its rank there.
     tube_ends = ()

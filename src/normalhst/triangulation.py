@@ -321,56 +321,26 @@ class Skeleton(Record):
 _EXIT = tuple({fa: fb, fb: fa} for fa, fb in model.FACES_OF_EDGE)
 
 
-def compute_skeleton(tri):
-    """Orbits of vertices, edges and faces under the gluing maps.
+def compute_edge_orbits(tri):
+    """Orbits of edges under the gluing maps, and which are reversed.
 
-    Each orbit is walked from its smallest cell, cells numbered 4t+v
-    and 6t+e, and sorted, so orbits come in order of smallest member.
-    A vertex orbit is a breadth-first walk: cell (t, v) meets
-    (t', perm[v]) across every glued face of t at v, and is on the
-    boundary when one of those faces is not glued.  An edge cell lies
-    in two faces, so its orbit is a cycle or, on the boundary, a path:
-    the walk crosses the face it did not come in by, with the image
-    edge and its direction flip read from ``model.EDGE_IMAGE``, until it
-    is back at its first cell or, on a path, at a boundary face, where
-    it walks the other way from the first cell.  A cycle whose flips
-    add to an odd parity identifies an edge with itself reversed.  A
-    face orbit is one glued pair or one boundary face.  Each cell is
-    visited once and each glued face crossed a bounded number of times,
-    so the cost is linear in the tetrahedron count, plus the sorting of
-    the orbits.
+    Returns the orbits, as in :attr:`Skeleton.edge_orbits`, and per
+    orbit whether it identifies an edge with itself reversed.  Each
+    orbit is walked from its smallest cell, cells numbered 6t+e, and
+    sorted.  An edge cell lies in two faces, so its orbit is a cycle
+    or, on the boundary, a path: the walk crosses the face it did not
+    come in by, with the image edge and its direction flip read from
+    ``model.EDGE_IMAGE``, until it is back at its first cell or, on a
+    path, at a boundary face, where it walks the other way from the
+    first cell.  A cycle whose flips add to an odd parity identifies an
+    edge with itself reversed.  Each cell is visited once, so the cost
+    is linear in the tetrahedron count, plus the sorting of the orbits.
     """
-    n = tri.tetrahedron_count
     rows = tri.gluings
     edge_image = model.EDGE_IMAGE
-
-    seen = bytearray(4 * n)
-    vertex_orbits, vertex_boundary = [], []
-    for start in range(4 * n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        orbit = [start]
-        boundary = False
-        for cell in orbit:
-            t, v = cell >> 2, cell & 3
-            row = rows[t]
-            for f in model.FACE_VERTICES[v]:    # the faces f != v
-                g = row[f]
-                if g is None:
-                    boundary = True
-                    continue
-                image = 4 * g.tet + g.perm[v]
-                if not seen[image]:
-                    seen[image] = 1
-                    orbit.append(image)
-        orbit.sort()
-        vertex_orbits.append(tuple([(c >> 2, c & 3) for c in orbit]))
-        vertex_boundary.append(boundary)
-
-    seen = bytearray(6 * n)
-    edge_orbits, edge_reversed = [], []
-    for start in range(6 * n):
+    seen = bytearray(6 * tri.tetrahedron_count)
+    orbits, reversed_ = [], []
+    for start in range(len(seen)):
         if seen[start]:
             continue
         seen[start] = 1
@@ -397,8 +367,52 @@ def compute_skeleton(tri):
             if not boundary:
                 break
         orbit.sort()
-        edge_orbits.append(tuple([divmod(c, 6) for c in orbit]))
-        edge_reversed.append(reverse)
+        orbits.append(tuple([divmod(c, 6) for c in orbit]))
+        reversed_.append(reverse)
+    return tuple(orbits), tuple(reversed_)
+
+
+def compute_skeleton(tri):
+    """Orbits of vertices, edges and faces under the gluing maps.
+
+    Each orbit is walked from its smallest cell, cells numbered 4t+v
+    and 6t+e, and sorted, so orbits come in order of smallest member.
+    A vertex orbit is a breadth-first walk: cell (t, v) meets
+    (t', perm[v]) across every glued face of t at v, and is on the
+    boundary when one of those faces is not glued.  Edge orbits are
+    walked by :func:`compute_edge_orbits`.  A face orbit is one glued
+    pair or one boundary face.  Each cell is visited once and each
+    glued face crossed a bounded number of times, so the cost is linear
+    in the tetrahedron count, plus the sorting of the orbits.
+    """
+    n = tri.tetrahedron_count
+    rows = tri.gluings
+
+    seen = bytearray(4 * n)
+    vertex_orbits, vertex_boundary = [], []
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        boundary = False
+        for cell in orbit:
+            t, v = cell >> 2, cell & 3
+            row = rows[t]
+            for f in model.FACE_VERTICES[v]:    # the faces f != v
+                g = row[f]
+                if g is None:
+                    boundary = True
+                    continue
+                image = 4 * g.tet + g.perm[v]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        orbit.sort()
+        vertex_orbits.append(tuple([(c >> 2, c & 3) for c in orbit]))
+        vertex_boundary.append(boundary)
+
+    edges, edge_reversed = compute_edge_orbits(tri)
 
     face_orbits = []
     for t, row in enumerate(rows):
@@ -410,10 +424,10 @@ def compute_skeleton(tri):
 
     return Skeleton(
         vertex_orbits=tuple(vertex_orbits),
-        edge_orbits=tuple(edge_orbits),
+        edge_orbits=edges,
         face_orbits=tuple(face_orbits),
         vertex_boundary=tuple(vertex_boundary),
-        edge_reversed=tuple(edge_reversed),
+        edge_reversed=edge_reversed,
     )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import inspect
 import json
 import os
@@ -857,6 +858,38 @@ def test_closed_stdout_no_traceback(files, command):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+def test_process_freezes_collector_at_exit():
+    # Called with argv None, as the console script and ``python -m``
+    # call it, main freezes the collector on its way out, through the
+    # SystemExit of --help too.
+    script = (
+        "import gc, sys\n"
+        "from normalhst import cli\n"
+        "sys.argv = ['normalhst', 'curves'] + ['1'] * 12\n"
+        "code = cli.main()\n"
+        "frozen = gc.get_freeze_count() > 0\n"
+        "gc.unfreeze()\n"
+        "sys.argv = ['normalhst', '--help']\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    help_code = exc.code\n"
+        "print(code, frozen, help_code, gc.get_freeze_count() > 0,\n"
+        "      file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.stderr == "0 True 0 True\n"
+
+
+def test_in_process_main_leaves_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(["curves"] + [1] * 12) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_selftest_single_criterion(capsys):

@@ -516,6 +516,8 @@ _ANSWER = attrgetter("component_chis", "component_closed",
 def _assert_matches_oracle(tri, vec, sk=None):
     rebuilt = reconstruct_surface(tri, vec, sk)
     assert _ANSWER(rebuilt) == _ANSWER(explicit_reconstruction(tri, vec, sk))
+    # Without a skeleton, reconstruction walks the edge orbits alone.
+    assert reconstruct_surface(tri, vec) == rebuilt
     return rebuilt
 
 

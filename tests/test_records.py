@@ -217,7 +217,6 @@ def test_repr_lists_fields():
 def test_kept_methods_and_caches():
     assert SeparatingCompression(0, -2).kind == "separating"
     assert not Check348(False) and Check348(True)
-    assert len(ComplexityVector((4, 1))) == 2
     surface = AbstractSurface((Component(-2, 1), Component(0)))
     assert surface.pairs == ((-2, 1), (0, 0))
     assert surface.pairs is surface.pairs          # cached
