@@ -858,27 +858,6 @@ def _cut(rows, many, stacks, first_block, count, tube_ends, limit):
     return {b: sorted(here) for b, here in cuts.items()}
 
 
-def _run_table(stack_table, first, first_run):
-    """A stack table with each block replaced by its runs.
-
-    ``first`` is the tetrahedron's first block.  Each (rank, slot,
-    forward) entry becomes one (offset, slot, forward) per run of the
-    block, offset from the tetrahedron's first run, ascending when the
-    block is forward and descending otherwise.
-    """
-    base = first_run[first]
-    table = []
-    for side in stack_table:
-        runs = []
-        for rank, slot, forward in side:
-            b = first + rank
-            offsets = range(first_run[b] - base, first_run[b + 1] - base)
-            runs += [(r, slot, forward)
-                     for r in (offsets if forward else reversed(offsets))]
-        table.append(tuple(runs))
-    return tuple(table)
-
-
 def _join_runs(rows, vector, held, stacks, first_block, count, weight,
                is_open, cuts, tube_ends, limit):
     """Per component its chi, closedness and orientability, and R."""
@@ -898,11 +877,10 @@ def _join_runs(rows, vector, held, stacks, first_block, count, weight,
     sheets = ParityUnionFind(run_count)
     union = sheets.union
 
-    # Per tetrahedron its runs on each arc type, offset from its first
-    # run: its stack table, unless it holds a cut block.
-    tables = stacks[:]
-    for t in {bisect_right(first_block, b) - 1 for b in cuts}:
-        tables[t] = _run_table(stacks[t], first_block[t], first_run)
+    # Tetrahedra holding a cut block.  In any other each block is one
+    # run, so its stack table lists its runs in stacking order, and a
+    # face pair between two such tetrahedra zips its arcs' tables.
+    cut = {bisect_right(first_block, b) - 1 for b in cuts}
 
     # Per gluing permutation, the label of each case met so far.
     labels_by_perm = {}
@@ -911,27 +889,78 @@ def _join_runs(rows, vector, held, stacks, first_block, count, weight,
         labels = labels_by_perm.get(perm)
         if labels is None:
             labels = labels_by_perm[perm] = {}
-        table_a, table_b = tables[t], tables[u]
-        base_a, base_b = first_run[first_block[t]], first_run[first_block[u]]
+        stacks_a, stacks_b = stacks[t], stacks[u]
+        first_a, first_b = first_block[t], first_block[u]
+        base_a, base_b = first_run[first_a], first_run[first_b]
+        whole = t not in cut and u not in cut
         f2 = g.face << 2
         for v in model.FACE_VERTICES[f]:
             arc = f << 2 | v
-            side_a = table_a[arc]
-            side_b = table_b[f2 | perm[v]]
-            # The runs of the two sides line up in stacking order.
-            assert len(side_a) == len(side_b), \
-                "matching violated during reconstruction"
-            for (ra, slot_a, _), (rb, slot_b, _) in zip(side_a, side_b):
+            side_a = stacks_a[arc]
+            side_b = stacks_b[f2 | perm[v]]
+            if whole:
+                assert len(side_a) == len(side_b), \
+                    "matching violated during reconstruction"
+                for (ra, slot_a, _), (rb, slot_b, _) in zip(side_a, side_b):
+                    key = arc * 100 + slot_a * 10 + slot_b
+                    label = labels.get(key)
+                    if label is None:
+                        label = labels[key] = _label(perm, f, v,
+                                                     slot_a, slot_b)
+                    ra += base_a
+                    rb += base_b
+                    assert run_length[ra] == run_length[rb], \
+                        "matching violated during reconstruction"
+                    union(ra, rb, label)
+                continue
+            # Otherwise the runs of the two sides line up, but their
+            # blocks need not.  Walk both sides block by block; done_a
+            # and done_b count the runs of the current two blocks
+            # already paired.
+            i = j = done_a = done_b = 0
+            end_a, end_b = len(side_a), len(side_b)
+            while i < end_a and j < end_b:
+                rank_a, slot_a, forward_a = side_a[i]
+                rank_b, slot_b, forward_b = side_b[j]
                 key = arc * 100 + slot_a * 10 + slot_b
                 label = labels.get(key)
                 if label is None:
                     label = labels[key] = _label(perm, f, v,
                                                  slot_a, slot_b)
-                ra += base_a
-                rb += base_b
-                assert run_length[ra] == run_length[rb], \
-                    "matching violated during reconstruction"
-                union(ra, rb, label)
+                b = first_a + rank_a
+                lo_a, runs_a = first_run[b], first_run[b + 1]
+                runs_a -= lo_a
+                b = first_b + rank_b
+                lo_b, runs_b = first_run[b], first_run[b + 1]
+                runs_b -= lo_b
+                step = runs_a - done_a
+                if runs_b - done_b < step:
+                    step = runs_b - done_b
+                if forward_a:
+                    ra, da = lo_a + done_a, 1
+                else:
+                    ra, da = lo_a + runs_a - 1 - done_a, -1
+                if forward_b:
+                    rb, db = lo_b + done_b, 1
+                else:
+                    rb, db = lo_b + runs_b - 1 - done_b, -1
+                for _ in range(step):
+                    assert run_length[ra] == run_length[rb], \
+                        "matching violated during reconstruction"
+                    union(ra, rb, label)
+                    ra += da
+                    rb += db
+                done_a += step
+                done_b += step
+                if done_a == runs_a:
+                    i += 1
+                    done_a = 0
+                if done_b == runs_b:
+                    j += 1
+                    done_b = 0
+            # Both sides end together: their lengths match.
+            assert i == end_a and j == end_b, \
+                "matching violated during reconstruction"
 
     # Tube: join its two singleton runs; consecutive parallel sheets
     # get opposite boundary orientations when their crossings of
@@ -1011,8 +1040,9 @@ def reconstruct_surface(tri, v, skeleton=None, report=None):
     the set of its nonzero slots picks a stack table (:func:`_stacks`)
     that lists, for each arc type, the blocks meeting it by their rank.
     Without a cut block these are the tetrahedron's runs in stacking
-    order; a tetrahedron holding a cut block gets a table of its runs
-    (:func:`_run_table`), so two glued arcs pair their runs in order.
+    order, so a face pair between two such tetrahedra zips its arcs'
+    tables; where either holds a cut block, both sides are walked
+    block by block.
     The label of two glued blocks depends only on their slots, the arc
     type and the gluing permutation, and each reconstruction computes
     it once per distinct case (:func:`_label`), as it builds each

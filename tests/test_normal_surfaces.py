@@ -735,6 +735,24 @@ def test_runs_match_oracle_on_random_pairings(n):
     assert count >= 40 and cut
 
 
+def test_runs_match_oracle_when_runs_do_not_collapse():
+    # 13·A + 8·B for vertex surfaces A, B of one random pairing: the
+    # cuts of some sums reach every copy, so each piece is its own run
+    # and every block pairing walks long stretches of cut runs.
+    tri = random_closed_pairing(5, 2)
+    sk = compute_skeleton(tri)
+    vertex = enumerate_vertex_surfaces(tri)
+    uncollapsed = 0
+    for i, a in enumerate(vertex):
+        for b in vertex[i + 1:]:
+            vec = a.scale(13).add(b.scale(8))
+            if check_admissible(tri, vec).admissible:
+                runs = _assert_matches_oracle(tri, vec, sk).run_count
+                uncollapsed += runs == sum(x for block in vec.tets
+                                           for part in block for x in part)
+    assert uncollapsed >= 5
+
+
 def test_runs_match_oracle_on_link_quad_sums():
     for tri, quad in (
             (doubled_tetrahedron(), {(0, "quad", 0): 1, (1, "quad", 0): 1}),
