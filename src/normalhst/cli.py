@@ -2,17 +2,20 @@
 Command-line front end.
 
 Subcommands: ``validate``, ``surface``, ``enumerate``, ``hst``,
-``width``, ``selftest``.  JSON is the machine format; the table format
-is produced from the same payload by one renderer, so the two never
-diverge.  Exit codes: 0 success, 1 semantic failure, 2 input error,
-3 resource ceiling exceeded.
+``width``, ``curves``, ``selftest``.  JSON is the machine format; the
+table format is produced from the same payload by one renderer, so the
+two never diverge.  The subcommands and their arguments are one table,
+``COMMANDS``: the parser reads a command line against it, and help is
+rendered from it.  Exit codes: 0 success, 1 semantic failure, 2 input
+error, 3 resource ceiling exceeded.
 """
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # Each subcommand imports the layers it runs at its own top, so a call
 # loads only those; ``main`` catches the two errors of ``limits``.
@@ -202,7 +205,10 @@ def cmd_surface(args):
 
 
 def cmd_enumerate(args):
-    import hashlib
+    try:                        # the builtin sha256, without OpenSSL's import
+        from _sha256 import sha256
+    except ImportError:         # Python 3.12 and later name it _sha2
+        from hashlib import sha256
 
     from .enumeration import (brute_force_enumerate, cross_check,
                               enumerate_vertex_surfaces)
@@ -211,7 +217,7 @@ def cmd_enumerate(args):
         raise InputProblem(
             f"--bound must be at least 0, got {quoted(args.bound)}")
     tri = _load_triangulation(args.triangulation)
-    digest = hashlib.sha256(tri.to_text().encode()).hexdigest()
+    digest = sha256(tri.to_text().encode()).hexdigest()
     if args.cross_check:
         left, right = cross_check(tri, args.bound)
         match = left == right
@@ -356,98 +362,336 @@ def cmd_selftest(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
 # ---------------------------------------------------------------------------
 
-def _common(parser):
-    parser.add_argument("--format", choices=("json", "table"),
-                        default="table", help="output format")
+class Argument:
+    """One argument of a subcommand.
 
-
-def _integer(text):
-    """The type of every integer argument: a canonical decimal numeral.
-
-    The message is argparse's own for a failed ``int``, with the text
-    quoted by :func:`.record.quoted`.
+    A ``name`` that starts with ``-`` makes an option, which keeps the
+    last value given; any other name makes a positional of ``count``
+    words, one value or, for a count above 1, a list.  ``kind`` is
+    ``str`` for any text, ``int`` for a canonical decimal numeral (see
+    :func:`.record.numeral`), a tuple of the accepted choices, or
+    ``bool`` for an option that takes no value and stores True.  A
+    handler reads the value as ``args.<dest>``.
     """
-    from .record import numeral, quoted
-    value = numeral(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {quoted(text)}")
-    return value
+
+    def __init__(self, name, kind=str, default=None, help=None, count=1,
+                 dest=None):
+        self.name = name
+        self.kind = kind
+        self.default = default
+        self.help = help
+        self.count = count
+        self.dest = dest or name.lstrip("-").replace("-", "_")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Rejects bad arguments with one stderr line and exit 2, no usage."""
+class Command:
+    """A subcommand: its handler, its help line and its arguments."""
 
-    def error(self, message):
-        self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
+    def __init__(self, handler, help, *arguments):
+        self.handler = handler
+        self.help = help
+        self.positionals = [a for a in arguments if a.name[0] != "-"]
+        self.options = [a for a in arguments if a.name[0] == "-"]
 
 
-def build_parser():
-    parser = _Parser(
-        prog="normalhst",
-        description="Normal surface, splitting-complexity and width "
-                    "calculations on triangulated 3-manifolds.")
-    sub = parser.add_subparsers(dest="command", required=True)
+HELP = Argument("-h/--help", None, help="show this help message and exit")
+FORMAT = Argument("--format", ("json", "table"), "table", "output format")
 
-    p = sub.add_parser("validate", help="check a triangulation file")
-    p.add_argument("triangulation")
-    _common(p)
-    p.set_defaults(fn=cmd_validate)
+COMMANDS = {
+    "validate": Command(cmd_validate, "check a triangulation file",
+                        Argument("triangulation"), FORMAT),
+    "surface": Command(cmd_surface, "classify a surface vector",
+                       Argument("triangulation"),
+                       Argument("vector", help="SurfaceVector JSON file"),
+                       FORMAT),
+    "enumerate": Command(
+        cmd_enumerate, "enumerate admissible surfaces",
+        Argument("triangulation"),
+        Argument("--method", ("vertex", "brute"), "vertex"),
+        Argument("--bound", int, 4,
+                 "total weight bound for brute force / cross-check"),
+        Argument("--cross-check", bool, False,
+                 "diff double description against the brute-force oracle"),
+        FORMAT),
+    "hst": Command(
+        cmd_hst, "splitting complexity calculus",
+        Argument("splitting", help="splitting JSON file"),
+        Argument("--action", ("complexity", "underlying", "search"),
+                 "complexity"),
+        Argument("--budget", int, 10000),
+        FORMAT),
+    "width": Command(
+        cmd_width, "Morse presentation width calculus",
+        Argument("presentation", help="presentation text file"),
+        Argument("--action", ("width", "split", "search"), "width"),
+        Argument("--search-mode", ("exchange", "all"), "exchange"),
+        Argument("--single-component", bool, False,
+                 "forbid the strand count hitting zero between events"),
+        FORMAT),
+    "curves": Command(
+        cmd_curves, "decompose a curve pattern on one tetrahedron",
+        Argument("N", int, count=12, dest="counts",
+                 help="arc counts, face-major, cut-vertex-minor"),
+        Argument("--check-348", bool, False,
+                 "test the length-3/4/8 condition"),
+        Argument("--format", ("json", "table"), "json")),
+    "selftest": Command(
+        cmd_selftest, "run the acceptance suite",
+        Argument("--criteria",
+                 help="comma-separated criterion numbers (default: all)")),
+}
 
-    p = sub.add_parser("surface", help="classify a surface vector")
-    p.add_argument("triangulation")
-    p.add_argument("vector", help="SurfaceVector JSON file")
-    _common(p)
-    p.set_defaults(fn=cmd_surface)
+PROG = "normalhst"
+DESCRIPTION = ("Normal surface, splitting-complexity and width calculations "
+               "on triangulated 3-manifolds.")
+WIDTH = 78                      # columns of the help text
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("enumerate", help="enumerate admissible surfaces")
-    p.add_argument("triangulation")
-    p.add_argument("--method", choices=("vertex", "brute"), default="vertex")
-    p.add_argument("--bound", type=_integer, default=4,
-                   help="total weight bound for brute force / cross-check")
-    p.add_argument("--cross-check", action="store_true",
-                   help="diff double description against the brute-force "
-                        "oracle")
-    _common(p)
-    p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("hst", help="splitting complexity calculus")
-    p.add_argument("splitting", help="splitting JSON file")
-    p.add_argument("--action", choices=("complexity", "underlying", "search"),
-                   default="complexity")
-    p.add_argument("--budget", type=_integer, default=10000)
-    _common(p)
-    p.set_defaults(fn=cmd_hst)
+def _print(stream, text):
+    try:                        # a closed or missing stream takes nothing
+        stream.write(text)
+    except (AttributeError, OSError):
+        pass
 
-    p = sub.add_parser("width", help="Morse presentation width calculus")
-    p.add_argument("presentation", help="presentation text file")
-    p.add_argument("--action", choices=("width", "split", "search"),
-                   default="width")
-    p.add_argument("--search-mode", choices=("exchange", "all"),
-                   default="exchange")
-    p.add_argument("--single-component", action="store_true",
-                   help="forbid the strand count hitting zero between events")
-    _common(p)
-    p.set_defaults(fn=cmd_width)
 
-    p = sub.add_parser("curves",
-                       help="decompose a curve pattern on one tetrahedron")
-    p.add_argument("counts", nargs=12, type=_integer, metavar="N",
-                   help="arc counts, face-major, cut-vertex-minor")
-    p.add_argument("--check-348", action="store_true",
-                   help="test the length-3/4/8 condition")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(fn=cmd_curves)
+def _error(prog, message):
+    """Reject the command line with one stderr line and exit 2."""
+    _print(sys.stderr, f"error: {prog}: {message}\n")
+    raise SystemExit(EXIT_INPUT)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--criteria", default=None,
-                   help="comma-separated criterion numbers (default: all)")
-    p.set_defaults(fn=cmd_selftest)
 
-    return parser
+def _option(word, strings, prog):
+    """How one word reads against the option ``strings``.
+
+    None for a positional word: one that does not start with ``-``, a
+    lone ``-``, a negative numeral or a word with a space.  Else
+    (argument or None if unknown, option string, text after ``=`` or
+    None); a unique prefix of a long option names it, and ``-hX`` is
+    ``-h`` with ``X`` attached.
+    """
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in strings:
+        return strings[word], word, None
+    flag, eq, value = word.partition("=")
+    if eq and flag in strings:
+        return strings[flag], flag, value
+    if word[1] == "-":
+        matches = [(strings[s], s, value if eq else None)
+                   for s in strings if s.startswith(flag)]
+    else:
+        matches = [(strings[s], s, word[2:])
+                   for s in strings if s == word[:2]]
+    if len(matches) > 1:
+        _error(prog, f"ambiguous option: {word} could match "
+                     f"{', '.join(s for _, s, _ in matches)}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE.match(word) or " " in word:
+        return None
+    return None, word, None
+
+
+def _value(argument, word, prog):
+    if argument.kind is int:
+        from .record import numeral, quoted
+        value = numeral(word)
+        if value is None:
+            _error(prog, f"argument {argument.name}: invalid int value: "
+                         f"{quoted(word)}")
+        return value
+    if isinstance(argument.kind, tuple) and word not in argument.kind:
+        _error(prog, f"argument {argument.name}: invalid choice: {word!r} "
+                     f"(choose from {', '.join(map(repr, argument.kind))})")
+    return word
+
+
+def _help_flag(found, prog, render):
+    """Print help and exit 0, unless text is attached to the flag."""
+    _, string, attached = found
+    if string == "-h" and attached:     # -hh is -h given twice
+        attached = attached.lstrip("h") or None
+    if attached is not None:
+        _error(prog, f"argument {HELP.name}: ignored explicit argument "
+                     f"{attached!r}")
+    _print(sys.stdout, render())
+    raise SystemExit(EXIT_OK)
+
+
+def _read_command(name, words):
+    """The values of subcommand ``name`` and the words it did not take."""
+    command = COMMANDS[name]
+    prog = f"{PROG} {name}"
+    strings = {"-h": HELP, "--help": HELP}
+    strings.update((a.name, a) for a in command.options)
+    # The first "--" and every word after it are positional words.
+    marker = words.index("--") if "--" in words else len(words)
+    kinds = [_option(word, strings, prog) for word in words[:marker]]
+    kinds += [None] * (len(words) - marker)
+    values = {a.dest: a.default for a in command.options}
+    todo = list(command.positionals)
+    extras = []
+    i = 0
+    while i < len(words):
+        if kinds[i] is None:
+            # The positional words up to the next option fill the
+            # positionals in order while they suffice; the "--" among
+            # or just after a positional's words is dropped, and what
+            # is left over is extra.
+            end = i
+            while end < len(words) and kinds[end] is None:
+                end += 1
+            while todo:
+                taken, j = [], i
+                while len(taken) < todo[0].count and j < end:
+                    if j != marker:
+                        taken.append(words[j])
+                    j += 1
+                if len(taken) < todo[0].count:
+                    break
+                i = j + 1 if j == marker < end else j
+                argument = todo.pop(0)
+                taken = [_value(argument, word, prog) for word in taken]
+                values[argument.dest] = \
+                    taken if argument.count > 1 else taken[0]
+            extras += words[i:end]
+            i = end
+            continue
+        found = kinds[i]
+        argument, string, attached = found
+        i += 1
+        if argument is None:
+            extras.append(string)
+        elif argument is HELP:
+            _help_flag(found, prog, lambda: _command_help(name))
+        elif argument.kind is bool:
+            if attached is not None:
+                _error(prog, f"argument {argument.name}: ignored explicit "
+                             f"argument {attached!r}")
+            values[argument.dest] = True
+        elif attached is not None:
+            values[argument.dest] = _value(argument, attached, prog)
+        elif i < marker and kinds[i] is None:
+            values[argument.dest] = _value(argument, words[i], prog)
+            i += 1
+        else:
+            _error(prog, f"argument {argument.name}: expected one argument")
+    if todo:
+        _error(prog, "the following arguments are required: "
+                     + ", ".join(a.name for a in todo))
+    return values, extras
+
+
+def parse_args(argv):
+    """The name of the subcommand ``argv`` calls, and its values as
+    ``args.<dest>``.
+
+    Options take ``--opt value`` or ``--opt=value``, and a unique
+    prefix of a long option names it; ``-h``/``--help`` may come
+    anywhere, and every word after ``--`` is positional.  A
+    rejected command line writes one stderr line and raises
+    ``SystemExit(2)``; help goes to stdout with ``SystemExit(0)``.
+    """
+    strings = {"-h": HELP, "--help": HELP}
+    extras = []
+    for i, word in enumerate(argv):
+        found = None if word == "--" else _option(word, strings, PROG)
+        if found is None:
+            if word == "--" and i + 1 == len(argv):
+                break
+            if word not in COMMANDS:
+                _error(PROG, f"argument command: invalid choice: {word!r} "
+                             f"(choose from "
+                             f"{', '.join(map(repr, COMMANDS))})")
+            values, more = _read_command(word, argv[i + 1:])
+            extras += more
+            if extras:
+                _error(PROG, f"unrecognized arguments: {' '.join(extras)}")
+            return word, SimpleNamespace(**values)
+        if found[0] is None:
+            extras.append(word)
+        else:
+            _help_flag(found, PROG, _top_help)
+    _error(PROG, "the following arguments are required: command")
+
+
+def _fill(words, indent):
+    """``words`` in lines of at most WIDTH columns; later lines start
+    with ``indent``, and a word too long for any line gets its own."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > WIDTH:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
+
+
+def _render(prog, options, positionals, description, sections):
+    """Help text: the usage, wrapped under the program name when too
+    long, then the description and each section's rows of (indent,
+    name, help), the help text aligned at column 24 at most."""
+    usage = " ".join(["usage:", prog, *options, *positionals])
+    if len(usage) > WIDTH:
+        hang = " " * (len("usage: ") + len(prog) + 1)
+        lines = _fill([f"usage: {prog}", *options], hang)
+        if positionals:
+            lines += _fill([hang + positionals[0], *positionals[1:]], hang)
+        usage = "\n".join(lines)
+    blocks = [usage]
+    if description:
+        blocks.append("\n".join(_fill(description.split(), "")))
+    column = min(max(indent + len(name) for _, rows in sections
+                     for indent, name, _ in rows) + 2, 24)
+    for title, rows in sections:
+        lines = [title]
+        for indent, name, text in rows:
+            line = " " * indent + name
+            if text is not None:
+                if len(line) + 2 > column:
+                    lines.append(line)
+                    line = ""
+                line = line.ljust(column) + text
+            lines.append(line)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _top_help():
+    choices = "{" + ",".join(COMMANDS) + "}"
+    rows = [(2, choices, None)]
+    rows += [(4, name, command.help) for name, command in COMMANDS.items()]
+    return _render(PROG, ["[-h]"], [choices, "..."], DESCRIPTION,
+                   [("positional arguments:", rows),
+                    ("options:", [(2, "-h, --help", HELP.help)])])
+
+
+def _command_help(name):
+    command = COMMANDS[name]
+    options = ["[-h]"]
+    option_rows = [(2, "-h, --help", HELP.help)]
+    for a in command.options:
+        if a.kind is bool:
+            shown = a.name
+        elif isinstance(a.kind, tuple):
+            shown = f"{a.name} {{{','.join(a.kind)}}}"
+        else:
+            shown = f"{a.name} {a.dest.upper()}"
+        options.append(f"[{shown}]")
+        option_rows.append((2, shown, a.help))
+    sections = [("options:", option_rows)]
+    if command.positionals:
+        sections.insert(0, ("positional arguments:",
+                            [(2, a.name, a.help)
+                             for a in command.positionals]))
+    return _render(f"{PROG} {name}", options,
+                   [a.name for a in command.positionals
+                    for _ in range(a.count)],
+                   None, sections)
 
 
 def main(argv=None):
@@ -460,8 +704,8 @@ def main(argv=None):
     collector is left as it was.
     """
     try:
-        args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        name, args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = COMMANDS[name].handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

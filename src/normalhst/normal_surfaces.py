@@ -799,62 +799,64 @@ def _cut(rows, many, stacks, first_block, count, tube_ends, limit):
     Raises :class:`ResourceCeilingError` once the runs would pass
     ``limit``.
     """
-    cuts = {}
-    pending = []
-    runs = len(count)
-
     def side(t, arc):
-        # (offset, block number, count, forward) in stacking order
-        out = []
+        # (offsets, blocks): the blocks (block number, count, forward)
+        # in stacking order, block i starting at offsets[i]
+        offsets, blocks = [], []
         offset = 0
         for rank, _, forward in stacks[t][arc]:
             b = first_block[t] + rank
-            out.append((offset, b, count[b], forward))
+            offsets.append(offset)
+            blocks.append((b, count[b], forward))
             offset += count[b]
-        return out
-
-    def cut(side, position):
-        nonlocal runs
-        for offset, b, size, forward in side:
-            if offset < position < offset + size:
-                x = position - offset if forward \
-                    else offset + size - position
-                here = cuts.setdefault(b, set())
-                if x not in here:
-                    runs += 1
-                    if runs > limit:
-                        raise ResourceCeilingError(
-                            f"surface reconstruction cuts more than "
-                            f"{limit} runs, over the surface_cells "
-                            f"ceiling")
-                    here.add(x)
-                    pending.append((b, x))
-                return
+        return offsets, blocks
 
     # Where each block of two or more copies sits in a pairing, and
-    # the side facing it.  A face pair between blocks of one copy
-    # each can neither make a cut nor carry one.
+    # the side facing it; and the points asked to cut: each block
+    # boundary on the facing side, and both ends of a tube's copy.  A
+    # face pair between blocks of one copy each can neither make a cut
+    # nor carry one.
     seen_in = {}
+    asked = []
     for t, f, g in _glued_faces(rows, many):
         for v in model.FACE_VERTICES[f]:
             side_a = side(t, f << 2 | v)
             side_b = side(g.tet, g.face << 2 | g.perm[v])
             for here, there in ((side_a, side_b), (side_b, side_a)):
-                for offset, b, size, forward in here:
+                offsets, blocks = here
+                for offset, (b, size, forward) in zip(offsets, blocks):
                     if size > 1:
                         seen_in.setdefault(b, []).append(
                             (offset, forward, there))
-                for offset, *_ in here[1:]:
-                    cut(there, offset)
+                asked += [(there, offset) for offset in offsets[1:]]
     for b, copy in tube_ends:
-        whole = [(0, b, count[b], True)]
-        cut(whole, copy)
-        cut(whole, copy + 1)
-    while pending:
-        b, x = pending.pop()
-        size = count[b]
+        whole = [0], [(b, count[b], True)]
+        asked += [(whole, copy), (whole, copy + 1)]
+    # A point inside a block cuts it there, and a new cut asks the
+    # same of every side the block faces.  The cuts are the closure,
+    # whatever the order.
+    cuts = {}
+    runs = len(count)
+    while asked:
+        (offsets, blocks), position = asked.pop()
+        i = bisect_right(offsets, position) - 1     # offsets[0] is 0
+        b, size, forward = blocks[i]
+        x = position - offsets[i]
+        if not 0 < x < size:
+            continue
+        if not forward:
+            x = size - x
+        here = cuts.setdefault(b, set())
+        if x in here:
+            continue
+        runs += 1
+        if runs > limit:
+            raise ResourceCeilingError(
+                f"surface reconstruction cuts more than {limit} runs, "
+                f"over the surface_cells ceiling")
+        here.add(x)
         for offset, forward, there in seen_in.get(b, ()):
-            cut(there, offset + (x if forward else size - x))
+            asked.append((there, offset + (x if forward else size - x)))
     return {b: sorted(here) for b, here in cuts.items()}
 
 

@@ -30,12 +30,14 @@ found by attempting every move, where the package tests the slots, and
 the least width reachable by exchanges found by searching every
 reachable presentation, where the package runs one descent.
 It also keeps the permutation and gluing helpers that only the tests
-use.
+use, and the argparse parser that the command line's table-driven
+parser replaced, as the reference it is compared with.
 """
 
+import argparse
 import math
 
-from normalhst import hst, model
+from normalhst import cli, hst, model
 from normalhst.curve_patterns import Check348, LoopDecomposition, PatternError
 from normalhst.normal_surfaces import (SurfaceError, SurfaceSummary,
                                        check_admissible)
@@ -934,3 +936,100 @@ def minimal_reachable_by_rebuilding(splitting, budget=10000):
     return hst.MinimalSearchResult(
         minimum=hst.ComplexityVector(best), splitting=best_state,
         trace=best_trace, certified=exhausted, states_explored=explored)
+
+
+# ---------------------------------------------------------------------------
+# Reference command-line parser
+# ---------------------------------------------------------------------------
+
+def _common(parser):
+    parser.add_argument("--format", choices=("json", "table"),
+                        default="table", help="output format")
+
+
+def _integer(text):
+    """The type of every integer argument: a canonical decimal numeral.
+
+    The message is argparse's own for a failed ``int``, with the text
+    quoted by :func:`.record.quoted`.
+    """
+    from normalhst.record import numeral, quoted
+    value = numeral(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {quoted(text)}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with one stderr line and exit 2, no usage."""
+
+    def error(self, message):
+        self.exit(cli.EXIT_INPUT, f"error: {self.prog}: {message}\n")
+
+
+def build_parser():
+    """The argparse parser the command table replaced, kept as the
+    reference for ``cli.parse_args``."""
+    parser = _Parser(
+        prog="normalhst",
+        description="Normal surface, splitting-complexity and width "
+                    "calculations on triangulated 3-manifolds.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check a triangulation file")
+    p.add_argument("triangulation")
+    _common(p)
+    p.set_defaults(fn=cli.cmd_validate)
+
+    p = sub.add_parser("surface", help="classify a surface vector")
+    p.add_argument("triangulation")
+    p.add_argument("vector", help="SurfaceVector JSON file")
+    _common(p)
+    p.set_defaults(fn=cli.cmd_surface)
+
+    p = sub.add_parser("enumerate", help="enumerate admissible surfaces")
+    p.add_argument("triangulation")
+    p.add_argument("--method", choices=("vertex", "brute"), default="vertex")
+    p.add_argument("--bound", type=_integer, default=4,
+                   help="total weight bound for brute force / cross-check")
+    p.add_argument("--cross-check", action="store_true",
+                   help="diff double description against the brute-force "
+                        "oracle")
+    _common(p)
+    p.set_defaults(fn=cli.cmd_enumerate)
+
+    p = sub.add_parser("hst", help="splitting complexity calculus")
+    p.add_argument("splitting", help="splitting JSON file")
+    p.add_argument("--action", choices=("complexity", "underlying", "search"),
+                   default="complexity")
+    p.add_argument("--budget", type=_integer, default=10000)
+    _common(p)
+    p.set_defaults(fn=cli.cmd_hst)
+
+    p = sub.add_parser("width", help="Morse presentation width calculus")
+    p.add_argument("presentation", help="presentation text file")
+    p.add_argument("--action", choices=("width", "split", "search"),
+                   default="width")
+    p.add_argument("--search-mode", choices=("exchange", "all"),
+                   default="exchange")
+    p.add_argument("--single-component", action="store_true",
+                   help="forbid the strand count hitting zero between events")
+    _common(p)
+    p.set_defaults(fn=cli.cmd_width)
+
+    p = sub.add_parser("curves",
+                       help="decompose a curve pattern on one tetrahedron")
+    p.add_argument("counts", nargs=12, type=_integer, metavar="N",
+                   help="arc counts, face-major, cut-vertex-minor")
+    p.add_argument("--check-348", action="store_true",
+                   help="test the length-3/4/8 condition")
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(fn=cli.cmd_curves)
+
+    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p.add_argument("--criteria", default=None,
+                   help="comma-separated criterion numbers (default: all)")
+    p.set_defaults(fn=cli.cmd_selftest)
+
+    return parser

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import inspect
 import json
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import oracles
 from normalhst import cli, library, normal_surfaces
 from normalhst.normal_surfaces import SurfaceVector, vertex_link
 from normalhst.record import json_int
@@ -957,7 +957,7 @@ def test_missing_positional_is_one_line(capsys):
         "error: normalhst: the following arguments are required: command")
 
 
-@pytest.mark.parametrize("argv", [
+REMOVED_FLAGS = [
     ["validate", "doubled", "--seed", "1"],
     ["surface", "doubled", "link", "--seed", "1"],
     ["enumerate", "doubled", "--seed", "1"],
@@ -968,7 +968,10 @@ def test_missing_positional_is_one_line(capsys):
     ["width", "pres", "--action", "search", "--budget", "5"],
     ["surface", "doubled", "link", "--mode", "normal"],
     ["selftest", "--seed", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS)
 def test_removed_flags_are_one_line(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]
     assert _rejected(argv, capsys) == \
@@ -988,17 +991,12 @@ INERT_OPTIONS = {("enumerate", "format")}
 
 
 def test_every_option_is_read_by_its_handler():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
     inert = set()
-    for name, command in sub.choices.items():
-        source = inspect.getsource(command.get_default("fn"))
-        for action in command._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if f"args.{action.dest}" not in source:
-                inert.add((name, action.dest))
+    for name, command in cli.COMMANDS.items():
+        source = inspect.getsource(command.handler)
+        for argument in command.positionals + command.options:
+            if f"args.{argument.dest}" not in source:
+                inert.add((name, argument.dest))
     assert inert == INERT_OPTIONS
 
 
@@ -1009,15 +1007,121 @@ FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
 def test_readme_and_parser_name_the_same_options():
     # Every option the parser defines is named in the README, and every
     # flag of the README's "Command line" synopsis is one it defines.
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {option for command in sub.choices.values()
-               for action in command._actions
-               if not isinstance(action, argparse._HelpAction)
-               for option in action.option_strings}
+    options = {argument.name for command in cli.COMMANDS.values()
+               for argument in command.options}
     text = README.read_text(encoding="utf-8")
     synopsis = re.search(r"## Command line\n\n```\n(.*?)```", text,
                          re.S).group(1)
     assert options - set(FLAG.findall(text)) == set()
     assert set(FLAG.findall(synopsis)) - options == set()
+
+
+# The argparse parser that ``cli.COMMANDS`` replaced is the reference:
+# on each argv both give the same exit code, values and stderr line, and
+# help names the same usage and options (its layout is not compared).
+PARSER_CORPUS = [
+    *REMOVED_FLAGS,
+    ["enumerate", "single", "--bound", "abc"],
+    *[["curves", text] + ["1"] * 11 for text in ("+1", "1_0", "01", "\u0661")],
+    *[["enumerate", "single", "--method", "brute", "--bound", text]
+      for text in ("+1", "1_0", "01", "\u0661")],
+    *[["hst", "split", "--action", "search", "--budget", text]
+      for text in ("+1", "1_0", "01", "\u0661", "0", "-5")],
+    *[["enumerate", "single", *argv, "--bound", "-1"]
+      for argv in (["--method", "brute"], ["--method", "vertex"],
+                   ["--cross-check"])],
+    ["validate"], [], ["surface"], ["bogus"], ["bogus", "x", "--help"],
+    # prefixes, ambiguous or not, and --opt=value
+    ["width", "pres", "--s", "x"], ["width", "pres", "--se", "all"],
+    ["width", "pres", "--single", "--act", "search"],
+    ["enumerate", "single", "--cross", "--form", "json", "--b", "3"],
+    ["enumerate", "single", "--bound=3", "--method=brute"],
+    ["validate", "doubled", "--format="], ["curves", *"1" * 12, "--f=table"],
+    ["enumerate", "single", "--cross-check=yes"], ["hst", "split", "--=x"],
+    # a repeated option, an option with no value, a bad choice
+    ["hst", "split", "--budget", "5", "--budget", "7"],
+    ["width", "pres", "--action", "split", "--action", "width"],
+    ["enumerate", "single", "--bound"],
+    ["enumerate", "single", "--bound", "--cross-check"],
+    ["validate", "doubled", "--format", "xml"],
+    ["hst", "split", "--action", "descend"],
+    # --, and help before, between and after other words
+    ["--"], ["--", "validate", "doubled"], ["validate", "--", "doubled"],
+    ["validate", "doubled", "--"], ["validate", "doubled", "x", "--", "y"],
+    ["curves", *"1" * 6, "--", *"1" * 6], ["curves", "--", "-1", *"1" * 11],
+    ["--help"], ["-h"], ["--help", "validate"], ["--he", "bogus"],
+    ["hst", "--help"], ["hst", "split", "-h"], ["width", "pres", "--he"],
+    ["enumerate", "single", "--bound", "abc", "--help"],
+    ["enumerate", "single", "--help", "--bound", "abc"],
+    ["selftest", "-hh"], ["selftest", "-hx"], ["validate", "--help=x"],
+    *[[name, "--help"] for name in cli.COMMANDS],
+    # counts: 11, 13, negative, interrupted by an option
+    ["curves", *"1" * 11], ["curves", *"1" * 13], ["curves", "-3", *"1" * 11],
+    ["curves", *"1" * 3, "--check-348", *"1" * 9],
+    ["curves", "-1.5", *"1" * 11], ["hst", "split", "--budget", "-5"],
+    ["--format", "json", "validate", "doubled"], ["--x", "validate", "d"],
+]
+
+
+def _parsed(parse, argv):
+    """(exit code or None, command and values, stdout, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return None, parse(argv), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+
+
+def _table_parse(argv):
+    name, args = cli.parse_args(argv)
+    return name, vars(args)
+
+
+def _reference_parse(argv):
+    values = vars(oracles.build_parser().parse_args(argv))
+    del values["fn"]
+    return values.pop("command"), values
+
+
+def _workload_argvs(root):
+    """Every argv of the benchmark's four workloads at seeds 1 and 2."""
+    bench = pathlib.Path(__file__).parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import pools
+        import workloads
+        data = pools.load()
+        return [op["argv"] for name in workloads.WORKLOADS for seed in (1, 2)
+                for op in workloads.build(name, seed,
+                                          str(root / f"{name}-{seed}"), data)]
+    finally:
+        sys.path.remove(str(bench))
+
+
+HELP_FLAG = re.compile(r"(?<![\w-])--?[a-z][a-z0-9-]*")
+
+
+def _usage(help_text):
+    """The usage paragraph with its line breaks undone."""
+    return " ".join(help_text.split("\n\n")[0].split())
+
+
+def test_table_parser_matches_argparse(files, tmp_path):
+    corpus = [[str(files.get(a, a)) for a in argv] for argv in PARSER_CORPUS]
+    corpus += _workload_argvs(tmp_path)
+    assert len(corpus) == len(PARSER_CORPUS) + 104
+    helps = 0
+    for argv in corpus:
+        code, values, out, err = _parsed(_table_parse, argv)
+        ref_code, ref_values, ref_out, ref_err = \
+            _parsed(_reference_parse, argv)
+        assert (code, values, err) == (ref_code, ref_values, ref_err), argv
+        if out:
+            helps += 1
+            assert code == 0 and out.startswith("usage: normalhst"), argv
+            assert _usage(out) == _usage(ref_out), argv
+            assert set(HELP_FLAG.findall(out)) == \
+                set(HELP_FLAG.findall(ref_out)), argv
+        assert bool(out) == bool(ref_out), argv
+    assert helps == 16

@@ -2,9 +2,11 @@
 
 Each probe runs in a fresh interpreter, since this test process has
 imported every layer already.  Beyond the package's own modules, no
-call may load the standard library's code generators or rational
-arithmetic: ``dataclasses`` (with ``inspect``) and ``fractions`` (with
-``decimal``) cost more at start-up than most commands compute.
+call, ``--help`` included, may load the standard library's code
+generators, rational arithmetic, argument parser or OpenSSL:
+``dataclasses`` (with ``inspect``), ``fractions`` (with ``decimal``),
+``argparse`` (with ``gettext`` and ``locale``) and ``_hashlib`` cost
+more at start-up than most commands compute.
 """
 
 import importlib
@@ -57,8 +59,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(sys.modules)]))
 """
 BARE_PROBE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
-# The code generators and rational arithmetic no command may load.
-FORBIDDEN = {"dataclasses", "inspect", "fractions", "decimal"}
+# The code generators, rational arithmetic, argument parser and OpenSSL
+# backend that no command may load.
+FORBIDDEN = {"dataclasses", "inspect", "fractions", "decimal", "argparse",
+             "gettext", "locale", "_hashlib"}
 
 
 def _probe(script, *argv):
