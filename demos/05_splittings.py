@@ -33,9 +33,9 @@ base = AbstractSplitting.of(AbstractSurface.of(TORUS),
                             AbstractSurface.of(genus(2)),
                             AbstractSurface.of(TORUS))
 out = untangle_step(base, 1, NonseparatingCompression(0),
-                    NonseparatingCompression(0), True, True)
-print(f"  before: {splitting_complexity(base).entries}, "
-      f"after: {splitting_complexity(out).entries} "
+                    NonseparatingCompression(0))
+print(f"  before: {splitting_complexity(base)}, "
+      f"after: {splitting_complexity(out)} "
       f"({len(base.levels)} levels -> {len(out.levels)})")
 
 print()
@@ -55,7 +55,7 @@ print("Exhaustive descent from a genus-two Heegaard splitting:")
 start = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
                              EMPTY_SURFACE)
 result = is_minimal_reachable(start)
-print(f"  minimum {result.minimum.entries} "
+print(f"  minimum {result.minimum} "
       f"(certified: {result.certified}, "
       f"{result.states_explored} states)")
 print(f"  trace: {trace_to_json(result.trace)}")
@@ -66,5 +66,5 @@ rng = random.Random(1)
 for _ in range(3):
     splitting = random_splitting(rng)
     steps, final = random_descent(splitting, rng)
-    print(f"  {splitting_complexity(splitting, True).entries} -> "
-          f"{splitting_complexity(final, True).entries} in {steps} moves")
+    print(f"  {splitting_complexity(splitting, True)} -> "
+          f"{splitting_complexity(final, True)} in {steps} moves")

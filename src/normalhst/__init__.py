@@ -35,9 +35,9 @@ _HOMES = {
          "decompose_pattern", "loop_pattern", "enumerate_normal_loops",
          "check_348", "curve_patterns"), "curve_patterns"),
     **dict.fromkeys(
-        ("Component", "AbstractSurface", "AbstractSplitting",
-         "ComplexityVector", "HstError", "SPHERE", "TORUS", "EMPTY_SURFACE",
-         "genus", "c_surface", "splitting_complexity", "compress",
+        ("Component", "AbstractSurface", "AbstractSplitting", "HstError",
+         "SPHERE", "TORUS", "EMPTY_SURFACE", "genus", "c_surface",
+         "splitting_complexity", "compress",
          "NonseparatingCompression", "SeparatingCompression",
          "RelativeCompression", "untangle_step", "underlying_splitting",
          "is_minimal_reachable", "hst"), "hst"),

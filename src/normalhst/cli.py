@@ -157,6 +157,13 @@ def cmd_validate(args):
     return EXIT_OK if report.is_manifold else EXIT_SEMANTIC
 
 
+def _check_348_json(result):
+    """The JSON of one 3/4/8 verdict: a tetrahedron's in ``surface``, the
+    pattern's in ``curves``."""
+    return {"passed": result.passed, "loops_of_length_8": result.octagons,
+            "witness": list(result.witness) if result.witness else None}
+
+
 def cmd_surface(args):
     from .curve_patterns import check_348_surface
     from .normal_surfaces import (SurfaceError, SurfaceVector,
@@ -191,10 +198,7 @@ def cmd_surface(args):
         }
         verdict = check_348_surface(vector.tets)
         payload["check_348"] = {
-            "per_tetrahedron": [{"tet": t, "passed": r.passed,
-                                 "loops_of_length_8": r.octagons,
-                                 "witness": list(r.witness)
-                                 if r.witness else None}
+            "per_tetrahedron": [{"tet": t, **_check_348_json(r)}
                                 for t, r in enumerate(verdict.results)],
             "octagon_loops_total": verdict.octagons,
             "single_octagon_globally": verdict.octagons <= 1,
@@ -257,9 +261,9 @@ def cmd_hst(args):
         payload = {
             "levels": splitting_to_json(splitting),
             "thick_levels": list(splitting.thick_indices()),
-            "complexity": list(splitting_complexity(splitting).entries),
+            "complexity": list(splitting_complexity(splitting)),
             "relative_complexity":
-                list(splitting_complexity(splitting, relative=True).entries),
+                list(splitting_complexity(splitting, relative=True)),
         }
     elif args.action == "underlying":
         result = underlying_splitting(splitting)
@@ -270,7 +274,7 @@ def cmd_hst(args):
     else:
         result = is_minimal_reachable(splitting, budget=args.budget)
         payload = {
-            "minimum": list(result.minimum.entries),
+            "minimum": list(result.minimum),
             "splitting": splitting_to_json(result.splitting),
             "trace": trace_to_json(result.trace),
             "states_explored": result.states_explored,
@@ -332,11 +336,7 @@ def cmd_curves(args):
     ok = True
     if args.check_348:
         result = check_348(pattern)
-        payload["check_348"] = {
-            "passed": result.passed,
-            "loops_of_length_8": result.octagons,
-            "witness": list(result.witness) if result.witness else None,
-        }
+        payload["check_348"] = _check_348_json(result)
         ok = result.passed
     emit(payload, args.format)
     return EXIT_OK if ok else EXIT_SEMANTIC

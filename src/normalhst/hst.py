@@ -40,12 +40,8 @@ class Component(Record):
         setfield(self, "closed_chi", closed_chi)
         setfield(self, "punctures", punctures)
 
-    @property
-    def punctured_chi(self):
-        return self.closed_chi - self.punctures
-
     def chi(self, relative):
-        return self.punctured_chi if relative else self.closed_chi
+        return self.closed_chi - (self.punctures if relative else 0)
 
 
 SPHERE = Component(2)
@@ -147,23 +143,6 @@ def c_surface(surface, relative=False):
 
 
 # ---------------------------------------------------------------------------
-# Complexity vectors
-# ---------------------------------------------------------------------------
-
-class ComplexityVector(Record):
-    """Non-increasing vector of nonnegative integers; ``entries`` is a
-    tuple, so vectors compare by the tuple order of the module docstring."""
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        if any(e < 0 for e in entries):
-            raise HstError("complexity entries must be nonnegative")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise HstError("complexity vector must be non-increasing")
-        setfield(self, "entries", entries)
-
-
-# ---------------------------------------------------------------------------
 # Splittings
 # ---------------------------------------------------------------------------
 
@@ -207,12 +186,11 @@ class AbstractSplitting(Record):
 
 
 def splitting_complexity(splitting, relative=False):
-    """Thick-level complexities, sorted non-increasing."""
+    """Thick-level complexities as a tuple, sorted non-increasing."""
     if relative:
-        return ComplexityVector(_relative_entries(splitting.levels))
-    values = sorted((c_surface(splitting.levels[i])
-                     for i in splitting.thick_indices()), reverse=True)
-    return ComplexityVector(tuple(values))
+        return _relative_entries(splitting.levels)
+    return tuple(sorted([c_surface(splitting.levels[i])
+                         for i in splitting.thick_indices()], reverse=True))
 
 
 def _relative_entries(levels):
@@ -259,7 +237,9 @@ class SeparatingCompression(Record):
 
 
 class RelativeCompression(Record):
-    """Isotopy across a disk cutting |F ∩ K| down by exactly two."""
+    """Isotopy across a disk cutting |F ∩ K| down by exactly two.  It
+    needs p >= 2 punctures, and its essentiality clause chi - p <= 0 then
+    holds, since a component's closed chi is at most 2."""
     __slots__ = ("component", "branch")
     _fields = ("component", "branch", "kind")
     kind = "relative"
@@ -296,10 +276,6 @@ def compress(surface, move):
     elif isinstance(move, RelativeCompression):
         if comp.punctures < 2:
             raise HstError("relative compression needs at least 2 punctures")
-        if comp.punctured_chi > 0:
-            raise HstError(
-                "relative compression needs punctured chi <= 0 "
-                "(essentiality clause)")
         comps[move.component] = Component(comp.closed_chi, comp.punctures - 2)
     else:
         raise HstError(f"unknown move {move!r}")
@@ -310,16 +286,13 @@ def _compose_after(d_move, e_move):
     """Re-address the E move so it applies after the D move.
 
     When D was separating and both moves target the same component,
-    ``e_move.branch`` picks which of the two pieces E acts on.
+    ``e_move.branch``, 0 or 1, picks which of the two pieces E acts on.
     """
     shift = 0
     if isinstance(d_move, SeparatingCompression):
         if e_move.component > d_move.component:
             shift = 1
         elif e_move.component == d_move.component:
-            if e_move.branch not in (0, 1):
-                raise HstError(
-                    "E move on the component split by D needs branch 0 or 1")
             shift = e_move.branch
     if not (shift or e_move.branch):
         return e_move
@@ -344,15 +317,15 @@ def _splits_under(d_move, e_move):
 # The four-case weak reduction step
 # ---------------------------------------------------------------------------
 
-def untangle_step(splitting, p, move_d, move_e, eq_d, eq_e):
+def untangle_step(splitting, p, move_d, move_e):
     """Rewrite a thick level along a pair of opposite-side compressions.
 
     ``move_d`` compresses toward the thin level below, ``move_e`` toward
-    the one above; both address components of level p.  ``eq_d`` and
-    ``eq_e`` assert that the compressed surface is (parallel to) the
-    neighbouring thin level; an equality claim whose surfaces do not
-    even agree as multisets is rejected.  The four cases, written once
-    in :func:`_splice` on the surfaces of :func:`_untangle`:
+    the one above; both address components of level p, and only E names
+    a branch, where D splits E's component.  G_D collapses into the thin
+    level below when the two are equal multisets, and G_E into the one
+    above likewise.  The four cases, written once in :func:`_splice` on
+    the surfaces of :func:`_untangle`:
 
     1. neither equal: level p becomes G_D, G_DE, G_E;
     2. G_D equal below: levels p-1, p become G_DE, G_E;
@@ -364,13 +337,23 @@ def untangle_step(splitting, p, move_d, move_e, eq_d, eq_e):
         raise HstError(f"level {p} is thin; untangling rewrites thick levels")
     if not (1 <= p < len(levels) - 1):
         raise HstError(f"thick level {p} needs thin neighbours on both sides")
+    if move_d.branch:
+        raise HstError(f"D move names branch {quoted(move_d.branch)}; "
+                       f"only an E move names a branch")
+    branches = (0, 1) if _splits_under(move_d, move_e) else (0,)
+    if move_e.branch not in branches:
+        raise HstError(f"E move names branch {quoted(move_e.branch)}; only "
+                       f"a D that splits its component gives branches 0, 1")
+    return AbstractSplitting(_untangled(levels, p, move_d, move_e))
+
+
+def _untangled(levels, p, move_d, move_e):
+    """The levels after :func:`untangle_step`; an illegal pair raises."""
     g_d, g_e, g_de = _untangle(levels[p], move_d, move_e)
-    if eq_d and g_d.code != levels[p - 1].code:
-        raise HstError("equality flag for the D side is inconsistent")
-    if eq_e and g_e.code != levels[p + 1].code:
-        raise HstError("equality flag for the E side is inconsistent")
-    start, stop, replacement = _splice(p, eq_d, eq_e, g_d, g_e, g_de)
-    return AbstractSplitting(levels[:start] + replacement + levels[stop:])
+    start, stop, replacement = _splice(
+        p, g_d.code == levels[p - 1].code, g_e.code == levels[p + 1].code,
+        g_d, g_e, g_de)
+    return levels[:start] + replacement + levels[stop:]
 
 
 def _untangle(g_p, move_d, move_e):
@@ -438,7 +421,7 @@ def component_moves(surface):
         for chi1 in range(chi + 2, 1, 2):
             for p1 in range(p + 1):
                 moves.append(SeparatingCompression(i, chi1, p1))
-        if p >= 2 and comp.punctured_chi <= 0:
+        if p >= 2:
             moves.append(RelativeCompression(i))
     return moves
 
@@ -449,11 +432,10 @@ def _move_count(pairs):
 
     Per component: one nonseparating move when chi <= 0, p + 1 puncture
     splits for each of the -chi/2 values chi1 of a separating move, and
-    one relative move when p >= 2 and chi - p <= 0.  The count is
-    arithmetic, so a huge chi costs no more than a small one.
+    one relative move when p >= 2.  The count is arithmetic, so a huge
+    chi costs no more than a small one.
     """
-    return sum((chi <= 0) + max(0, -chi // 2) * (p + 1)
-               + (p >= 2 and chi - p <= 0)
+    return sum((chi <= 0) + max(0, -chi // 2) * (p + 1) + (p >= 2)
                for chi, p in pairs)
 
 
@@ -692,7 +674,7 @@ def is_minimal_reachable(splitting, budget=10000):
                 stack.append((levels[:start] + replacement + levels[stop:],
                               successor_key, trace + (move,)))
 
-    return MinimalSearchResult(minimum=ComplexityVector(best),
+    return MinimalSearchResult(minimum=best,
                                splitting=AbstractSplitting(best_levels),
                                trace=best_trace, certified=exhausted,
                                states_explored=explored)
@@ -720,7 +702,7 @@ def random_descent(splitting, rng):
         compressions = sum(len(levels[p].moves) for p in thicks)
         if not compressions:
             return steps, AbstractSplitting(levels)
-        replacement = None
+        successor = None
         interior = range(1, len(levels) - 1, 2)
         if interior and rng.random() < 0.5:
             for _ in range(4):
@@ -733,14 +715,11 @@ def random_descent(splitting, rng):
                 if _splits_under(d, e):
                     e = _readdressed(e, e.component, rng.randint(0, 1))
                 try:
-                    g_d, g_e, g_de = _untangle(levels[p], d, e)
+                    successor = _untangled(levels, p, d, e)
                 except HstError:
                     continue
-                start, stop, replacement = _splice(
-                    p, g_d.code == levels[p - 1].code,
-                    g_e.code == levels[p + 1].code, g_d, g_e, g_de)
                 break
-        if replacement is None:
+        if successor is None:
             # The draw rng.choice(compressions) made over the list of
             # every (p, move), taken as an index into the per-level moves.
             k = rng.choice(range(compressions))
@@ -749,9 +728,9 @@ def random_descent(splitting, rng):
                 if k < len(moves):
                     break
                 k -= len(moves)
-            start, stop = p, p + 1
-            replacement = (compress(levels[p], moves[k]),)
-        levels = levels[:start] + replacement + levels[stop:]
+            successor = levels[:p] + (compress(levels[p], moves[k]),) \
+                + levels[p + 1:]
+        levels = successor
         new_vec = _relative_entries(levels)
         assert new_vec < vec, \
             "a rewrite failed to decrease complexity"

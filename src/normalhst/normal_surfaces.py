@@ -204,13 +204,38 @@ class SurfaceVector(Record):
                                        json_int(pa[2])),
                                       (pb[0], json_int(pb[1]),
                                        json_int(pb[2])))
-        except (KeyError, TypeError, ValueError, IndexError,
-                AttributeError) as exc:
-            raise SurfaceError(f"malformed surface vector JSON: {exc}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SurfaceError("malformed surface vector JSON: "
+                               + _json_problem(data, exc))
         for t, q, o in blocks:
             if len(t) != 4 or len(q) != 3 or len(o) != 3:
                 raise SurfaceError("coordinate arrays must have lengths 4/3/3")
         return cls(blocks, tube)
+
+
+def _json_problem(data, exc):
+    """Why ``data`` is no surface vector, for the ``exc`` that
+    :meth:`SurfaceVector.from_json_dict` raised on it: the first value,
+    in its reading order, that is no object, lacks a key, or is no array
+    or integer where one is read; else ``exc``'s own message."""
+    def lookup(x, key):
+        if type(x) is not dict or key not in x:
+            raise TypeError(f"missing key {quoted(key)}" if type(x) is dict
+                            else f"expected an object, got {quoted(x)}")
+        return x[key]
+
+    try:
+        for td in json_array(lookup(data, "tets")):
+            for kind in PIECE_KINDS:
+                for x in json_array(lookup(td, kind)):
+                    json_int(x)
+        if (tube := data.get("tube")) is not None:
+            for piece in json_array(lookup(tube, "pieces"), 2):
+                json_array(piece, 3)
+            lookup(tube, "tet")
+    except TypeError as problem:
+        return str(problem)
+    return str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -859,8 +859,8 @@ def rebuilt_rewrites(splitting):
 
     Untangle pairs are found by trial: every D, every E, and E's branch 1
     too where D is separating on E's component.  A pair is kept when the
-    public ``untangle_step`` accepts it, with flags that compare the
-    compressed level with its neighbours as multisets."""
+    public ``untangle_step`` accepts it.  The trace records flags that
+    compare the compressed level with its neighbours as multisets."""
     out = []
     levels = splitting.levels
     for p in range(1, len(levels), 2):
@@ -884,8 +884,7 @@ def rebuilt_rewrites(splitting):
                     eq_e = hst.compress(levels[p], e_branch).multiset() \
                         == levels[p + 1].multiset()
                     try:
-                        step = hst.untangle_step(splitting, p, d, e_branch,
-                                                 eq_d, eq_e)
+                        step = hst.untangle_step(splitting, p, d, e_branch)
                     except hst.HstError:
                         continue
                     out.append((("untangle", p, d, e_branch, eq_d, eq_e),
@@ -934,7 +933,7 @@ def minimal_reachable_by_rebuilding(splitting, budget=10000):
         for move, successor in reversed(rebuilt_rewrites(state)):
             stack.append((successor, trace + (move,)))
     return hst.MinimalSearchResult(
-        minimum=hst.ComplexityVector(best), splitting=best_state,
+        minimum=best, splitting=best_state,
         trace=best_trace, certified=exhausted, states_explored=explored)
 
 

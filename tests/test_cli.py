@@ -406,6 +406,43 @@ def test_surface_rejects_non_array_tets(files, tmp_path, capsys, tets):
         f"got {json.loads(tets)!r}"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: [], "expected an object, got []"),
+    (lambda data: 5, "expected an object, got 5"),
+    (lambda data: {}, "missing key 'tets'"),
+    (lambda data: {**data, "tets": [{"tri": [0] * 4, "quad": [0] * 3}]},
+     "missing key 'oct'"),
+    (lambda data: {**data, "tube": {"tet": 0}}, "missing key 'pieces'"),
+])
+def test_surface_names_what_the_vector_json_lacks(files, tmp_path, capsys,
+                                                  edit, message):
+    data = json.loads(files["link"].read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(data)))
+    assert run(["surface", files["doubled"], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: malformed surface vector JSON: {message}"]
+
+
+@pytest.mark.parametrize("tet", [-1, 2])
+def test_surface_reports_a_tube_tetrahedron_out_of_range(files, tmp_path,
+                                                         capsys, tet):
+    data = json.loads(files["link"].read_text())
+    data["tube"] = {"tet": tet, "pieces": [["tri", 0, 0], ["tri", 1, 0]]}
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps(data))
+    assert run(["surface", files["doubled"], path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["classification"] == "Inadmissible"
+    assert {"code": "tube",
+            "message": f"tube tetrahedron {tet} out of range"} \
+        in payload["violations"]
+
+
 def test_enumerate_vertex_stream(files, capsys):
     assert run(["enumerate", files["single"], "--method", "vertex"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

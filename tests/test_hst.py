@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from normalhst import hst
 from normalhst.limits import ResourceCeilingError
 from normalhst.hst import (EMPTY_SURFACE, SPHERE, TORUS, AbstractSplitting,
-                           AbstractSurface, Component, ComplexityVector,
-                           HstError, NonseparatingCompression,
-                           RelativeCompression, SeparatingCompression,
+                           AbstractSurface, Component, HstError,
+                           NonseparatingCompression, RelativeCompression,
+                           SeparatingCompression,
                            c_surface, component_moves, compress,
                            genus, is_minimal_reachable, legal_rewrites,
                            random_descent, random_splitting,
@@ -49,10 +49,6 @@ def test_component_validation():
         Component(0, -1)
 
 
-def _entries(values):
-    return ComplexityVector(tuple(values)).entries
-
-
 def _lexicographically_less(a, b):
     """The order of the module docstring, written out: the first
     differing entry decides, and a proper prefix is smaller."""
@@ -63,18 +59,10 @@ def _lexicographically_less(a, b):
 
 
 def test_compare_examples():
-    assert _entries((4,)) < _entries((4, 0))
-    assert _entries((16, 4)) > _entries((16, 3, 3))
-    assert _entries((4, 4)) == _entries((4, 4))
-    assert _entries(()) < _entries((0,))
-
-
-def test_complexity_vector_validation():
-    with pytest.raises(HstError):
-        ComplexityVector((1, 2))
-    with pytest.raises(HstError):
-        ComplexityVector((-1,))
-    assert ComplexityVector((4, 4, 0)).entries == (4, 4, 0)
+    assert (4,) < (4, 0)
+    assert (16, 4) > (16, 3, 3)
+    assert (4, 4) == (4, 4)
+    assert () < (0,)
 
 
 vectors = st.lists(st.integers(0, 40), max_size=5).map(
@@ -84,7 +72,6 @@ vectors = st.lists(st.integers(0, 40), max_size=5).map(
 @given(vectors, vectors, vectors)
 @settings(max_examples=200, deadline=None)
 def test_compare_is_total_order(a, b, c):
-    a, b, c = _entries(a), _entries(b), _entries(c)
     assert (a < b) == _lexicographically_less(a, b)
     assert (a < b) + (a == b) + (b < a) == 1
     if a <= b <= c:
@@ -98,16 +85,16 @@ def test_compare_is_total_order(a, b, c):
 def test_splitting_complexity_examples():
     genus2 = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
                                   EMPTY_SURFACE)
-    assert splitting_complexity(genus2).entries == (16,)
+    assert splitting_complexity(genus2) == (16,)
 
     torus = AbstractSurface.of(TORUS)
     product = AbstractSplitting.of(torus, torus, torus)
-    assert splitting_complexity(product).entries == (4,)
+    assert splitting_complexity(product) == (4,)
 
     two_thick = AbstractSplitting.of(
         EMPTY_SURFACE, AbstractSurface.of(TORUS), EMPTY_SURFACE,
         AbstractSurface.of(SPHERE), EMPTY_SURFACE)
-    assert splitting_complexity(two_thick).entries == (4, 0)
+    assert splitting_complexity(two_thick) == (4, 0)
 
 
 def test_thick_levels_nonempty():
@@ -180,18 +167,18 @@ def test_untangle_case_1():
     base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
                                 EMPTY_SURFACE)
     out = untangle_step(base, 1, NonseparatingCompression(0),
-                        NonseparatingCompression(0), False, False)
+                        NonseparatingCompression(0))
     assert len(out.levels) == 5
     assert out.thick_indices() == (1, 3)
-    assert splitting_complexity(out).entries < \
-        splitting_complexity(base).entries
+    assert splitting_complexity(out) < \
+        splitting_complexity(base)
 
 
 def test_untangle_case_2():
     base = AbstractSplitting.of(_torus_level(), AbstractSurface.of(genus(2)),
                                 EMPTY_SURFACE)
     out = untangle_step(base, 1, NonseparatingCompression(0),
-                        NonseparatingCompression(0), True, False)
+                        NonseparatingCompression(0))
     assert len(out.levels) == 3
     # levels: G_DE (sphere), G_E (torus), empty
     assert out.levels[0].components == (SPHERE,)
@@ -202,7 +189,7 @@ def test_untangle_case_3():
     base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
                                 _torus_level())
     out = untangle_step(base, 1, NonseparatingCompression(0),
-                        NonseparatingCompression(0), False, True)
+                        NonseparatingCompression(0))
     assert len(out.levels) == 3
     assert out.levels[1].components == (TORUS,)
     assert out.levels[2].components == (SPHERE,)
@@ -212,11 +199,11 @@ def test_untangle_case_4_collapses():
     base = AbstractSplitting.of(_torus_level(), AbstractSurface.of(genus(2)),
                                 _torus_level())
     out = untangle_step(base, 1, NonseparatingCompression(0),
-                        NonseparatingCompression(0), True, True)
+                        NonseparatingCompression(0))
     assert len(out.levels) == 1
     assert out.levels[0].components == (SPHERE,)
-    assert splitting_complexity(out).entries < \
-        splitting_complexity(base).entries
+    assert splitting_complexity(out) < \
+        splitting_complexity(base)
 
 
 def test_untangle_rejects_even_level():
@@ -224,21 +211,32 @@ def test_untangle_rejects_even_level():
                                 EMPTY_SURFACE)
     with pytest.raises(HstError, match="thin"):
         untangle_step(base, 0, NonseparatingCompression(0),
-                      NonseparatingCompression(0), False, False)
+                      NonseparatingCompression(0))
     with pytest.raises(HstError, match="neighbours"):
         untangle_step(base, 3, NonseparatingCompression(0),
-                      NonseparatingCompression(0), False, False)
+                      NonseparatingCompression(0))
 
 
-def test_untangle_rejects_inconsistent_flags():
-    base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(genus(2)),
+@pytest.mark.parametrize("d, e, message", [
+    (NonseparatingCompression(0, branch=1), NonseparatingCompression(0),
+     "D move names branch 1; only an E move names a branch"),
+    (NonseparatingCompression(0), NonseparatingCompression(0, branch=1),
+     "E move names branch 1; only a D that splits its component"),
+    (NonseparatingCompression(0), NonseparatingCompression(0, branch=7),
+     "E move names branch 7; only a D that splits its component"),
+    (SeparatingCompression(0, -2), NonseparatingCompression(1, branch=1),
+     "E move names branch 1; only a D that splits its component"),
+    (SeparatingCompression(0, -2), NonseparatingCompression(0, branch=7),
+     "E move names branch 7; only a D that splits its component gives "
+     "branches 0, 1"),
+])
+def test_untangle_rejects_a_branch_no_split_gives(d, e, message):
+    # only a separating D on E's component gives E two branches to name
+    base = AbstractSplitting.of(EMPTY_SURFACE,
+                                AbstractSurface.of(genus(3), TORUS),
                                 EMPTY_SURFACE)
-    with pytest.raises(HstError, match="inconsistent"):
-        untangle_step(base, 1, NonseparatingCompression(0),
-                      NonseparatingCompression(0), True, False)
-    with pytest.raises(HstError, match="flag for the E side is inconsistent"):
-        untangle_step(base, 1, NonseparatingCompression(0),
-                      NonseparatingCompression(0), False, True)
+    with pytest.raises(HstError, match=message):
+        untangle_step(base, 1, d, e)
 
 
 @pytest.mark.parametrize("move, message", [
@@ -288,9 +286,9 @@ def test_untangle_case_1_descent_window():
                     compress(g_d, _compose_after(d, e))
                 except HstError:
                     continue
-                out = untangle_step(base, 1, d, e, False, False)
-                assert splitting_complexity(out, True).entries < \
-                    splitting_complexity(base, True).entries
+                out = untangle_step(base, 1, d, e)
+                assert splitting_complexity(out, True) < \
+                    splitting_complexity(base, True)
                 for p in out.thick_indices():
                     assert c_surface(out.levels[p], True) < \
                         c_surface(level, True)
@@ -302,9 +300,9 @@ def test_untangle_separating_branches():
     d = SeparatingCompression(0, -2)      # genus-3 -> genus-2 + torus
     for branch in (0, 1):
         e = NonseparatingCompression(0, branch=branch)
-        out = untangle_step(base, 1, d, e, False, False)
-        assert splitting_complexity(out).entries < \
-            splitting_complexity(base).entries
+        out = untangle_step(base, 1, d, e)
+        assert splitting_complexity(out) < \
+            splitting_complexity(base)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def test_minimal_reachable_torus():
     base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(TORUS),
                                 EMPTY_SURFACE)
     result = is_minimal_reachable(base)
-    assert result.minimum.entries == (0,)
+    assert result.minimum == (0,)
     assert result.certified
     assert len(result.trace) == 1
 
@@ -375,7 +373,7 @@ def test_minimal_reachable_fixed_point():
     base = AbstractSplitting.of(EMPTY_SURFACE, AbstractSurface.of(SPHERE),
                                 EMPTY_SURFACE)
     result = is_minimal_reachable(base)
-    assert result.minimum.entries == (0,)
+    assert result.minimum == (0,)
     assert result.trace == ()
     assert result.states_explored == 1
 
@@ -421,7 +419,7 @@ def _collapsible_splittings(count, seed):
 def _stopped_at_floor(splitting, result):
     """Whether the search stopped at its floor: its best vector reached
     it, so the last state it counted was not expanded."""
-    return result.minimum.entries == hst._end_floor(splitting.levels)
+    return result.minimum == hst._end_floor(splitting.levels)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 100, 10000])
@@ -455,7 +453,7 @@ def test_minimal_reachable_matches_rebuilding_oracle(budget):
         if k > 1:
             floor = hst._end_floor(splitting.levels)
             assert minimal_reachable_by_rebuilding(
-                splitting, k - 1).minimum.entries > floor
+                splitting, k - 1).minimum > floor
     if budget == 10000:
         assert [(r.certified, r.states_explored) for r in results] == \
             [(False, 10001), (True, 1344)]
@@ -477,9 +475,9 @@ def test_floor_is_below_every_reachable_vector():
                       + _collapsible_splittings(40, 97)):
         floor = hst._end_floor(splitting.levels)
         result = minimal_reachable_by_rebuilding(splitting, 100)
-        assert result.minimum.entries >= floor
+        assert result.minimum >= floor
         certified += result.certified
-        attained += result.minimum.entries == floor
+        attained += result.minimum == floor
     assert (certified, attained) == (23, 96)
 
 
@@ -549,7 +547,7 @@ def test_search_at_its_floor_stops_after_one_state():
     start = splitting_from_json([[], [[2, 1], [2, 0]], [[0, 0]], [[2, 1]]])
     assert hst._end_floor(start.levels) == (1, 1)
     result = is_minimal_reachable(start)
-    assert (result.minimum.entries, result.certified,
+    assert (result.minimum, result.certified,
             result.states_explored) == ((1, 1), True, 1)
 
 
@@ -811,6 +809,18 @@ def test_move_count_matches_moves():
             component_moves(AbstractSurface.from_pairs(pairs)))
 
 
+def test_relative_compression_needs_only_two_punctures():
+    # closed chi <= 2 and p >= 2 give chi - p <= 0, the relative
+    # compression's essentiality clause, so the punctures decide alone
+    for chi in range(-8, 3, 2):
+        for punctures in range(7):
+            surface = AbstractSurface.of(Component(chi, punctures))
+            moves = component_moves(surface)
+            assert any(isinstance(move, RelativeCompression)
+                       for move in moves) == (punctures >= 2)
+            assert hst._move_count(surface.pairs) == len(moves)
+
+
 def test_rewrites_ceiling_builds_no_move():
     # 10^5 punctures give 10^5 + 3 moves: refused before any is built
     splitting = splitting_from_json([[], [[-2, 10 ** 5]], []])
@@ -831,7 +841,7 @@ def test_every_rewrite_decreases():
         before = splitting_complexity(splitting, True)
         for _move, successor in _successors(splitting):
             after = splitting_complexity(successor, True)
-            assert after.entries < before.entries
+            assert after < before
 
 
 def test_random_descent_terminates():
@@ -840,8 +850,8 @@ def test_random_descent_terminates():
         splitting = random_splitting(rng)
         steps, final = random_descent(splitting, rng)
         assert not legal_rewrites(final.levels)
-        assert splitting_complexity(final, True).entries <= \
-            splitting_complexity(splitting, True).entries
+        assert splitting_complexity(final, True) <= \
+            splitting_complexity(splitting, True)
 
 
 def test_random_descent_steps_are_legal_rewrites(monkeypatch):

@@ -22,7 +22,7 @@ from normalhst.normal_surfaces import vertex_link
 
 ALL = [
     "ALMOST_NORMAL_OCTAGON", "ALMOST_NORMAL_TUBE", "AbstractSplitting",
-    "AbstractSurface", "CeilingSettingError", "ComplexityVector", "Component",
+    "AbstractSurface", "CeilingSettingError", "Component",
     "CurvePattern", "EMPTY_SURFACE", "Event", "Gluing", "HstError",
     "INADMISSIBLE", "LoopClass", "LoopDecomposition",
     "MorsePresentation", "NORMAL", "NonseparatingCompression", "ParseError",

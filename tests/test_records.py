@@ -21,9 +21,9 @@ from normalhst.curve_patterns import (Check348, CurvePattern, LoopClass,
                                       LoopDecomposition, PatternError,
                                       SurfaceCheck348)
 from normalhst.hst import (EMPTY_SURFACE, AbstractSplitting, AbstractSurface,
-                           ComplexityVector, Component, HstError,
-                           MinimalSearchResult, NonseparatingCompression,
-                           RelativeCompression, SeparatingCompression)
+                           Component, HstError, MinimalSearchResult,
+                           NonseparatingCompression, RelativeCompression,
+                           SeparatingCompression)
 from normalhst.normal_surfaces import (AdmissibilityReport, MatchingSystem,
                                        SurfaceError, SurfaceSummary,
                                        SurfaceVector, TubeAnnotation,
@@ -73,7 +73,6 @@ SAMPLES = {
     Component: ("(closed_chi, punctures=0)", (-2,), {"punctures": 3}),
     AbstractSurface: ("(components)", ((Component(0), Component(-2, 1)),),
                       {}),
-    ComplexityVector: ("(entries)", ((9, 4, 4),), {}),
     AbstractSplitting: ("(levels)", (SPLITTING.levels,), {}),
     NonseparatingCompression: ("(component, branch=0)", (0,), {}),
     SeparatingCompression: ("(component, chi1, punctures1=0, branch=0)",
@@ -81,7 +80,7 @@ SAMPLES = {
     RelativeCompression: ("(component, branch=0)", (0,), {}),
     MinimalSearchResult: ("(minimum, splitting, trace, certified, "
                           "states_explored)",
-                          (ComplexityVector((4,)), SPLITTING, (), True, 1),
+                          ((4,), SPLITTING, (), True, 1),
                           {}),
     Event: ("(kind, position)", ("B", 0), {}),
     MorsePresentation: ("(events)", (PRESENTATION.events,), {}),
@@ -114,7 +113,7 @@ def _package_records():
 
 
 def test_samples_cover_every_record_class():
-    assert len(CLASSES) == 28
+    assert len(CLASSES) == 27
     assert _package_records() == set(CLASSES)
 
 
@@ -229,8 +228,6 @@ def test_kept_methods_and_caches():
     (lambda: Component(1), HstError, "must be even and <= 2, got 1"),
     (lambda: Component(4), HstError, "must be even and <= 2, got 4"),
     (lambda: Component(0, -1), HstError, "puncture count must be nonneg"),
-    (lambda: ComplexityVector((1, -1)), HstError, "must be nonnegative"),
-    (lambda: ComplexityVector((1, 4)), HstError, "must be non-increasing"),
     (lambda: AbstractSplitting(()), HstError, "at least one level"),
     (lambda: AbstractSplitting((EMPTY_SURFACE,) * 3), HstError,
      "thick level 1 is empty"),

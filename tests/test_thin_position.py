@@ -321,6 +321,6 @@ def test_induced_splitting_feeds_complexity_calculus():
     pres = MorsePresentation.of("B", "B", "D", "B", "D", "D")
     splitting = induced_splitting(pres)
     relative = splitting_complexity(splitting, relative=True)
-    assert relative.entries == (16, 16)
+    assert relative == (16, 16)
     absolute = splitting_complexity(splitting)
-    assert absolute.entries == (0, 0)
+    assert absolute == (0, 0)
